@@ -10,27 +10,40 @@ Conventions
 -----------
 * Permutations are 0-based index arrays of length ``n`` (bijections on
   ``range(n)``).
-* Monte Carlo replicate ``i`` draws its permutation from an independent RNG
-  stream derived from ``(seed, i)`` via the SplitMix64 finalizer (see
-  :func:`split_seed`), so serial and parallel evaluation orders produce
-  bit-identical results.
+* Monte Carlo replicates come in blocks of ``BLOCK_ROWS`` (64) rows.  Block
+  ``k`` starts as 64 copies of ``arange(n)`` and is shuffled in place, row
+  by row, by ``replicate_rng(seed, k).permuted(block, axis=1, out=block)``:
+  each row is an independent Fisher-Yates shuffle, drawn in row order from
+  the block's stream.  Replicate ``i`` is row ``i % 64`` of block
+  ``i // 64``, a function of ``(seed, i)`` alone, so a plan with fewer
+  replicates is a prefix of one with more, and neither the chunk size nor
+  the worker count changes any row.
+* Monte Carlo rows are generated and evaluated one chunk at a time: a chunk
+  is a whole number of blocks holding about ``CHUNK_ENTRIES`` (2^20) index
+  entries, so peak index memory is O(chunk * n), not O(B * n).
 * The Monte Carlo p-value is ``(1 + #{sampled replicates >= observed}) /
   (B + 1)``, which is valid in finite samples.  With
   ``include_identity=True`` (the default) the identity relabeling's value is
   also appended to the replicate pool used for the critical value.
 * The test is the conservative, non-randomized one: reject iff the observed
   statistic strictly exceeds the critical value.
-* Tie comparisons use a relative float tolerance (``TIE_REL`` of the value
-  scale).  Many statistics take exactly equal values on symmetric relabelings
-  and the level guarantee counts those as ties; rounding noise from
-  different summation orders must not split them, or the test turns
-  anti-conservative.  The tolerance errs on the conservative side.
+* Tie comparisons use a relative float tolerance: ``TIE_REL`` times the
+  largest absolute value among the observed statistic and the replicates,
+  and plain equality when all of them are 0.  Many statistics take exactly
+  equal values on symmetric relabelings and the level guarantee counts
+  those as ties; rounding noise from different summation orders must not
+  split them, or the test turns anti-conservative.  The tolerance has no
+  absolute floor, so the decision does not depend on the units of the
+  statistic.
+* A statistic value that is not finite (NaN or infinite) raises
+  :class:`StatisticEvaluationError`; it is never ranked.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator
 
@@ -56,6 +69,11 @@ DEFAULT_ENUMERATION_LIMIT = math.factorial(10)
 
 # relative scale for treating replicate-vs-observed comparisons as ties
 TIE_REL = 1e-12
+
+# Monte Carlo rows drawn from one block stream; part of the stream contract
+BLOCK_ROWS = 64
+# index entries generated and evaluated at a time (rounded to whole blocks)
+CHUNK_ENTRIES = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -83,10 +101,11 @@ def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
 class StatisticEvaluationError(RuntimeError):
     """A statistic evaluator raised while processing one relabeling.
 
+    Also raised when the evaluator returns a value that is not finite.
     ``replicate_index`` is the 0-based replicate number; -1 marks the
-    observed (identity) evaluation and -2 a failure inside a batched
-    evaluation, where no single index exists.  The original exception is
-    chained as ``__cause__``.
+    observed (identity) evaluation and -2 an exception inside a batched
+    evaluation, where no single index exists.  The original exception, if
+    any, is chained as ``__cause__``.
     """
 
     def __init__(self, replicate_index: int, message: str = "") -> None:
@@ -163,8 +182,12 @@ class PermutationDistribution:
 
     @property
     def tie_tolerance(self) -> float:
-        """Absolute slack under which a replicate ties the observed value."""
-        scale = max(1.0, abs(self.observed), float(np.abs(self.replicates).max()))
+        """Absolute slack under which a replicate ties the observed value.
+
+        Relative to the largest absolute value in play, so rescaling the
+        statistic rescales the slack; 0 (plain equality) when every value is 0.
+        """
+        scale = max(abs(self.observed), float(np.abs(self.replicates).max()))
         return TIE_REL * scale
 
 
@@ -228,41 +251,64 @@ def _cached_enumeration(n: int) -> np.ndarray:
     return mat
 
 
-def _monte_carlo_matrix(n: int, replicates: int, seed: int) -> np.ndarray:
-    """Stack of ``replicates`` independent uniform permutations.
-
-    Row ``i`` comes from the stream for ``(seed, i)`` regardless of how many
-    workers evaluate the statistic afterwards.
-    """
-    out = np.empty((replicates, n), dtype=np.intp)
-    for i in range(replicates):
-        out[i] = replicate_rng(seed, i).permutation(n)
-    return out
-
-
 def _evaluate(
     stat: Callable[[Any, np.ndarray], float],
     data: Any,
     perms: np.ndarray,
+    offset: int = 0,
 ) -> np.ndarray:
     """Evaluate ``stat`` on every row of ``perms``.
 
     Uses the evaluator's vectorized ``evaluate_many`` when present; otherwise
-    falls back to a per-replicate loop.  Both paths see identical permutation
-    rows, so results agree bit-for-bit.
+    calls ``stat`` once per row.  ``offset`` is the replicate index of row 0,
+    so failures and non-finite values report their global replicate index.
     """
     many = getattr(stat, "evaluate_many", None)
     if many is not None:
         try:
-            return np.asarray(many(data, perms), dtype=float)
+            values = np.asarray(many(data, perms), dtype=float)
         except Exception as exc:  # noqa: BLE001
             raise StatisticEvaluationError(-2, "batched statistic evaluation failed") from exc
-    values = np.empty(perms.shape[0], dtype=float)
-    for i, perm in enumerate(perms):
-        try:
-            values[i] = stat(data, perm)
-        except Exception as exc:  # noqa: BLE001 - annotate with replicate index
-            raise StatisticEvaluationError(i) from exc
+    else:
+        values = np.empty(perms.shape[0], dtype=float)
+        for i, perm in enumerate(perms):
+            try:
+                values[i] = stat(data, perm)
+            except Exception as exc:  # noqa: BLE001 - annotate with replicate index
+                raise StatisticEvaluationError(offset + i) from exc
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        index = offset + int(bad[0])
+        raise StatisticEvaluationError(
+            index, f"statistic is not finite at replicate {index}: {values[bad[0]]}"
+        )
+    return values
+
+
+def _monte_carlo_values(
+    stat: Callable[[Any, np.ndarray], float],
+    data: Any,
+    n: int,
+    replicates: int,
+    seed: int,
+) -> np.ndarray:
+    """Statistic values of replicates ``0 .. replicates - 1``, chunk by chunk.
+
+    A chunk is a whole number of blocks, so every block is shuffled in one
+    ``permuted`` call from its own stream; rows past ``replicates`` in the
+    last block are never drawn.
+    """
+    chunk = BLOCK_ROWS * max(1, CHUNK_ENTRIES // (BLOCK_ROWS * n))
+    values = np.empty(replicates, dtype=float)
+    buffer = np.empty((min(chunk, replicates), n), dtype=np.intp)
+    for start in range(0, replicates, chunk):
+        rows = buffer[: min(chunk, replicates - start)]
+        rows[...] = np.arange(n, dtype=np.intp)
+        for first in range(0, rows.shape[0], BLOCK_ROWS):
+            block = rows[first : first + BLOCK_ROWS]
+            k = (start + first) // BLOCK_ROWS
+            replicate_rng(seed, k).permuted(block, axis=1, out=block)
+        values[start : start + rows.shape[0]] = _evaluate(stat, data, rows, start)
     return values
 
 
@@ -277,7 +323,10 @@ def permutation_distribution(
     ``stat(data, perm)`` must be a pure function of its arguments; ``perm``
     is a 0-based index array of length ``n``.  In ``monte_carlo`` mode with
     ``include_identity=True`` the identity permutation's value (equal to the
-    observed statistic) is appended to the replicate pool.
+    observed statistic) is appended to the replicate pool.  Monte Carlo
+    replicates are generated and evaluated one chunk of rows at a time.
+    Raises :class:`StatisticEvaluationError` if ``stat`` raises or returns a
+    value that is not finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -286,6 +335,8 @@ def permutation_distribution(
         observed = float(stat(data, identity))
     except Exception as exc:  # noqa: BLE001
         raise StatisticEvaluationError(-1, "statistic failed on identity") from exc
+    if not math.isfinite(observed):
+        raise StatisticEvaluationError(-1, f"observed statistic is not finite: {observed}")
 
     if plan.mode == "exact":
         perms = _enumeration_matrix(n, plan.enumeration_limit)
@@ -296,8 +347,7 @@ def permutation_distribution(
         # exactness depends on this tie)
         values[0] = observed
     else:
-        perms = _monte_carlo_matrix(n, int(plan.replicates), int(plan.seed))
-        values = _evaluate(stat, data, perms)
+        values = _monte_carlo_values(stat, data, n, int(plan.replicates), int(plan.seed))
         if plan.include_identity:
             values = np.append(values, observed)
     values = np.sort(values)
@@ -353,7 +403,19 @@ def run_test(
     plan: PermutationPlan,
     alpha: float,
 ) -> TestOutcome:
-    """Assemble distribution, critical value and p-value into a decision."""
+    """Assemble distribution, critical value and p-value into a decision.
+
+    Warns when a Monte Carlo plan cannot reach ``alpha``: the smallest
+    attainable p-value is 1/(B+1), so below it the test never rejects.
+    """
+    if plan.mode == "monte_carlo" and alpha < 1.0 / (plan.replicates + 1):
+        warnings.warn(
+            f"level {alpha:.4g} is below 1/(B+1) = {1.0 / (plan.replicates + 1):.4g}, "
+            "the smallest Monte Carlo p-value; the test can never reject. "
+            "Increase the replicate count.",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     dist = permutation_distribution(stat, data, n, plan)
     return outcome_from_distribution(dist, alpha)
 

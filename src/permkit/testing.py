@@ -489,19 +489,6 @@ def _component_plan(plan: PermutationPlan, j: int) -> PermutationPlan:
     return plan.reseeded(split_seed(plan.seed, j))
 
 
-def _warn_if_level_unreachable(level: float, plan: PermutationPlan) -> None:
-    # the smallest Monte Carlo p-value is 1/(B+1); below that the components
-    # can never reject and the union test is pure type II error
-    if plan.mode == "monte_carlo" and level < 1.0 / (plan.replicates + 1):
-        warnings.warn(
-            f"per-component level {level:.4g} is below 1/(B+1) = "
-            f"{1.0 / (plan.replicates + 1):.4g}; components can never reject. "
-            "Increase the replicate count.",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def adaptive_two_sample(
     data: TwoSamplePooled, alpha: float, plan: PermutationPlan
 ) -> AdaptiveOutcome:
@@ -513,7 +500,6 @@ def adaptive_two_sample(
     dim = _require_continuous(data.domain, "two-sample data")
     grid = adaptive_grid_two_sample(data.n1, dim)
     level = grid.per_test_alpha(alpha)
-    _warn_if_level_unreachable(level, plan)
     components = []
     for j, kappa in enumerate(grid.kappas):
         outcome = binned_two_sample(data, kappa, level, _component_plan(plan, j))
@@ -535,7 +521,6 @@ def adaptive_independence(
     d2 = _require_continuous(data.z_domain, "z")
     grid = adaptive_grid_independence(data.n, d1, d2)
     level = grid.per_test_alpha(alpha)
-    _warn_if_level_unreachable(level, plan)
     components = []
     for j, kappa in enumerate(grid.kappas):
         outcome = binned_independence(data, kappa, level, _component_plan(plan, j))

@@ -81,6 +81,8 @@ def _validate_domain(values: np.ndarray, domain: Categorical | Continuous, name:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] != domain.dim:
         raise ValueError(f"{name}: expected points of dimension {domain.dim}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name}: continuous data must be finite (no NaN or inf)")
     return arr
 
 

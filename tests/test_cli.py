@@ -154,6 +154,15 @@ class TestCommands:
         )
         assert result.exit_code == 2
 
+    def test_non_finite_input_exit_code_2(self, runner, tmp_path):
+        lines = ["group,x"] + [f"1,{v}" for v in (0.1, "nan", 0.3)]
+        lines += [f"2,{v}" for v in (0.2, 0.4, 0.5)]
+        path = _write(tmp_path / "nan.csv", "\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["twosample", "--input", path, "--stat", "mmd", "--bandwidth", "1"]
+        )
+        assert result.exit_code == 2
+
     def test_continuous_twosample_binned(self, runner, tmp_path):
         rng = np.random.default_rng(5)
         lines = ["group,x"]

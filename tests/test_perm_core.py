@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from permkit.perm_core import (
+    BLOCK_ROWS,
+    CHUNK_ENTRIES,
     PermutationDistribution,
     PermutationPlan,
     StatisticEvaluationError,
@@ -104,7 +108,7 @@ class TestPermutationDistribution:
 
     def test_monte_carlo_deterministic_and_scheduler_independent(self):
         # same seed -> bit-identical replicates, whether or not the evaluator
-        # advertises batch evaluation (the per-replicate streams fix the draws)
+        # advertises batch evaluation (the block streams fix the draws)
         data = np.arange(6, dtype=float)
 
         def loop_stat(d, perm):
@@ -123,6 +127,140 @@ class TestPermutationDistribution:
         d3 = permutation_distribution(loop_stat, data, 6, plan)
         assert np.array_equal(d1.replicates, d2.replicates)
         assert np.array_equal(d1.replicates, d3.replicates)
+
+
+class _RecordingStat:
+    """Batch evaluator that keeps a copy of every row it is handed."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def __call__(self, data, perm):
+        return 0.0
+
+    def evaluate_many(self, data, perms):
+        self.chunks.append(perms.copy())
+        return np.zeros(perms.shape[0])
+
+    @property
+    def rows(self):
+        return np.concatenate(self.chunks)
+
+
+def _mc_rows(n, replicates, seed):
+    stat = _RecordingStat()
+    permutation_distribution(stat, None, n, PermutationPlan.monte_carlo(replicates, seed))
+    return stat
+
+
+def _contract_rows(n, replicates, seed):
+    """All rows in one array, straight from the documented block contract."""
+    blocks = -(-replicates // BLOCK_ROWS)
+    rows = np.tile(np.arange(n, dtype=np.intp), (blocks * BLOCK_ROWS, 1))
+    for k in range(blocks):
+        block = rows[k * BLOCK_ROWS : (k + 1) * BLOCK_ROWS]
+        replicate_rng(seed, k).permuted(block, axis=1, out=block)
+    return rows[:replicates]
+
+
+class TestMonteCarloStream:
+    @pytest.mark.parametrize("replicates", [1, 63, 64, 65, 1000])
+    def test_every_row_is_a_permutation(self, replicates):
+        rows = _mc_rows(9, replicates, seed=11).rows
+        assert rows.shape == (replicates, 9)
+        assert np.array_equal(np.sort(rows, axis=1), np.broadcast_to(np.arange(9), rows.shape))
+
+    def test_prefix_stable(self):
+        short = _mc_rows(12, 100, seed=21).rows
+        long = _mc_rows(12, 300, seed=21).rows
+        assert np.array_equal(short, long[:100])
+
+    def test_rows_follow_block_contract(self):
+        # replicate i is row i % 64 of block stream (seed, i // 64)
+        rows = _mc_rows(7, 2 * BLOCK_ROWS + 3, seed=5).rows
+        assert np.array_equal(rows, _contract_rows(7, 2 * BLOCK_ROWS + 3, seed=5))
+
+    def test_chunking_leaves_values_unchanged(self):
+        n = 5000
+        chunk_rows = BLOCK_ROWS * max(1, CHUNK_ENTRIES // (BLOCK_ROWS * n))
+        replicates = 2 * chunk_rows + 50
+        chunks = _mc_rows(n, replicates, seed=8).chunks
+        assert len(chunks) >= 3
+        assert all(c.shape[0] % BLOCK_ROWS == 0 for c in chunks[:-1])
+        data = np.random.default_rng(0).normal(size=n)
+
+        class SumStat:
+            def __call__(self, d, perm):
+                return float(d[perm[:100]].sum())
+
+            def evaluate_many(self, d, perms):
+                return d[perms[:, :100]].sum(axis=1)
+
+        plan = PermutationPlan.monte_carlo(replicates, seed=8, include_identity=False)
+        chunked = permutation_distribution(SumStat(), data, n, plan)
+        one_batch = np.sort(SumStat().evaluate_many(data, _contract_rows(n, replicates, 8)))
+        assert np.array_equal(chunked.replicates, one_batch)
+
+    def test_uniform_over_all_permutations(self):
+        # chi-square goodness of fit over the 24 permutations of n=4, with
+        # the draws spread over many blocks
+        replicates = 24 * 250
+        rows = _mc_rows(4, replicates, seed=17).rows
+        index = {p: i for i, p in enumerate(itertools.permutations(range(4)))}
+        counts = np.bincount([index[tuple(r)] for r in rows.tolist()], minlength=24)
+        expected = replicates / 24
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < sps.chi2.ppf(0.999, df=23)
+
+    def test_loop_failure_reports_global_index(self):
+        n = 5000
+        chunk_rows = BLOCK_ROWS * max(1, CHUNK_ENTRIES // (BLOCK_ROWS * n))
+        target = chunk_rows + 7  # in chunk 1
+        calls = []
+
+        def bad(data, perm):
+            calls.append(None)  # call 0 is the identity, call i + 1 replicate i
+            if len(calls) == target + 2:
+                raise RuntimeError("boom")
+            return 0.0
+
+        plan = PermutationPlan.monte_carlo(2 * chunk_rows, seed=4)
+        with pytest.raises(StatisticEvaluationError) as err:
+            permutation_distribution(bad, None, n, plan)
+        assert err.value.replicate_index == target
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+
+class TestNonFiniteStatistic:
+    def test_non_finite_observed(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(StatisticEvaluationError) as err:
+                permutation_distribution(
+                    lambda d, perm: bad, None, 4, PermutationPlan.monte_carlo(9, 0)
+                )
+            assert err.value.replicate_index == -1
+
+    def test_non_finite_replicate_reports_index(self):
+        class NanAt:
+            def __call__(self, d, perm):
+                return 0.0
+
+            def evaluate_many(self, d, perms):
+                out = np.zeros(perms.shape[0])
+                out[30] = np.nan
+                return out
+
+        with pytest.raises(StatisticEvaluationError) as err:
+            permutation_distribution(NanAt(), None, 5, PermutationPlan.monte_carlo(99, 1))
+        assert err.value.replicate_index == 30
+
+    def test_non_finite_exact_replicate(self):
+        def stat(d, perm):
+            return -math.inf if perm[0] == 2 else float(perm[0])
+
+        with pytest.raises(StatisticEvaluationError) as err:
+            permutation_distribution(stat, None, 3, PermutationPlan.exact())
+        assert err.value.replicate_index == 4  # (2, 0, 1) in lexicographic order
 
 
 class TestCriticalValue:
@@ -194,7 +332,31 @@ class TestPValue:
         assert 0.0 < p_value(dist) <= 1.0
 
 
+class TestTieScale:
+    @given(st.integers(-20, 20))
+    @settings(max_examples=41, deadline=None)
+    def test_p_invariant_to_statistic_units(self, k):
+        data = np.array([1.0] * 10 + [0.0] * 10)
+        plan = PermutationPlan.monte_carlo(199, seed=5)
+
+        def p_at(scale):
+            stat = lambda d, perm: scale * float(d[perm[:10]].sum())  # noqa: E731
+            return p_value(permutation_distribution(stat, data, 20, plan))
+
+        assert p_at(10.0**k) == p_at(1.0)
+
+    def test_all_zero_values_use_plain_equality(self):
+        dist = _dist([0.0, 0.0, 0.0], observed=0.0)
+        assert dist.tie_tolerance == 0.0
+        assert p_value(dist) == 1.0
+
+
 class TestRunTest:
+    def test_unreachable_level_warns(self):
+        plan = PermutationPlan.monte_carlo(19, seed=0)
+        with pytest.warns(RuntimeWarning, match="never reject"):
+            run_test(lambda d, p: float(p[0]), None, 4, plan, 0.01)
+
     def test_constant_never_rejects(self):
         for alpha in (0.05, 0.5, 0.9):
             out = run_test(lambda d, p: 1.0, None, 4, PermutationPlan.exact(), alpha)

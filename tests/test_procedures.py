@@ -428,6 +428,30 @@ class TestMMD:
             rejects += out.reject
         assert rejects / trials >= 0.9
 
+    def test_decision_independent_of_bandwidth_scale(self):
+        # at huge bandwidths the statistic is ~1e-14 or smaller; the tie rule
+        # must not fold every replicate into a tie with it
+        rng = np.random.default_rng(20)
+        data = TwoSamplePooled(
+            y=rng.normal(size=(40, 1)),
+            z=rng.normal(loc=1.5, size=(40, 1)),
+            domain=Continuous(1),
+        )
+        pvals = {
+            mmd_test(data, np.array([bw]), 0.05, MC(199, seed=1)).p_value
+            for bw in (5e3, 5e4, 5e5)
+        }
+        assert pvals == {0.005}
+
+    def test_unreachable_level_warns(self):
+        rng = np.random.default_rng(21)
+        data = TwoSamplePooled(
+            y=rng.normal(size=(10, 1)), z=rng.normal(size=(10, 1)), domain=Continuous(1)
+        )
+        with pytest.warns(RuntimeWarning, match="never reject"):
+            out = mmd_test(data, np.array([1.0]), 0.01, MC(19, seed=0))
+        assert not out.reject
+
     def test_nonpositive_bandwidth_rejected(self):
         rng = np.random.default_rng(19)
         data = TwoSamplePooled(

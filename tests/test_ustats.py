@@ -299,6 +299,17 @@ class TestDataTypes:
                 y=np.zeros((3, 2)), z=np.zeros((3, 3)), domain=Continuous(2)
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_continuous_must_be_finite(self, bad):
+        y = np.zeros((4, 2))
+        y[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TwoSamplePooled(y=y, z=np.zeros((3, 2)), domain=Continuous(2))
+        with pytest.raises(ValueError, match="finite"):
+            PairedSample(
+                y=np.zeros(4), z=y[:, 0], y_domain=Continuous(1), z_domain=Continuous(1)
+            )
+
     def test_unbiasedness_small_monte_carlo(self):
         # cheap version of the unbiasedness property (the acceptance suite
         # runs the full-size one)
