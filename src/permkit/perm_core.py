@@ -18,9 +18,16 @@ Conventions
   ``i // 64``, a function of ``(seed, i)`` alone, so a plan with fewer
   replicates is a prefix of one with more, and neither the chunk size nor
   the worker count changes any row.
-* Monte Carlo rows are generated and evaluated one chunk at a time: a chunk
-  is a whole number of blocks holding about ``CHUNK_ENTRIES`` (2^20) index
-  entries, so peak index memory is O(chunk * n), not O(B * n).
+* Exact plans enumerate the n! permutations in lexicographic order, so row
+  0 is the identity.  Rows of both modes are generated and evaluated one
+  chunk at a time, a whole number of blocks holding about ``CHUNK_ENTRIES``
+  (2^20) index entries: peak index memory is O(chunk * n), not O(B * n) or
+  O(n! * n).
+* Evaluators have one protocol, ``evaluate_many(data, rows)`` on an (m, n)
+  matrix of index rows; a plain callable ``stat(data, perm)`` is called once
+  per row.  The observed statistic is the identity row's value (exact row
+  0, or a one-row batch under a Monte Carlo plan), so it equals its own
+  replicate exactly.
 * The Monte Carlo p-value is ``(1 + #{sampled replicates >= observed}) /
   (B + 1)``, which is valid in finite samples.  With
   ``include_identity=True`` (the default) the identity relabeling's value is
@@ -102,10 +109,11 @@ class StatisticEvaluationError(RuntimeError):
     """A statistic evaluator raised while processing one relabeling.
 
     Also raised when the evaluator returns a value that is not finite.
-    ``replicate_index`` is the 0-based replicate number; -1 marks the
-    observed (identity) evaluation and -2 an exception inside a batched
-    evaluation, where no single index exists.  The original exception, if
-    any, is chained as ``__cause__``.
+    ``replicate_index`` is the 0-based replicate number of the failing row;
+    -1 marks the identity row, whose value is the observed statistic.  When
+    an ``evaluate_many`` call raises, no single row is known and the index
+    is that of the batch's first row.  The original exception, if any, is
+    chained as ``__cause__``.
     """
 
     def __init__(self, replicate_index: int, message: str = "") -> None:
@@ -215,6 +223,13 @@ def enumerate_permutations(
     n: int, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> Iterator[np.ndarray]:
     """Yield all n! permutations of ``range(n)`` in lexicographic order."""
+    _enumeration_size(n, enumeration_limit)
+    for _, rows in _enumeration_chunks(n, _chunk_rows(n)):
+        yield from np.array(rows)
+
+
+def _enumeration_size(n: int, enumeration_limit: int) -> int:
+    """n!, refused when it exceeds ``enumeration_limit``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     total = math.factorial(n)
@@ -223,83 +238,50 @@ def enumerate_permutations(
             f"{n}! = {total} permutations exceeds the enumeration limit "
             f"{enumeration_limit}; use a monte_carlo plan"
         )
-    for perm in itertools.permutations(range(n)):
-        yield np.array(perm, dtype=np.intp)
-
-
-def _enumeration_matrix(n: int, enumeration_limit: int) -> np.ndarray:
-    """All n! permutations stacked as an (n!, n) index matrix."""
-    total = math.factorial(n)
-    if total > enumeration_limit:
-        raise ValueError(
-            f"{n}! = {total} permutations exceeds the enumeration limit "
-            f"{enumeration_limit}; use a monte_carlo plan"
-        )
-    return _cached_enumeration(n)
+    return total
 
 
 _ENUM_CACHE: dict[int, np.ndarray] = {}
-_ENUM_CACHE_MAX_N = 8  # 8! rows cached at most; larger built on demand
+_ENUM_CACHE_MAX_N = 8  # 8! rows cached at most; larger built chunk by chunk
 
 
-def _cached_enumeration(n: int) -> np.ndarray:
-    mat = _ENUM_CACHE.get(n)
-    if mat is None:
-        mat = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-        if n <= _ENUM_CACHE_MAX_N:
-            _ENUM_CACHE[n] = mat
-    return mat
+def _permutation_rows(perms: Iterator[tuple], rows: int, n: int) -> np.ndarray:
+    """The next ``rows`` tuples of ``perms`` as a (rows, n) index matrix."""
+    flat = itertools.chain.from_iterable(itertools.islice(perms, rows))
+    return np.fromiter(flat, dtype=np.intp, count=rows * n).reshape(rows, n)
 
 
-def _evaluate(
-    stat: Callable[[Any, np.ndarray], float],
-    data: Any,
-    perms: np.ndarray,
-    offset: int = 0,
-) -> np.ndarray:
-    """Evaluate ``stat`` on every row of ``perms``.
+def _enumeration_chunks(n: int, chunk: int) -> Iterator[tuple[int, np.ndarray]]:
+    """All n! permutations in lexicographic order as ``(start, rows)`` chunks.
 
-    Uses the evaluator's vectorized ``evaluate_many`` when present; otherwise
-    calls ``stat`` once per row.  ``offset`` is the replicate index of row 0,
-    so failures and non-finite values report their global replicate index.
+    Up to ``_ENUM_CACHE_MAX_N`` the whole matrix is built once, kept read-only
+    and sliced; above it each chunk is built from the tuple stream, so only
+    one chunk of rows exists at a time.  Row 0 is the identity.
     """
-    many = getattr(stat, "evaluate_many", None)
-    if many is not None:
-        try:
-            values = np.asarray(many(data, perms), dtype=float)
-        except Exception as exc:  # noqa: BLE001
-            raise StatisticEvaluationError(-2, "batched statistic evaluation failed") from exc
-    else:
-        values = np.empty(perms.shape[0], dtype=float)
-        for i, perm in enumerate(perms):
-            try:
-                values[i] = stat(data, perm)
-            except Exception as exc:  # noqa: BLE001 - annotate with replicate index
-                raise StatisticEvaluationError(offset + i) from exc
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        index = offset + int(bad[0])
-        raise StatisticEvaluationError(
-            index, f"statistic is not finite at replicate {index}: {values[bad[0]]}"
-        )
-    return values
+    total = math.factorial(n)
+    perms = itertools.permutations(range(n))
+    cached = _ENUM_CACHE.get(n)
+    if cached is None and n <= _ENUM_CACHE_MAX_N:
+        cached = _ENUM_CACHE[n] = _permutation_rows(perms, total, n)
+        cached.flags.writeable = False
+    for start in range(0, total, chunk):
+        rows = min(chunk, total - start)
+        if cached is None:
+            yield start, _permutation_rows(perms, rows, n)
+        else:
+            yield start, cached[start : start + rows]
 
 
-def _monte_carlo_values(
-    stat: Callable[[Any, np.ndarray], float],
-    data: Any,
-    n: int,
-    replicates: int,
-    seed: int,
-) -> np.ndarray:
-    """Statistic values of replicates ``0 .. replicates - 1``, chunk by chunk.
+def _monte_carlo_chunks(
+    n: int, replicates: int, seed: int, chunk: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Replicates ``0 .. replicates - 1`` as ``(start, rows)`` chunks.
 
     A chunk is a whole number of blocks, so every block is shuffled in one
     ``permuted`` call from its own stream; rows past ``replicates`` in the
-    last block are never drawn.
+    last block are never drawn.  The rows share one buffer, overwritten by
+    the next chunk.
     """
-    chunk = BLOCK_ROWS * max(1, CHUNK_ENTRIES // (BLOCK_ROWS * n))
-    values = np.empty(replicates, dtype=float)
     buffer = np.empty((min(chunk, replicates), n), dtype=np.intp)
     for start in range(0, replicates, chunk):
         rows = buffer[: min(chunk, replicates - start)]
@@ -308,8 +290,71 @@ def _monte_carlo_values(
             block = rows[first : first + BLOCK_ROWS]
             k = (start + first) // BLOCK_ROWS
             replicate_rng(seed, k).permuted(block, axis=1, out=block)
-        values[start : start + rows.shape[0]] = _evaluate(stat, data, rows, start)
-    return values
+        yield start, rows
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk: whole blocks holding about ``CHUNK_ENTRIES`` entries."""
+    return BLOCK_ROWS * max(1, CHUNK_ENTRIES // (BLOCK_ROWS * n))
+
+
+class _RowFailure(Exception):
+    """A plain callable raised on row ``args[0]`` of a batch; the cause is chained."""
+
+
+def _batch_evaluator(stat: Any) -> Callable[[Any, np.ndarray], np.ndarray]:
+    """``stat.evaluate_many``, or a row-by-row adapter for a plain callable."""
+    many = getattr(stat, "evaluate_many", None)
+    if many is not None:
+        return many
+
+    def row_by_row(data: Any, rows: np.ndarray) -> np.ndarray:
+        values = np.empty(rows.shape[0], dtype=float)
+        for i, perm in enumerate(rows):
+            try:
+                values[i] = stat(data, perm)
+            except Exception as exc:  # noqa: BLE001 - annotated with its row
+                raise _RowFailure(i) from exc
+        return values
+
+    return row_by_row
+
+
+def _evaluate(
+    evaluate: Callable[[Any, np.ndarray], np.ndarray],
+    data: Any,
+    rows: np.ndarray,
+    start: int,
+    identity_first: bool,
+) -> np.ndarray:
+    """``evaluate(data, rows)`` as finite floats.
+
+    Row i is replicate ``start + i``, except that with ``identity_first``
+    row 0 is the identity (observed) row, index -1.  A batch evaluator that
+    raises reports the index of row 0.
+    """
+    try:
+        values = np.asarray(evaluate(data, rows), dtype=float)
+    except _RowFailure as failure:
+        index = _replicate_index(start, failure.args[0], identity_first)
+        raise StatisticEvaluationError(index) from failure.__cause__
+    except Exception as exc:  # noqa: BLE001 - annotate with the batch's first index
+        index = _replicate_index(start, 0, identity_first)
+        raise StatisticEvaluationError(
+            index, f"batched statistic evaluation failed from replicate {index}"
+        ) from exc
+    if np.isfinite(values).all():
+        return values
+    row = int(np.flatnonzero(~np.isfinite(values))[0])
+    index = _replicate_index(start, row, identity_first)
+    raise StatisticEvaluationError(
+        index, f"statistic is not finite at replicate {index}: {values[row]}"
+    )
+
+
+def _replicate_index(start: int, row: int, identity_first: bool) -> int:
+    """Replicate index of ``row`` in a batch whose row 0 is replicate ``start``."""
+    return -1 if identity_first and row == 0 else start + row
 
 
 def permutation_distribution(
@@ -320,37 +365,37 @@ def permutation_distribution(
 ) -> PermutationDistribution:
     """Observed statistic plus replicates of ``stat`` under relabelings.
 
-    ``stat(data, perm)`` must be a pure function of its arguments; ``perm``
-    is a 0-based index array of length ``n``.  In ``monte_carlo`` mode with
-    ``include_identity=True`` the identity permutation's value (equal to the
-    observed statistic) is appended to the replicate pool.  Monte Carlo
-    replicates are generated and evaluated one chunk of rows at a time.
-    Raises :class:`StatisticEvaluationError` if ``stat`` raises or returns a
-    value that is not finite.
+    ``stat`` is evaluated through its ``evaluate_many(data, rows)``, which
+    maps an (m, n) matrix of 0-based index rows to m values; a plain
+    callable ``stat(data, perm)`` without it is called once per row.  Either
+    must be a pure function of its arguments.  The observed statistic is the
+    identity row's value: row 0 of the exact enumeration, or a one-row batch
+    under a ``monte_carlo`` plan, which with ``include_identity=True`` also
+    appends it to the replicate pool.  Rows are generated and evaluated one
+    chunk at a time in both modes.  Raises :class:`StatisticEvaluationError`
+    if ``stat`` raises or returns a value that is not finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    identity = np.arange(n, dtype=np.intp)
-    try:
-        observed = float(stat(data, identity))
-    except Exception as exc:  # noqa: BLE001
-        raise StatisticEvaluationError(-1, "statistic failed on identity") from exc
-    if not math.isfinite(observed):
-        raise StatisticEvaluationError(-1, f"observed statistic is not finite: {observed}")
-
-    if plan.mode == "exact":
-        perms = _enumeration_matrix(n, plan.enumeration_limit)
-        values = _evaluate(stat, data, perms)
-        # lexicographic row 0 is the identity; pin it to the observed value so
-        # the tie count #{replicates >= observed} always includes it, even
-        # when batched and single evaluation differ in the last ulp (level
-        # exactness depends on this tie)
-        values[0] = observed
+    evaluate = _batch_evaluator(stat)
+    exact = plan.mode == "exact"
+    if exact:
+        total = _enumeration_size(n, plan.enumeration_limit)
+        chunks = _enumeration_chunks(n, _chunk_rows(n))
+        values = np.empty(total, dtype=float)
     else:
-        values = _monte_carlo_values(stat, data, n, int(plan.replicates), int(plan.seed))
-        if plan.include_identity:
-            values = np.append(values, observed)
-    values = np.sort(values)
+        total = int(plan.replicates)
+        identity = np.arange(n, dtype=np.intp)[None, :]
+        observed = float(_evaluate(evaluate, data, identity, 0, identity_first=True)[0])
+        chunks = _monte_carlo_chunks(n, total, int(plan.seed), _chunk_rows(n))
+        values = np.full(total + plan.include_identity, observed)
+    for start, rows in chunks:
+        values[start : start + len(rows)] = _evaluate(
+            evaluate, data, rows, start, identity_first=exact and start == 0
+        )
+    if exact:
+        observed = float(values[0])
+    values.sort()
     return PermutationDistribution(observed=observed, replicates=values, plan=plan, n=n)
 
 

@@ -2,10 +2,10 @@
 
 Each procedure wires a statistic (count-based or Gram-based), optional
 binning or sample splitting, and a :class:`~permkit.perm_core.PermutationPlan`
-into a finished decision.  Statistic evaluators are pure functions of
-``(data, permutation)`` and provide vectorized batch evaluation so Monte
-Carlo and exact enumeration both run on index arrays, never re-touching
-kernels.
+into a finished decision.  Statistic evaluators have one method,
+``evaluate_many(data, rows)``, a pure function of the reduced data and a
+matrix of index rows, so Monte Carlo and exact enumeration both run on index
+arrays, never re-touching kernels.
 
 Binned procedures discretize ``[0, 1]^dim`` with equal cells, count of cells
 per axis chosen from the smoothness-driven rules ``two_sample_bin_count``
@@ -30,9 +30,10 @@ from .ustats import (
     PairedSample,
     PoissonCounts,
     TwoSamplePooled,
-    independence_u,
+    _chisq_from_delta,
+    _indep_from_sums,
+    _two_sample_from_counts,
     independence_u_many,
-    two_sample_u,
     two_sample_u_many,
 )
 
@@ -129,7 +130,8 @@ def bin_data(points, grid: BinGrid) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise ValueError(f"points must be (n, {grid.dim})")
-    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
+    # written so that NaN, which compares false, fails the check
+    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
         raise ValueError("coordinates must lie in [0, 1]")
     axis_idx = np.minimum((pts * grid.kappa).astype(np.int64), grid.kappa - 1)
     flat = np.zeros(pts.shape[0], dtype=np.int64)
@@ -230,23 +232,6 @@ class _CountTwoSampleStat:
         self.n_cats = n_cats
         self.inv_weights = inv_weights
 
-    def _from_counts(self, c1, c2):
-        n1, n2 = self.n1, self.n2
-        per_cat = (
-            c1 * (c1 - 1.0) / (n1 * (n1 - 1.0))
-            + c2 * (c2 - 1.0) / (n2 * (n2 - 1.0))
-            - 2.0 * c1 * c2 / (n1 * n2)
-        )
-        if self.inv_weights is not None:
-            per_cat = per_cat * self.inv_weights
-        return per_cat.sum(axis=-1)
-
-    def __call__(self, codes: np.ndarray, perm: np.ndarray) -> float:
-        relabeled = codes[perm]
-        c1 = np.bincount(relabeled[: self.n1], minlength=self.n_cats).astype(float)
-        c_all = np.bincount(codes, minlength=self.n_cats).astype(float)
-        return float(self._from_counts(c1, c_all - c1))
-
     def evaluate_many(self, codes: np.ndarray, perms: np.ndarray) -> np.ndarray:
         m = perms.shape[0]
         u = self.n_cats
@@ -261,7 +246,9 @@ class _CountTwoSampleStat:
             c1 = np.bincount(
                 (g1 + offsets).ravel(), minlength=rows * u
             ).reshape(rows, u).astype(float)
-            out[start : start + rows] = self._from_counts(c1, c_all - c1)
+            out[start : start + rows] = _two_sample_from_counts(
+                c1, c_all - c1, self.n1, self.n2, self.inv_weights
+            )
         return out
 
 
@@ -277,35 +264,18 @@ class _CountIndependenceStat:
         self.u1 = u1
         self.u2 = u2
 
-    def _pieces(self, y: np.ndarray, z: np.ndarray):
-        cy = np.bincount(y, minlength=self.u1).astype(float)
-        cz = np.bincount(z, minlength=self.u2).astype(float)
-        n = y.size
-        ty = float((cy * cy).sum()) - n
-        tz = float((cz * cz).sum()) - n
-        return cy, cz, ty, tz
-
-    def __call__(self, data, perm: np.ndarray) -> float:
-        y, z = data
-        n = y.size
-        cy, cz, ty, tz = self._pieces(y, z)
-        zp = z[perm]
-        joint = np.bincount(y * self.u2 + zp, minlength=self.u1 * self.u2).astype(float)
-        s1 = float((joint * joint).sum()) - n
-        r = float(((cy[y] - 1.0) * (cz[zp] - 1.0)).sum())
-        n4 = n * (n - 1) * (n - 2) * (n - 3)
-        return (4.0 * (n - 1) * (n - 2) * s1 - 8.0 * (n - 1) * r + 4.0 * ty * tz) / n4
-
     def evaluate_many(self, data, perms: np.ndarray) -> np.ndarray:
         y, z = data
         n = y.size
         ncell = self.u1 * self.u2
-        cy, cz, ty, tz = self._pieces(y, z)
+        cy = np.bincount(y, minlength=self.u1).astype(float)
+        cz = np.bincount(z, minlength=self.u2).astype(float)
+        ty = float((cy * cy).sum()) - n
+        tz = float((cz * cz).sum()) - n
         ay = cy[y] - 1.0
         bz = cz[z] - 1.0
         m = perms.shape[0]
         out = np.empty(m, dtype=float)
-        n4 = n * (n - 1) * (n - 2) * (n - 3)
         chunk = max(1, int(2e7) // max(ncell, 1))
         for start in range(0, m, chunk):
             block = perms[start : start + chunk]
@@ -318,9 +288,7 @@ class _CountIndependenceStat:
             ).reshape(rows, ncell).astype(float)
             s1 = (joint * joint).sum(axis=1) - n
             r = bz[block] @ ay
-            out[start : start + rows] = (
-                4.0 * (n - 1) * (n - 2) * s1 - 8.0 * (n - 1) * r + 4.0 * ty * tz
-            ) / n4
+            out[start : start + rows] = _indep_from_sums(n, s1, r, ty, tz)
         return out
 
 
@@ -331,19 +299,12 @@ class _GramTwoSampleStat:
         self.n1 = n1
         self.n2 = n2
 
-    def __call__(self, gram_matrix, perm: np.ndarray) -> float:
-        return two_sample_u(gram_matrix, self.n1, self.n2, perm)
-
     def evaluate_many(self, gram_matrix, perms: np.ndarray) -> np.ndarray:
         return two_sample_u_many(gram_matrix, self.n1, self.n2, perms)
 
 
 class _GramIndependenceStat:
     """Independence U-statistic on two cached Gram matrices."""
-
-    def __call__(self, grams, perm: np.ndarray) -> float:
-        gy, gz = grams
-        return independence_u(gy, gz, perm)
 
     def evaluate_many(self, grams, perms: np.ndarray) -> np.ndarray:
         gy, gz = grams
@@ -356,33 +317,17 @@ class _PoissonChisqStat:
     def __init__(self, group_size: int):
         self.group_size = group_size
 
-    def __call__(self, pooled: np.ndarray, perm: np.ndarray) -> float:
-        totals = pooled.sum(axis=0).astype(float)
-        first = pooled[perm[: self.group_size]].sum(axis=0).astype(float)
-        delta = 2.0 * first - totals
-        mask = totals > 0
-        if not np.any(mask):
-            return 0.0
-        return float(((delta[mask] ** 2 - totals[mask]) / totals[mask]).sum())
-
     def evaluate_many(self, pooled: np.ndarray, perms: np.ndarray) -> np.ndarray:
         totals = pooled.sum(axis=0).astype(float)
-        mask = totals > 0
         m = perms.shape[0]
         out = np.empty(m, dtype=float)
-        if not np.any(mask):
-            out.fill(0.0)
-            return out
         d = pooled.shape[1]
         chunk = max(1, int(2e7) // max(self.group_size * d, 1))
-        tm = totals[mask]
         for start in range(0, m, chunk):
             block = perms[start : start + chunk]
             first = pooled[block[:, : self.group_size]].sum(axis=1).astype(float)
             delta = 2.0 * first - totals
-            out[start : start + block.shape[0]] = (
-                (delta[:, mask] ** 2 - tm) / tm
-            ).sum(axis=1)
+            out[start : start + block.shape[0]] = _chisq_from_delta(delta, totals)
         return out
 
 

@@ -330,13 +330,20 @@ def multinomial_two_sample_u(
     n2 = float(cz.sum())
     if n1 < 2 or n2 < 2:
         raise ValueError("multinomial_two_sample_u requires n1 >= 2 and n2 >= 2")
-    inv_w = 1.0 if weights is None else 1.0 / np.asarray(weights, dtype=float)
+    inv_w = None if weights is None else 1.0 / np.asarray(weights, dtype=float)
+    return float(_two_sample_from_counts(cy, cz, n1, n2, inv_w))
+
+
+def _two_sample_from_counts(c1, c2, n1, n2, inv_weights=None):
+    """Two-sample U-statistic from group counts along the last axis (one row per labeling)."""
     per_cat = (
-        cy * (cy - 1.0) / (n1 * (n1 - 1.0))
-        + cz * (cz - 1.0) / (n2 * (n2 - 1.0))
-        - 2.0 * cy * cz / (n1 * n2)
+        c1 * (c1 - 1.0) / (n1 * (n1 - 1.0))
+        + c2 * (c2 - 1.0) / (n2 * (n2 - 1.0))
+        - 2.0 * c1 * c2 / (n1 * n2)
     )
-    return float(np.sum(inv_w * per_cat))
+    if inv_weights is not None:
+        per_cat = per_cat * inv_weights
+    return per_cat.sum(axis=-1)
 
 
 def _indep_pieces(gram_y: GramMatrix, gram_z: GramMatrix) -> tuple:
@@ -354,8 +361,9 @@ def _indep_pieces(gram_y: GramMatrix, gram_z: GramMatrix) -> tuple:
     return n, ky, kz, row_y, row_z, float(row_y.sum()), float(row_z.sum())
 
 
-def _indep_from_sums(n: int, s1: float, r: float, ty: float, tz: float) -> float:
-    # Closed form for the fourth-order product-kernel U-statistic.  The 16
+def _indep_from_sums(n: int, s1, r, ty: float, tz: float):
+    # s1 and r are scalars or arrays with one value per relabeling.  Closed
+    # form for the fourth-order product-kernel U-statistic.  The 16
     # expansion terms split by index overlap of the two kernel pairs:
     # identical pair (4 terms, +, weight (n-2)(n-3)), one shared index
     # (8 terms, -, weight (n-3), pair sum S2 = R - S1), disjoint (4 terms, +,
@@ -396,10 +404,7 @@ def independence_u_many(
         kz_p = kz[block[:, :, None], block[:, None, :]]
         s1 = (ky * kz_p).sum(axis=(1, 2))
         r = (row_y * row_z[block]).sum(axis=1)
-        n4 = n * (n - 1) * (n - 2) * (n - 3)
-        out[start : start + chunk] = (
-            4.0 * (n - 1) * (n - 2) * s1 - 8.0 * (n - 1) * r + 4.0 * ty * tz
-        ) / n4
+        out[start : start + chunk] = _indep_from_sums(n, s1, r, ty, tz)
     return out
 
 
@@ -481,36 +486,39 @@ def poisson_chisq(
         perm = _identity_if_none(relabeling, 2 * n)
         first = pooled[perm[:n]].sum(axis=0).astype(float)
         delta = 2.0 * first - totals
+    return float(_chisq_from_delta(delta, totals))
+
+
+def _chisq_from_delta(delta: np.ndarray, totals: np.ndarray):
+    """Centered chi-square along the last axis over categories with a positive total."""
     mask = totals > 0
-    if not np.any(mask):
-        return 0.0
-    contrib = (delta[mask] ** 2 - totals[mask]) / totals[mask]
-    return float(contrib.sum())
+    positive = totals[mask]
+    return ((delta[..., mask] ** 2 - positive) / positive).sum(axis=-1)
 
 
 def linear_stat(y, z, relabeling: np.ndarray | None = None) -> float:
     """Permuted sample covariance (1/n) sum_i (y_i - ybar)(z_{perm_i} - zbar)."""
-    y_arr = np.asarray(y, dtype=float)
-    z_arr = np.asarray(z, dtype=float)
-    n = y_arr.size
-    if z_arr.size != n:
-        raise ValueError("y and z must have equal lengths")
-    if n < 2:
-        raise ValueError("linear_stat requires n >= 2")
-    perm = _identity_if_none(relabeling, n)
-    a = y_arr - y_arr.mean()
-    b = z_arr - z_arr.mean()
-    return float(a @ b[perm]) / n
+    a, b = _centered_pair(y, z)
+    perm = _identity_if_none(relabeling, a.size)
+    return float(a @ b[perm]) / a.size
 
 
 def linear_stat_many(y, z, relabelings: np.ndarray) -> np.ndarray:
     """Vectorized `linear_stat` over a stack of relabelings (rows)."""
-    y_arr = np.asarray(y, dtype=float)
-    z_arr = np.asarray(z, dtype=float)
-    n = y_arr.size
+    a, b = _centered_pair(y, z)
+    n = a.size
     perms = np.asarray(relabelings, dtype=np.intp)
     if perms.ndim != 2 or perms.shape[1] != n:
         raise ValueError("relabelings must be (m, n)")
-    a = y_arr - y_arr.mean()
-    b = z_arr - z_arr.mean()
     return (b[perms] @ a) / n
+
+
+def _centered_pair(y, z) -> tuple[np.ndarray, np.ndarray]:
+    """y and z minus their means, after checking equal lengths and n >= 2."""
+    y_arr = np.asarray(y, dtype=float)
+    z_arr = np.asarray(z, dtype=float)
+    if z_arr.size != y_arr.size:
+        raise ValueError("y and z must have equal lengths")
+    if y_arr.size < 2:
+        raise ValueError("linear_stat requires n >= 2")
+    return y_arr - y_arr.mean(), z_arr - z_arr.mean()

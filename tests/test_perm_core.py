@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from permkit import perm_core
 from permkit.perm_core import (
     BLOCK_ROWS,
     CHUNK_ENTRIES,
@@ -128,6 +130,24 @@ class TestPermutationDistribution:
         assert np.array_equal(d1.replicates, d2.replicates)
         assert np.array_equal(d1.replicates, d3.replicates)
 
+    @pytest.mark.parametrize(
+        "plan", [PermutationPlan.exact(), PermutationPlan.monte_carlo(300, seed=6)]
+    )
+    def test_batch_evaluator_is_never_called_row_by_row(self, plan):
+        data = np.random.default_rng(3).normal(size=7)
+
+        class BatchOnly:
+            def __call__(self, d, perm):
+                raise AssertionError("evaluated row by row")
+
+            def evaluate_many(self, d, perms):
+                return d[perms[:, :3]].sum(axis=1)
+
+        batch = permutation_distribution(BatchOnly(), data, 7, plan)
+        plain = permutation_distribution(lambda d, perm: d[perm[:3]].sum(), data, 7, plan)
+        assert batch.observed == plain.observed
+        assert np.array_equal(batch.replicates, plain.replicates)
+
 
 class _RecordingStat:
     """Batch evaluator that keeps a copy of every row it is handed."""
@@ -148,8 +168,12 @@ class _RecordingStat:
 
 
 def _mc_rows(n, replicates, seed):
+    """The replicate rows a Monte Carlo plan hands to ``evaluate_many``, by chunk."""
     stat = _RecordingStat()
     permutation_distribution(stat, None, n, PermutationPlan.monte_carlo(replicates, seed))
+    # the first batch is the identity row alone, whose value is the observed statistic
+    identity, *stat.chunks = stat.chunks
+    assert identity.tolist() == [list(range(n))]
     return stat
 
 
@@ -231,6 +255,68 @@ class TestMonteCarloStream:
         assert isinstance(err.value.__cause__, RuntimeError)
 
 
+class _EncodingStat:
+    """Batch evaluator whose value is the row read as a base-n number.
+
+    The values are exact integers, so they fix the row order; it also
+    records whether every row it was handed is a permutation.
+    """
+
+    def __init__(self):
+        self.values = []
+        self.all_permutations = True
+
+    def evaluate_many(self, data, perms):
+        n = perms.shape[1]
+        self.all_permutations &= bool(
+            np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(n), perms.shape))
+        )
+        values = (perms @ (n ** np.arange(n - 1, -1, -1))).astype(float)
+        self.values.append(values)
+        return values
+
+
+class TestExactStream:
+    @pytest.mark.parametrize("n", [7, 9])  # from the enumeration cache, then chunk by chunk
+    def test_chunking_leaves_values_unchanged(self, n, monkeypatch):
+        total = math.factorial(n)
+        monkeypatch.setattr(perm_core, "CHUNK_ENTRIES", 2 * total * n)
+        one = _EncodingStat()
+        one_dist = permutation_distribution(one, None, n, PermutationPlan.exact())
+        monkeypatch.setattr(perm_core, "CHUNK_ENTRIES", total * n // 3 - 1)
+        many = _EncodingStat()
+        many_dist = permutation_distribution(many, None, n, PermutationPlan.exact())
+        assert len(one.values) == 1 and len(many.values) >= 3
+        assert one.all_permutations and many.all_permutations
+        values = np.concatenate(many.values)
+        assert values.tobytes() == one.values[0].tobytes()
+        assert many_dist.replicates.tobytes() == one_dist.replicates.tobytes()
+        # n! distinct rows in lexicographic order, the identity first
+        assert values.size == total and np.all(np.diff(values) > 0)
+        assert many_dist.observed == values[0]
+
+    def test_enumerate_permutations_matches_plan_rows(self):
+        stat = _EncodingStat()
+        permutation_distribution(stat, None, 6, PermutationPlan.exact())
+        rows = np.array(list(enumerate_permutations(6)))
+        assert rows.tolist() == [list(p) for p in itertools.permutations(range(6))]
+        assert np.array_equal(stat.values[0], rows @ (6 ** np.arange(5, -1, -1)))
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        class ZeroStat:
+            def evaluate_many(self, data, perms):
+                return np.zeros(perms.shape[0])
+
+        # all 9! x 9 index rows at once would take 26 MB as intp, 77 MB as tuples
+        tracemalloc.start()
+        try:
+            permutation_distribution(ZeroStat(), None, 9, PermutationPlan.exact())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
 class TestNonFiniteStatistic:
     def test_non_finite_observed(self):
         for bad in (math.nan, math.inf):
@@ -247,7 +333,8 @@ class TestNonFiniteStatistic:
 
             def evaluate_many(self, d, perms):
                 out = np.zeros(perms.shape[0])
-                out[30] = np.nan
+                if perms.shape[0] > 30:  # the one-row identity batch stays finite
+                    out[30] = np.nan
                 return out
 
         with pytest.raises(StatisticEvaluationError) as err:
@@ -261,6 +348,24 @@ class TestNonFiniteStatistic:
         with pytest.raises(StatisticEvaluationError) as err:
             permutation_distribution(stat, None, 3, PermutationPlan.exact())
         assert err.value.replicate_index == 4  # (2, 0, 1) in lexicographic order
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "raise"])
+    def test_exact_identity_row_reports_observed_index(self, bad):
+        def stat(d, perm):
+            if perm[0] == 0 and perm[1] == 1:
+                if bad == "raise":
+                    raise RuntimeError("boom")
+                return bad
+            return 0.0
+
+        class BatchStat:
+            def evaluate_many(self, d, perms):
+                return np.array([stat(d, p) for p in perms])
+
+        for evaluator in (stat, BatchStat()):
+            with pytest.raises(StatisticEvaluationError) as err:
+                permutation_distribution(evaluator, None, 3, PermutationPlan.exact())
+            assert err.value.replicate_index == -1
 
 
 class TestCriticalValue:

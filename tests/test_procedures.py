@@ -63,6 +63,8 @@ class TestBinData:
             bin_data(np.array([1.2]), grid)
         with pytest.raises(ValueError):
             bin_data(np.array([-0.1]), grid)
+        with pytest.raises(ValueError):
+            bin_data(np.array([0.5, np.nan]), BinGrid(kappa=4, dim=1))
 
     def test_cells_partition(self):
         rng = np.random.default_rng(0)

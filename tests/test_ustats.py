@@ -264,6 +264,14 @@ class TestLinearStat:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             linear_stat([1.0], [1.0])
+        with pytest.raises(ValueError):
+            linear_stat_many([1.0], [1.0], [[0]])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            linear_stat([1, 2, 3], [1, 2, 3, 10, 20])
+        with pytest.raises(ValueError):
+            linear_stat_many([1, 2, 3], [1, 2, 3, 10, 20], [[0, 1, 2]])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(21)
