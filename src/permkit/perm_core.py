@@ -298,51 +298,34 @@ def _chunk_rows(n: int) -> int:
     return BLOCK_ROWS * max(1, CHUNK_ENTRIES // (BLOCK_ROWS * n))
 
 
-class _RowFailure(Exception):
-    """A plain callable raised on row ``args[0]`` of a batch; the cause is chained."""
+def _evaluate(
+    stat: Any, data: Any, rows: np.ndarray, start: int, identity_first: bool
+) -> np.ndarray:
+    """Values of ``stat`` on the index ``rows``, as finite floats.
 
-
-def _batch_evaluator(stat: Any) -> Callable[[Any, np.ndarray], np.ndarray]:
-    """``stat.evaluate_many``, or a row-by-row adapter for a plain callable."""
+    Calls ``stat.evaluate_many(data, rows)``, or a plain ``stat(data, perm)``
+    once per row.  Row i is replicate ``start + i``, except that with
+    ``identity_first`` row 0 is the identity (observed) row, index -1.  A
+    batch evaluator that raises reports the index of row 0.
+    """
     many = getattr(stat, "evaluate_many", None)
-    if many is not None:
-        return many
-
-    def row_by_row(data: Any, rows: np.ndarray) -> np.ndarray:
+    if many is None:
         values = np.empty(rows.shape[0], dtype=float)
         for i, perm in enumerate(rows):
             try:
                 values[i] = stat(data, perm)
-            except Exception as exc:  # noqa: BLE001 - annotated with its row
-                raise _RowFailure(i) from exc
-        return values
-
-    return row_by_row
-
-
-def _evaluate(
-    evaluate: Callable[[Any, np.ndarray], np.ndarray],
-    data: Any,
-    rows: np.ndarray,
-    start: int,
-    identity_first: bool,
-) -> np.ndarray:
-    """``evaluate(data, rows)`` as finite floats.
-
-    Row i is replicate ``start + i``, except that with ``identity_first``
-    row 0 is the identity (observed) row, index -1.  A batch evaluator that
-    raises reports the index of row 0.
-    """
-    try:
-        values = np.asarray(evaluate(data, rows), dtype=float)
-    except _RowFailure as failure:
-        index = _replicate_index(start, failure.args[0], identity_first)
-        raise StatisticEvaluationError(index) from failure.__cause__
-    except Exception as exc:  # noqa: BLE001 - annotate with the batch's first index
-        index = _replicate_index(start, 0, identity_first)
-        raise StatisticEvaluationError(
-            index, f"batched statistic evaluation failed from replicate {index}"
-        ) from exc
+            except Exception as exc:  # noqa: BLE001 - annotate with the replicate index
+                raise StatisticEvaluationError(
+                    _replicate_index(start, i, identity_first)
+                ) from exc
+    else:
+        try:
+            values = np.asarray(many(data, rows), dtype=float)
+        except Exception as exc:  # noqa: BLE001 - annotate with the batch's first index
+            index = _replicate_index(start, 0, identity_first)
+            raise StatisticEvaluationError(
+                index, f"batched statistic evaluation failed from replicate {index}"
+            ) from exc
     if np.isfinite(values).all():
         return values
     row = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -377,7 +360,6 @@ def permutation_distribution(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    evaluate = _batch_evaluator(stat)
     exact = plan.mode == "exact"
     if exact:
         total = _enumeration_size(n, plan.enumeration_limit)
@@ -386,12 +368,12 @@ def permutation_distribution(
     else:
         total = int(plan.replicates)
         identity = np.arange(n, dtype=np.intp)[None, :]
-        observed = float(_evaluate(evaluate, data, identity, 0, identity_first=True)[0])
+        observed = float(_evaluate(stat, data, identity, 0, identity_first=True)[0])
         chunks = _monte_carlo_chunks(n, total, int(plan.seed), _chunk_rows(n))
         values = np.full(total + plan.include_identity, observed)
     for start, rows in chunks:
         values[start : start + len(rows)] = _evaluate(
-            evaluate, data, rows, start, identity_first=exact and start == 0
+            stat, data, rows, start, identity_first=exact and start == 0
         )
     if exact:
         observed = float(values[0])
