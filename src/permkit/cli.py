@@ -16,6 +16,7 @@ import numpy as np
 
 from . import dataio, simlab, testing
 from .perm_core import PermutationPlan
+from .ustats import Continuous
 
 _STAT_CHOICES_TS = ("multinomial-l2", "l1-split", "mmd")
 _STAT_CHOICES_IND = ("multinomial-l2", "l1-split", "hsic")
@@ -43,6 +44,16 @@ def _parse_bandwidth(text: str | None):
     if text is None:
         return None
     return np.array([float(v) for v in text.split(",")])
+
+
+def _refuse_ignored_flags(
+    continuous: bool, kernel: bool, adaptive: bool, bins, *bandwidths
+) -> None:
+    """Raise on a flag that the test chosen for this data and statistic would ignore."""
+    if (adaptive or bins is not None) and not continuous:
+        raise ValueError("--adaptive and --bins apply only to continuous data")
+    if any(bw is not None for bw in bandwidths) and not kernel:
+        raise ValueError("bandwidths apply only to a kernel statistic (--stat mmd or hsic)")
 
 
 def _emit(record: dict, output) -> None:
@@ -89,6 +100,9 @@ def twosample(input_path, alpha, perms, seed, exact, output, stat, bandwidth,
     """Two-sample test on a CSV with a 'group' column."""
     plan = _build_plan(exact, perms, seed)
     data = dataio.load_two_sample_csv(input_path, categories=categories, kind=kind)
+    _refuse_ignored_flags(
+        isinstance(data.domain, Continuous), stat == "mmd", adaptive, bins, bandwidth
+    )
     if stat == "mmd":
         bw = _parse_bandwidth(bandwidth)
         if bw is None:
@@ -103,8 +117,6 @@ def twosample(input_path, alpha, perms, seed, exact, output, stat, bandwidth,
         _emit(dataio.outcome_record("l1-split-two-sample", outcome), output)
         return
     # multinomial-l2, possibly after binning continuous data
-    from .ustats import Continuous
-
     if isinstance(data.domain, Continuous):
         if adaptive:
             outcome = testing.adaptive_two_sample(data, alpha, plan)
@@ -140,6 +152,10 @@ def independence(input_path, alpha, perms, seed, exact, output, stat, bandwidth,
     """Independence test on a CSV with paired y*/z* columns."""
     plan = _build_plan(exact, perms, seed)
     data = dataio.load_paired_csv(input_path, kind=kind)
+    _refuse_ignored_flags(
+        isinstance(data.y_domain, Continuous), stat == "hsic", adaptive, bins,
+        bandwidth, bandwidth_z,
+    )
     if stat == "hsic":
         bw_y = _parse_bandwidth(bandwidth)
         bw_z = _parse_bandwidth(bandwidth_z)
@@ -156,8 +172,6 @@ def independence(input_path, alpha, perms, seed, exact, output, stat, bandwidth,
         outcome = testing.l1_split_independence(data, alpha, plan)
         _emit(dataio.outcome_record("l1-split-independence", outcome), output)
         return
-    from .ustats import Continuous
-
     if isinstance(data.y_domain, Continuous):
         if adaptive:
             outcome = testing.adaptive_independence(data, alpha, plan)

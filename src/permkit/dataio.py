@@ -170,6 +170,7 @@ def load_poisson_csv(path) -> PoissonCounts:
 def outcome_record(test: str, outcome, plan_seed: int | None = None) -> dict:
     """Flat JSON-ready record for a test outcome (adaptive gets a breakdown)."""
     if isinstance(outcome, AdaptiveOutcome):
+        plan = outcome.components[0][1].plan
         return {
             "test": test,
             "statistic": None,
@@ -179,8 +180,8 @@ def outcome_record(test: str, outcome, plan_seed: int | None = None) -> dict:
             "alpha": outcome.alpha,
             "gamma_max": outcome.gamma_max,
             "per_test_alpha": outcome.per_test_alpha,
-            "B": outcome.components[0][1].plan.replicates,
-            "seed": plan_seed,
+            "B": plan.replicates,
+            "seed": plan_seed if plan.mode == "monte_carlo" else None,
             "components": [
                 {
                     "kappa": kappa,

@@ -21,8 +21,10 @@ Conventions
 * Exact plans enumerate the n! permutations in lexicographic order, so row
   0 is the identity.  Rows of both modes are generated and evaluated one
   chunk at a time, a whole number of blocks holding about ``CHUNK_ENTRIES``
-  (2^20) index entries: peak index memory is O(chunk * n), not O(B * n) or
-  O(n! * n).
+  (2^20) index entries.  The batch evaluators of ``ustats`` and ``testing``
+  slice each chunk by the same budget, so their temporaries (count tables,
+  Gram gathers and products) also hold about ``CHUNK_ENTRIES`` entries:
+  peak memory follows the budget, not B * n or n! * n.
 * Evaluators have one protocol, ``evaluate_many(data, rows)`` on an (m, n)
   matrix of index rows; a plain callable ``stat(data, perm)`` is called once
   per row.  The observed statistic is the identity row's value (exact row
@@ -181,7 +183,8 @@ class PermutationDistribution:
     def __post_init__(self) -> None:
         if self.replicates.size < 1:
             raise ValueError("replicate set must be non-empty")
-        if np.any(np.diff(self.replicates) < 0):
+        # compare neighbours: np.diff would allocate a float copy of the replicates
+        if np.any(self.replicates[1:] < self.replicates[:-1]):
             raise ValueError("replicates must be sorted non-decreasing")
 
     @property

@@ -30,6 +30,7 @@ from .ustats import (
     PairedSample,
     PoissonCounts,
     TwoSamplePooled,
+    _by_row_slices,
     _chisq_from_delta,
     _indep_from_sums,
     _two_sample_from_counts,
@@ -219,6 +220,14 @@ def _compress(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return compressed.astype(np.intp), values
 
 
+def _row_counts(codes: np.ndarray, width: int) -> np.ndarray:
+    """Float counts of the codes ``0 .. width - 1`` in each row of ``codes``."""
+    rows = codes.shape[0]
+    offsets = (np.arange(rows, dtype=np.int64) * width)[:, None]
+    flat = np.bincount((codes + offsets).ravel(), minlength=rows * width)
+    return flat.reshape(rows, width).astype(float)
+
+
 class _CountTwoSampleStat:
     """Two-sample U-statistic on compressed category codes.
 
@@ -233,23 +242,14 @@ class _CountTwoSampleStat:
         self.inv_weights = inv_weights
 
     def evaluate_many(self, codes: np.ndarray, perms: np.ndarray) -> np.ndarray:
-        m = perms.shape[0]
         u = self.n_cats
         c_all = np.bincount(codes, minlength=u).astype(float)
-        out = np.empty(m, dtype=float)
-        chunk = max(1, int(2e7) // max(u, 1))
-        for start in range(0, m, chunk):
-            block = perms[start : start + chunk]
-            rows = block.shape[0]
-            g1 = codes[block[:, : self.n1]]
-            offsets = (np.arange(rows, dtype=np.int64) * u)[:, None]
-            c1 = np.bincount(
-                (g1 + offsets).ravel(), minlength=rows * u
-            ).reshape(rows, u).astype(float)
-            out[start : start + rows] = _two_sample_from_counts(
-                c1, c_all - c1, self.n1, self.n2, self.inv_weights
-            )
-        return out
+
+        def block_values(block: np.ndarray) -> np.ndarray:
+            c1 = _row_counts(codes[block[:, : self.n1]], u)
+            return _two_sample_from_counts(c1, c_all - c1, self.n1, self.n2, self.inv_weights)
+
+        return _by_row_slices(perms, u, block_values)
 
 
 class _CountIndependenceStat:
@@ -274,22 +274,14 @@ class _CountIndependenceStat:
         tz = float((cz * cz).sum()) - n
         ay = cy[y] - 1.0
         bz = cz[z] - 1.0
-        m = perms.shape[0]
-        out = np.empty(m, dtype=float)
-        chunk = max(1, int(2e7) // max(ncell, 1))
-        for start in range(0, m, chunk):
-            block = perms[start : start + chunk]
-            rows = block.shape[0]
-            zp = z[block]
-            codes = y[None, :] * self.u2 + zp
-            offsets = (np.arange(rows, dtype=np.int64) * ncell)[:, None]
-            joint = np.bincount(
-                (codes + offsets).ravel(), minlength=rows * ncell
-            ).reshape(rows, ncell).astype(float)
+
+        def block_values(block: np.ndarray) -> np.ndarray:
+            joint = _row_counts(y[None, :] * self.u2 + z[block], ncell)
             s1 = (joint * joint).sum(axis=1) - n
             r = bz[block] @ ay
-            out[start : start + rows] = _indep_from_sums(n, s1, r, ty, tz)
-        return out
+            return _indep_from_sums(n, s1, r, ty, tz)
+
+        return _by_row_slices(perms, ncell, block_values)
 
 
 class _GramTwoSampleStat:
@@ -319,16 +311,12 @@ class _PoissonChisqStat:
 
     def evaluate_many(self, pooled: np.ndarray, perms: np.ndarray) -> np.ndarray:
         totals = pooled.sum(axis=0).astype(float)
-        m = perms.shape[0]
-        out = np.empty(m, dtype=float)
-        d = pooled.shape[1]
-        chunk = max(1, int(2e7) // max(self.group_size * d, 1))
-        for start in range(0, m, chunk):
-            block = perms[start : start + chunk]
+
+        def block_values(block: np.ndarray) -> np.ndarray:
             first = pooled[block[:, : self.group_size]].sum(axis=1).astype(float)
-            delta = 2.0 * first - totals
-            out[start : start + block.shape[0]] = _chisq_from_delta(delta, totals)
-        return out
+            return _chisq_from_delta(2.0 * first - totals, totals)
+
+        return _by_row_slices(perms, self.group_size * pooled.shape[1], block_values)
 
 
 def _require_categorical(domain, name: str) -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, eval as kernel_eval
+from .perm_core import CHUNK_ENTRIES
 
 __all__ = [
     "Categorical",
@@ -211,6 +212,20 @@ def _identity_if_none(labeling, n: int) -> np.ndarray:
     return perm
 
 
+def _by_row_slices(rows: np.ndarray, per_row: int, block_values) -> np.ndarray:
+    """``block_values`` over slices of ``rows``, concatenated into one float array.
+
+    ``per_row`` is the number of temporary entries ``block_values`` holds per
+    row; each slice has about ``CHUNK_ENTRIES`` of them (at least one row),
+    so an evaluator's memory is bounded like the index chunk it is handed.
+    """
+    step = max(1, CHUNK_ENTRIES // max(per_row, 1))
+    out = np.empty(rows.shape[0], dtype=float)
+    for start in range(0, rows.shape[0], step):
+        out[start : start + step] = block_values(rows[start : start + step])
+    return out
+
+
 def two_sample_u(
     gram: GramMatrix, n1: int, n2: int, labeling: np.ndarray | None = None
 ) -> float:
@@ -255,24 +270,22 @@ def two_sample_u_many(
         raise ValueError("labelings must be (m, n)")
     g = gram.values
     total = float(g.sum())
-    m = perms.shape[0]
-    out = np.empty(m, dtype=float)
-    # membership-mask quadratic forms: chunked so memory stays ~ chunk * n
-    chunk = max(1, int(2e7) // max(n * n, 1))
-    for start in range(0, m, chunk):
-        block = perms[start : start + chunk]
+
+    def block_values(block: np.ndarray) -> np.ndarray:
+        # membership-mask quadratic forms
         mask1 = np.zeros((block.shape[0], n), dtype=float)
         np.put_along_axis(mask1, block[:, :n1], 1.0, axis=1)
         p = mask1 @ g
         within1 = np.einsum("ij,ij->i", p, mask1)
         cross = p.sum(axis=1) - within1
         within2 = total - 2.0 * cross - within1
-        out[start : start + chunk] = (
+        return (
             within1 / (n1 * (n1 - 1))
             + within2 / (n2 * (n2 - 1))
             - 2.0 * cross / (n1 * n2)
         )
-    return out
+
+    return _by_row_slices(perms, 2 * n, block_values)  # the mask and mask @ g
 
 
 def two_sample_u_naive(
@@ -396,16 +409,14 @@ def independence_u_many(
     perms = np.asarray(z_relabelings, dtype=np.intp)
     if perms.ndim != 2 or perms.shape[1] != n:
         raise ValueError("z_relabelings must be (m, n)")
-    m = perms.shape[0]
-    out = np.empty(m, dtype=float)
-    chunk = max(1, int(2e7) // max(n * n, 1))
-    for start in range(0, m, chunk):
-        block = perms[start : start + chunk]
+
+    def block_values(block: np.ndarray) -> np.ndarray:
         kz_p = kz[block[:, :, None], block[:, None, :]]
         s1 = (ky * kz_p).sum(axis=(1, 2))
         r = (row_y * row_z[block]).sum(axis=1)
-        out[start : start + chunk] = _indep_from_sums(n, s1, r, ty, tz)
-    return out
+        return _indep_from_sums(n, s1, r, ty, tz)
+
+    return _by_row_slices(perms, 2 * n * n, block_values)  # kz_p and ky * kz_p
 
 
 def independence_u_naive(

@@ -163,6 +163,28 @@ class TestCommands:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("twosample", ["--adaptive"]),
+            ("twosample", ["--bins", "5"]),
+            ("twosample", ["--bandwidth", "1"]),
+            ("independence", ["--adaptive"]),
+            ("independence", ["--bins", "5"]),
+            ("independence", ["--bandwidth", "1"]),
+            ("independence", ["--stat", "l1-split", "--bandwidth-z", "1"]),
+        ],
+    )
+    def test_flag_the_test_ignores_exit_code_2(self, runner, tmp_path, command, flags):
+        # categorical data with a count statistic: binning and bandwidths do not apply
+        rng = np.random.default_rng(7)
+        header = "group,x" if command == "twosample" else "y,z"
+        lines = [header] + [f"{a},{b}" for a, b in rng.integers(1, 3, (24, 2))]
+        path = _write(tmp_path / "cat.csv", "\n".join(lines) + "\n")
+        result = runner.invoke(main, [command, "--input", path, *flags])
+        assert result.exit_code == 2, result.output
+        assert "apply only to" in result.output
+
     def test_continuous_twosample_binned(self, runner, tmp_path):
         rng = np.random.default_rng(5)
         lines = ["group,x"]
@@ -225,6 +247,16 @@ class TestOutcomeRecord:
     def test_exact_plan_has_null_seed(self, runner, tmp_path):
         path = _write(tmp_path / "t.csv", "group,x\n1,1\n1,2\n2,1\n2,2\n")
         result = runner.invoke(main, ["twosample", "--input", path, "--exact"])
+        record = json.loads(result.output)
+        assert record["seed"] is None
+        assert record["B"] is None
+
+    def test_exact_adaptive_plan_has_null_seed(self, runner, tmp_path):
+        lines = ["group,x"] + [f"{g},{v}" for g in (1, 2) for v in (0.1, 0.4, 0.6, 0.9)]
+        path = _write(tmp_path / "a.csv", "\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["twosample", "--input", path, "--adaptive", "--exact", "--seed", "7"]
+        )
         record = json.loads(result.output)
         assert record["seed"] is None
         assert record["B"] is None

@@ -98,6 +98,19 @@ class TestPermutationDistribution:
         )
         assert dist.size == 11
 
+    def test_sortedness_check_makes_no_float_copy(self):
+        replicates = np.arange(2.0**20)  # 8 MiB; np.diff would allocate as much again
+        plan = PermutationPlan.exact()
+        tracemalloc.start()
+        try:
+            PermutationDistribution(observed=0.0, replicates=replicates, plan=plan, n=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < replicates.nbytes / 4
+        with pytest.raises(ValueError, match="sorted"):
+            PermutationDistribution(observed=0.0, replicates=replicates[::-1], plan=plan, n=10)
+
     def test_failure_carries_replicate_index(self):
         def bad(data, perm):
             if perm[0] == perm.size - 1:  # identity ok, some replicate fails

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from permkit import ustats
+from permkit.kernels import Gaussian, GramMatrix, gram
 from permkit.perm_core import PermutationPlan, replicate_rng
 from permkit.testing import (
     AdaptiveOutcome,
@@ -27,6 +30,11 @@ from permkit.testing import (
     multinomial_l2_two_sample,
     poisson_chisq_test,
     two_sample_bin_count,
+    _CountIndependenceStat,
+    _CountTwoSampleStat,
+    _GramIndependenceStat,
+    _GramTwoSampleStat,
+    _PoissonChisqStat,
 )
 from permkit.ustats import (
     Categorical,
@@ -554,3 +562,61 @@ class TestPoissonTest:
             out = poisson_chisq_test(counts, 0.05, MC(199, seed=t))
             rejects += out.reject
         assert rejects / trials >= 0.9
+
+
+def _slicing_case(name):
+    """(evaluator, data, temporary entries per row) for each batch evaluator, n = 12."""
+    rng = np.random.default_rng(11)
+    if name == "count-two-sample":
+        return _CountTwoSampleStat(6, 6, n_cats=5), rng.permutation(np.arange(12) % 5), 5
+    if name == "count-independence":
+        data = (rng.permutation(np.arange(12) % 3), rng.permutation(np.arange(12) % 4))
+        return _CountIndependenceStat(3, 4), data, 3 * 4
+    if name == "gram-two-sample":
+        # BLAS may round a row of mask @ g differently by its place in the
+        # block; entries in eighths keep every sum exact, so only the slicing
+        # itself can change a value here
+        upper = np.triu(rng.integers(0, 8, (12, 12)) / 8.0, 1)
+        return _GramTwoSampleStat(6, 6), GramMatrix(upper + upper.T, True), 2 * 12
+    if name == "gram-independence":
+        grams = tuple(gram(Gaussian(np.array([1.0])), rng.normal(size=12)) for _ in "yz")
+        return _GramIndependenceStat(), grams, 2 * 12 * 12
+    pooled = rng.poisson(1.0, (12, 4))
+    return _PoissonChisqStat(6), pooled, 6 * 4
+
+
+class TestRowSlices:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "count-two-sample",
+            "count-independence",
+            "gram-two-sample",
+            "gram-independence",
+            "poisson-chisq",
+        ],
+    )
+    def test_values_do_not_depend_on_the_slicing(self, name, monkeypatch):
+        stat, data, per_row = _slicing_case(name)
+        rng = np.random.default_rng(12)
+        perms = np.array([np.arange(12)] + [rng.permutation(12) for _ in range(40)])
+        whole = stat.evaluate_many(data, perms)  # one slice under the default budget
+        assert ustats.CHUNK_ENTRIES // per_row >= perms.shape[0]
+        for budget in (7 * per_row, 1):  # slices of 7 rows, then of one row
+            monkeypatch.setattr(ustats, "CHUNK_ENTRIES", budget)
+            assert stat.evaluate_many(data, perms).tobytes() == whole.tobytes()
+
+    def test_hsic_peak_memory_is_bounded_by_the_chunk(self):
+        # 999 relabeled 150 x 150 Gram blocks at once would take 180 MB
+        rng = np.random.default_rng(5)
+        data = PairedSample(
+            y=rng.normal(size=150), z=rng.normal(size=150),
+            y_domain=Continuous(1), z_domain=Continuous(1),
+        )
+        tracemalloc.start()
+        try:
+            hsic_test(data, np.array([1.0]), np.array([1.0]), 0.05, MC(999, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
