@@ -46,12 +46,12 @@ def _parse_bandwidth(text: str | None):
     return np.array([float(v) for v in text.split(",")])
 
 
-def _refuse_ignored_flags(
-    continuous: bool, kernel: bool, adaptive: bool, bins, *bandwidths
-) -> None:
+def _refuse_ignored_flags(binned: bool, kernel: bool, adaptive: bool, bins, *bandwidths) -> None:
     """Raise on a flag that the test chosen for this data and statistic would ignore."""
-    if (adaptive or bins is not None) and not continuous:
-        raise ValueError("--adaptive and --bins apply only to continuous data")
+    if (adaptive or bins is not None) and not binned:
+        raise ValueError(
+            "--adaptive and --bins apply only to continuous data with --stat multinomial-l2"
+        )
     if any(bw is not None for bw in bandwidths) and not kernel:
         raise ValueError("bandwidths apply only to a kernel statistic (--stat mmd or hsic)")
 
@@ -100,9 +100,8 @@ def twosample(input_path, alpha, perms, seed, exact, output, stat, bandwidth,
     """Two-sample test on a CSV with a 'group' column."""
     plan = _build_plan(exact, perms, seed)
     data = dataio.load_two_sample_csv(input_path, categories=categories, kind=kind)
-    _refuse_ignored_flags(
-        isinstance(data.domain, Continuous), stat == "mmd", adaptive, bins, bandwidth
-    )
+    binned = isinstance(data.domain, Continuous) and stat == "multinomial-l2"
+    _refuse_ignored_flags(binned, stat == "mmd", adaptive, bins, bandwidth)
     if stat == "mmd":
         bw = _parse_bandwidth(bandwidth)
         if bw is None:
@@ -152,10 +151,8 @@ def independence(input_path, alpha, perms, seed, exact, output, stat, bandwidth,
     """Independence test on a CSV with paired y*/z* columns."""
     plan = _build_plan(exact, perms, seed)
     data = dataio.load_paired_csv(input_path, kind=kind)
-    _refuse_ignored_flags(
-        isinstance(data.y_domain, Continuous), stat == "hsic", adaptive, bins,
-        bandwidth, bandwidth_z,
-    )
+    binned = isinstance(data.y_domain, Continuous) and stat == "multinomial-l2"
+    _refuse_ignored_flags(binned, stat == "hsic", adaptive, bins, bandwidth, bandwidth_z)
     if stat == "hsic":
         bw_y = _parse_bandwidth(bandwidth)
         bw_z = _parse_bandwidth(bandwidth_z)

@@ -173,10 +173,15 @@ class TestCommands:
             ("independence", ["--bins", "5"]),
             ("independence", ["--bandwidth", "1"]),
             ("independence", ["--stat", "l1-split", "--bandwidth-z", "1"]),
+            ("twosample", ["--type", "continuous", "--stat", "mmd", "--bandwidth", "1",
+                           "--bins", "5"]),
+            ("independence", ["--type", "continuous", "--stat", "hsic", "--bandwidth", "1",
+                              "--bandwidth-z", "1", "--adaptive"]),
         ],
     )
     def test_flag_the_test_ignores_exit_code_2(self, runner, tmp_path, command, flags):
-        # categorical data with a count statistic: binning and bandwidths do not apply
+        # binning applies only to the count statistic on continuous data,
+        # bandwidths only to a kernel statistic
         rng = np.random.default_rng(7)
         header = "group,x" if command == "twosample" else "y,z"
         lines = [header] + [f"{a},{b}" for a, b in rng.integers(1, 3, (24, 2))]
