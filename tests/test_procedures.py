@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from permkit import ustats
-from permkit.kernels import Gaussian, GramMatrix, gram
 from permkit.perm_core import PermutationPlan, replicate_rng
 from permkit.testing import (
     AdaptiveOutcome,
@@ -44,7 +43,7 @@ from permkit.ustats import (
     TwoSamplePooled,
     multinomial_two_sample_u,
 )
-from permkit.kernels import split_weights
+from permkit.kernels import Gaussian, GramMatrix, gram, split_weights
 
 MC = PermutationPlan.monte_carlo
 EXACT = PermutationPlan.exact()
