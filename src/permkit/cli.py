@@ -2,7 +2,8 @@
 
 Subcommands: ``twosample``, ``independence``, ``poisson-chisq`` run one test
 on a CSV file and emit a JSON record; ``simulate`` runs the desk-scale
-experiments and writes CSV.  Input or domain errors exit with code 2.
+experiments and writes CSV.  Input or domain errors exit with code 2, and so
+does a test flag that the chosen test would not read.
 """
 
 from __future__ import annotations
@@ -13,13 +14,45 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import dataio, simlab, testing
 from .perm_core import PermutationPlan
 from .ustats import Continuous
 
-_STAT_CHOICES_TS = ("multinomial-l2", "l1-split", "mmd")
-_STAT_CHOICES_IND = ("multinomial-l2", "l1-split", "hsic")
+# (command, --stat, data kind, binning choice) -> (procedure, JSON record name,
+# test flags the procedure reads).  The binning choice is "adaptive", "auto"
+# (--bins auto) or "int" (--bins <int>) for the count statistic on continuous
+# data and None elsewhere; the procedure takes the data, the arguments those
+# flags give, alpha and the plan.
+_ROUTES = {
+    ("twosample", "multinomial-l2", "categorical", None):
+        (testing.multinomial_l2_two_sample, "multinomial-l2-two-sample", ()),
+    ("twosample", "multinomial-l2", "continuous", "adaptive"):
+        (testing.adaptive_two_sample, "adaptive-two-sample", ("adaptive",)),
+    ("twosample", "multinomial-l2", "continuous", "auto"):
+        (testing.holder_two_sample, "binned-two-sample", ("bins", "smoothness")),
+    ("twosample", "multinomial-l2", "continuous", "int"):
+        (testing.binned_two_sample, "binned-two-sample", ("bins",)),
+    ("twosample", "l1-split", "categorical", None):
+        (testing.l1_split_two_sample, "l1-split-two-sample", ()),
+    ("twosample", "mmd", "continuous", None):
+        (testing.mmd_test, "mmd", ("bandwidth", "smoothness")),
+    ("independence", "multinomial-l2", "categorical", None):
+        (testing.multinomial_l2_independence, "multinomial-l2-independence", ()),
+    ("independence", "multinomial-l2", "continuous", "adaptive"):
+        (testing.adaptive_independence, "adaptive-independence", ("adaptive",)),
+    ("independence", "multinomial-l2", "continuous", "auto"):
+        (testing.holder_independence, "binned-independence", ("bins", "smoothness")),
+    ("independence", "multinomial-l2", "continuous", "int"):
+        (testing.binned_independence, "binned-independence", ("bins",)),
+    ("independence", "l1-split", "categorical", None):
+        (testing.l1_split_independence, "l1-split-independence", ()),
+    ("independence", "hsic", "continuous", None):
+        (testing.hsic_test, "hsic", ("bandwidth", "bandwidth_z", "smoothness")),
+    ("poisson-chisq", None, None, None): (testing.poisson_chisq_test, "poisson-chisq", ()),
+}
+_TEST_FLAGS = {flag for _, _, reads in _ROUTES.values() for flag in reads}
 
 
 def _domain_errors_exit_2(fn):
@@ -34,47 +67,98 @@ def _domain_errors_exit_2(fn):
     return wrapper
 
 
-def _build_plan(exact: bool, perms: int, seed: int) -> PermutationPlan:
-    if exact:
-        return PermutationPlan.exact()
-    return PermutationPlan.monte_carlo(perms, seed)
-
-
 def _parse_bandwidth(text: str | None):
     if text is None:
         return None
     return np.array([float(v) for v in text.split(",")])
 
 
-def _refuse_ignored_flags(binned: bool, kernel: bool, adaptive: bool, bins, *bandwidths) -> None:
-    """Raise on a flag that the test chosen for this data and statistic would ignore."""
-    if (adaptive or bins is not None) and not binned:
-        raise ValueError(
-            "--adaptive and --bins apply only to continuous data with --stat multinomial-l2"
-        )
-    if any(bw is not None for bw in bandwidths) and not kernel:
-        raise ValueError("bandwidths apply only to a kernel statistic (--stat mmd or hsic)")
+def _arguments(reads: tuple, params: dict) -> list:
+    """The procedure's arguments between the data and alpha."""
+    if "smoothness" in reads and params["smoothness"] is None:
+        raise ValueError("--bins auto and a kernel side without --bandwidth need --smoothness")
+    sides = [_parse_bandwidth(params[flag]) for flag in reads if flag.startswith("bandwidth")]
+    if sides:
+        return [testing.SmoothnessRule(params["smoothness"]) if bw is None else bw for bw in sides]
+    if "bins" in reads:
+        return [params["smoothness"] if params["bins"] == "auto" else int(params["bins"])]
+    return []
 
 
-def _emit(record: dict, output) -> None:
-    click.echo(dataio.write_outcome_json(record, output))
+def _dispatch(command: str, data, domain) -> None:
+    """Find the route, refuse test flags it does not read, run it and emit the record."""
+    ctx = click.get_current_context()
+    params = ctx.params
+    stat = params.get("stat")
+    kind = None
+    if domain is not None:
+        kind = "continuous" if isinstance(domain, Continuous) else "categorical"
+    choice = None
+    if kind == "continuous" and stat == "multinomial-l2":
+        if params["adaptive"]:
+            choice = "adaptive"
+        elif params["bins"] is not None:
+            choice = "auto" if params["bins"] == "auto" else "int"
+    route = _ROUTES.get((command, stat, kind, choice))
+    if route is None:
+        if any(key[:3] == (command, stat, kind) for key in _ROUTES):
+            raise ValueError(f"continuous data with --stat {stat} needs --bins or --adaptive")
+        raise ValueError(f"--stat {stat} does not apply to {kind} data")
+    procedure, name, reads = route
+    sides = [flag for flag in reads if flag.startswith("bandwidth")]
+    if sides and all(params[flag] is not None for flag in sides):
+        # the smoothness rule only fills in a missing bandwidth
+        reads = tuple(flag for flag in reads if flag != "smoothness")
+    given = sorted(flag for flag in _TEST_FLAGS & params.keys()
+                   if ctx.get_parameter_source(flag) == ParameterSource.COMMANDLINE)
+    unread = ", ".join(f"--{flag.replace('_', '-')}" for flag in given if flag not in reads)
+    if unread:
+        raise ValueError(f"{name} does not read {unread}; test flags apply only to the tests "
+                         "that read them")
+    args = _arguments(reads, params)
+    plan = (PermutationPlan.exact() if params["exact"]
+            else PermutationPlan.monte_carlo(params["perms"], params["seed"]))
+    outcome = procedure(data, *args, params["alpha"], plan)
+    record = dataio.outcome_record(name, outcome, plan_seed=params["seed"])
+    click.echo(dataio.write_outcome_json(record, params["output"]))
 
 
-def _common_test_options(fn):
-    for deco in reversed(
-        [
-            click.option("--input", "input_path", required=True, type=click.Path(exists=True)),
-            click.option("--alpha", default=0.05, show_default=True),
-            click.option("--perms", "-B", "perms", default=999, show_default=True,
-                         help="Monte Carlo permutation replicates."),
-            click.option("--seed", default=0, show_default=True),
-            click.option("--exact", is_flag=True, help="Enumerate all permutations."),
-            click.option("--output", type=click.Path(), default=None,
-                         help="Write the JSON record here as well as stdout."),
-        ]
-    ):
-        fn = deco(fn)
-    return fn
+def _stack(*decorators):
+    """One decorator applying ``decorators`` in the order listed."""
+
+    def apply(fn):
+        for deco in reversed(decorators):
+            fn = deco(fn)
+        return fn
+
+    return apply
+
+
+def _stat_option(command: str):
+    stats = tuple(dict.fromkeys(key[1] for key in _ROUTES if key[0] == command))
+    return click.option("--stat", type=click.Choice(stats), default=stats[0], show_default=True)
+
+
+_common_test_options = _stack(
+    click.option("--input", "input_path", required=True, type=click.Path(exists=True)),
+    click.option("--alpha", default=0.05, show_default=True),
+    click.option("--perms", "-B", "perms", default=999, show_default=True,
+                 help="Monte Carlo permutation replicates."),
+    click.option("--seed", default=0, show_default=True),
+    click.option("--exact", is_flag=True, help="Enumerate all permutations."),
+    click.option("--output", type=click.Path(), default=None,
+                 help="Write the JSON record here as well as stdout."),
+)
+_test_options = _stack(
+    click.option("--bandwidth", default=None,
+                 help="Comma-separated Gaussian bandwidths (mmd; the y side of hsic)."),
+    click.option("--smoothness", "-s", default=None, type=float,
+                 help="Holder/Sobolev exponent for bandwidth or bin rules."),
+    click.option("--bins", default=None,
+                 help="Bins per axis for continuous data: an integer or 'auto'."),
+    click.option("--adaptive", is_flag=True, help="Adaptive binned test over a dyadic grid."),
+    click.option("--type", "kind", type=click.Choice(["categorical", "continuous"]), default=None),
+)
 
 
 @click.group()
@@ -84,119 +168,34 @@ def main() -> None:
 
 @main.command()
 @_common_test_options
-@click.option("--stat", type=click.Choice(_STAT_CHOICES_TS), default="multinomial-l2",
-              show_default=True)
-@click.option("--bandwidth", default=None, help="Comma-separated Gaussian bandwidths (mmd).")
-@click.option("--smoothness", "-s", default=None, type=float,
-              help="Holder/Sobolev exponent for bandwidth or bin rules.")
-@click.option("--bins", default=None,
-              help="Bins per axis for continuous data: an integer or 'auto'.")
-@click.option("--adaptive", is_flag=True, help="Adaptive binned test over a dyadic grid.")
+@_stat_option("twosample")
+@_test_options
 @click.option("--categories", default=None, type=int, help="Category count override.")
-@click.option("--type", "kind", type=click.Choice(["categorical", "continuous"]), default=None)
 @_domain_errors_exit_2
-def twosample(input_path, alpha, perms, seed, exact, output, stat, bandwidth,
-              smoothness, bins, adaptive, categories, kind) -> None:
+def twosample(input_path, categories, kind, **_) -> None:
     """Two-sample test on a CSV with a 'group' column."""
-    plan = _build_plan(exact, perms, seed)
     data = dataio.load_two_sample_csv(input_path, categories=categories, kind=kind)
-    binned = isinstance(data.domain, Continuous) and stat == "multinomial-l2"
-    _refuse_ignored_flags(binned, stat == "mmd", adaptive, bins, bandwidth)
-    if stat == "mmd":
-        bw = _parse_bandwidth(bandwidth)
-        if bw is None:
-            if smoothness is None:
-                raise ValueError("mmd needs --bandwidth or --smoothness")
-            bw = testing.SmoothnessRule(smoothness)
-        outcome = testing.mmd_test(data, bw, alpha, plan)
-        _emit(dataio.outcome_record("mmd", outcome), output)
-        return
-    if stat == "l1-split":
-        outcome = testing.l1_split_two_sample(data, alpha, plan)
-        _emit(dataio.outcome_record("l1-split-two-sample", outcome), output)
-        return
-    # multinomial-l2, possibly after binning continuous data
-    if isinstance(data.domain, Continuous):
-        if adaptive:
-            outcome = testing.adaptive_two_sample(data, alpha, plan)
-            _emit(dataio.outcome_record("adaptive-two-sample", outcome, plan_seed=seed), output)
-            return
-        if bins is None:
-            raise ValueError("continuous data needs --bins, --adaptive, or --stat mmd")
-        if bins == "auto":
-            if smoothness is None:
-                raise ValueError("--bins auto requires --smoothness")
-            outcome = testing.holder_two_sample(data, smoothness, alpha, plan)
-        else:
-            outcome = testing.binned_two_sample(data, int(bins), alpha, plan)
-        _emit(dataio.outcome_record("binned-two-sample", outcome), output)
-        return
-    outcome = testing.multinomial_l2_two_sample(data, alpha, plan)
-    _emit(dataio.outcome_record("multinomial-l2-two-sample", outcome), output)
+    _dispatch("twosample", data, data.domain)
 
 
 @main.command()
 @_common_test_options
-@click.option("--stat", type=click.Choice(_STAT_CHOICES_IND), default="multinomial-l2",
-              show_default=True)
-@click.option("--bandwidth", default=None, help="Comma-separated y-bandwidths (hsic).")
+@_stat_option("independence")
+@_test_options
 @click.option("--bandwidth-z", default=None, help="Comma-separated z-bandwidths (hsic).")
-@click.option("--smoothness", "-s", default=None, type=float)
-@click.option("--bins", default=None)
-@click.option("--adaptive", is_flag=True)
-@click.option("--type", "kind", type=click.Choice(["categorical", "continuous"]), default=None)
 @_domain_errors_exit_2
-def independence(input_path, alpha, perms, seed, exact, output, stat, bandwidth,
-                 bandwidth_z, smoothness, bins, adaptive, kind) -> None:
+def independence(input_path, kind, **_) -> None:
     """Independence test on a CSV with paired y*/z* columns."""
-    plan = _build_plan(exact, perms, seed)
     data = dataio.load_paired_csv(input_path, kind=kind)
-    binned = isinstance(data.y_domain, Continuous) and stat == "multinomial-l2"
-    _refuse_ignored_flags(binned, stat == "hsic", adaptive, bins, bandwidth, bandwidth_z)
-    if stat == "hsic":
-        bw_y = _parse_bandwidth(bandwidth)
-        bw_z = _parse_bandwidth(bandwidth_z)
-        if bw_y is None or bw_z is None:
-            if smoothness is None:
-                raise ValueError("hsic needs bandwidths or --smoothness")
-            rule = testing.SmoothnessRule(smoothness)
-            bw_y = bw_y if bw_y is not None else rule
-            bw_z = bw_z if bw_z is not None else rule
-        outcome = testing.hsic_test(data, bw_y, bw_z, alpha, plan)
-        _emit(dataio.outcome_record("hsic", outcome), output)
-        return
-    if stat == "l1-split":
-        outcome = testing.l1_split_independence(data, alpha, plan)
-        _emit(dataio.outcome_record("l1-split-independence", outcome), output)
-        return
-    if isinstance(data.y_domain, Continuous):
-        if adaptive:
-            outcome = testing.adaptive_independence(data, alpha, plan)
-            _emit(dataio.outcome_record("adaptive-independence", outcome, plan_seed=seed), output)
-            return
-        if bins is None:
-            raise ValueError("continuous data needs --bins, --adaptive, or --stat hsic")
-        if bins == "auto":
-            if smoothness is None:
-                raise ValueError("--bins auto requires --smoothness")
-            outcome = testing.holder_independence(data, smoothness, alpha, plan)
-        else:
-            outcome = testing.binned_independence(data, int(bins), alpha, plan)
-        _emit(dataio.outcome_record("binned-independence", outcome), output)
-        return
-    outcome = testing.multinomial_l2_independence(data, alpha, plan)
-    _emit(dataio.outcome_record("multinomial-l2-independence", outcome), output)
+    _dispatch("independence", data, data.y_domain)
 
 
 @main.command(name="poisson-chisq")
 @_common_test_options
 @_domain_errors_exit_2
-def poisson_chisq(input_path, alpha, perms, seed, exact, output) -> None:
+def poisson_chisq(input_path, **_) -> None:
     """Poisson two-sample chi-square test on per-individual count rows."""
-    plan = _build_plan(exact, perms, seed)
-    counts = dataio.load_poisson_csv(input_path)
-    outcome = testing.poisson_chisq_test(counts, alpha, plan)
-    _emit(dataio.outcome_record("poisson-chisq", outcome), output)
+    _dispatch("poisson-chisq", dataio.load_poisson_csv(input_path), None)
 
 
 def _load_config(experiment: str, config_path, overrides: dict):
@@ -208,19 +207,14 @@ def _load_config(experiment: str, config_path, overrides: dict):
     return simlab.config_from_dict(experiment, base)
 
 
-def _simulate_options(fn):
-    for deco in reversed(
-        [
-            click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-                         help="JSON file of config overrides."),
-            click.option("--output", required=True, type=click.Path()),
-            click.option("--seed", default=None, type=int),
-            click.option("--trials", default=None, type=int),
-            click.option("--workers", default=None, type=int),
-        ]
-    ):
-        fn = deco(fn)
-    return fn
+_simulate_options = _stack(
+    click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+                 help="JSON file of config overrides."),
+    click.option("--output", required=True, type=click.Path()),
+    click.option("--seed", default=None, type=int),
+    click.option("--trials", default=None, type=int),
+    click.option("--workers", default=None, type=int),
+)
 
 
 @main.group()

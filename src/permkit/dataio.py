@@ -66,7 +66,7 @@ def load_two_sample_csv(path, categories: int | None = None, kind: str | None = 
 
     ``kind`` forces 'categorical' or 'continuous'; by default a single
     all-integer feature column is treated as categorical.  ``categories``
-    overrides the inferred category count.
+    overrides the inferred category count; continuous data refuses it.
     """
     header, rows = _read_table(path)
     if "group" not in header:
@@ -91,6 +91,8 @@ def load_two_sample_csv(path, categories: int | None = None, kind: str | None = 
         values = _to_categorical(_column(rows, features[0]), path)
         d = categories if categories is not None else int(values.max()) + 1
         return TwoSamplePooled(y=values[mask_y], z=values[~mask_y], domain=Categorical(d))
+    if categories is not None:
+        raise ValueError("categories apply only to categorical data")
     mat = np.array(
         [[float(row[i]) for i in features] for row in rows], dtype=float
     )
@@ -113,7 +115,11 @@ def load_paired_csv(
     categories: tuple[int | None, int | None] = (None, None),
     kind: str | None = None,
 ) -> PairedSample:
-    """Load a paired CSV (columns y*/z*) into a :class:`PairedSample`."""
+    """Load a paired CSV (columns y*/z*) into a :class:`PairedSample`.
+
+    ``categories`` overrides the inferred (y, z) category counts; continuous
+    data refuses it.
+    """
     header, rows = _read_table(path)
     y_cols = _prefixed_columns(header, "y")
     z_cols = _prefixed_columns(header, "z")
@@ -138,6 +144,8 @@ def load_paired_csv(
         return PairedSample(
             y=y, z=z, y_domain=Categorical(d1), z_domain=Categorical(d2)
         )
+    if any(c is not None for c in categories):
+        raise ValueError("categories apply only to categorical data")
     y = np.array([[float(row[i]) for i in y_cols] for row in rows])
     z = np.array([[float(row[i]) for i in z_cols] for row in rows])
     return PairedSample(

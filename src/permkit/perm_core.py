@@ -384,14 +384,18 @@ def permutation_distribution(
     return PermutationDistribution(observed=observed, replicates=values, plan=plan, n=n)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+
+
 def critical_value(dist: PermutationDistribution, alpha: float) -> float:
     """Smallest replicate ``t`` with ``#{replicates <= t} / M >= 1 - alpha``.
 
     This is the 1 - alpha quantile of the empirical permutation distribution,
     realized as an order statistic of the replicate multiset (ties kept).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     reps = dist.replicates
     m = reps.size
     if m == 0:
@@ -435,9 +439,11 @@ def run_test(
 ) -> TestOutcome:
     """Assemble distribution, critical value and p-value into a decision.
 
-    Warns when a Monte Carlo plan cannot reach ``alpha``: the smallest
-    attainable p-value is 1/(B+1), so below it the test never rejects.
+    Raises ``ValueError`` unless 0 < alpha < 1, before any replicate is
+    computed.  Warns when a Monte Carlo plan cannot reach ``alpha``: the
+    smallest attainable p-value is 1/(B+1), so below it the test never rejects.
     """
+    _check_alpha(alpha)
     if plan.mode == "monte_carlo" and alpha < 1.0 / (plan.replicates + 1):
         warnings.warn(
             f"level {alpha:.4g} is below 1/(B+1) = {1.0 / (plan.replicates + 1):.4g}, "

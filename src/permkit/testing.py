@@ -117,6 +117,7 @@ class AdaptiveGrid:
             raise ValueError("kappas must be non-empty and strictly increasing")
 
     def per_test_alpha(self, alpha: float) -> float:
+        perm_core._check_alpha(alpha)
         return alpha / self.gamma_max
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from permkit import cli, dataio, testing
 from permkit.cli import main
 from permkit.dataio import load_paired_csv, load_poisson_csv, load_two_sample_csv
+from permkit.perm_core import PermutationPlan
 from permkit.ustats import Categorical, Continuous
 
 
@@ -26,6 +28,23 @@ def categorical_two_sample_csv(tmp_path):
     lines += [f"1,{v}" for v in rng.integers(1, 5, 24)]
     lines += [f"2,{v}" for v in rng.integers(1, 5, 24)]
     return _write(tmp_path / "ts.csv", "\n".join(lines) + "\n")
+
+
+@pytest.fixture
+def continuous_two_sample_csv(tmp_path):
+    rng = np.random.default_rng(3)
+    lines = ["group,x1,x2"]
+    lines += [f"1,{a},{b}" for a, b in rng.random((20, 2))]
+    lines += [f"2,{a},{b}" for a, b in rng.random((20, 2)) ** 2]
+    return _write(tmp_path / "ts_cont.csv", "\n".join(lines) + "\n")
+
+
+@pytest.fixture
+def categorical_paired_csv(tmp_path):
+    rng = np.random.default_rng(4)
+    lines = ["y,z"]
+    lines += [f"{a},{b}" for a, b in rng.integers(1, 4, (36, 2))]
+    return _write(tmp_path / "pair_cat.csv", "\n".join(lines) + "\n")
 
 
 @pytest.fixture
@@ -57,6 +76,14 @@ class TestLoaders:
     def test_two_sample_category_override(self, categorical_two_sample_csv):
         data = load_two_sample_csv(categorical_two_sample_csv, categories=9)
         assert data.domain.d == 9
+
+    def test_category_override_refused_on_continuous_data(
+        self, continuous_two_sample_csv, continuous_paired_csv
+    ):
+        with pytest.raises(ValueError, match="categorical"):
+            load_two_sample_csv(continuous_two_sample_csv, categories=9)
+        with pytest.raises(ValueError, match="categorical"):
+            load_paired_csv(continuous_paired_csv, categories=(None, 9))
 
     def test_paired_continuous(self, continuous_paired_csv):
         data = load_paired_csv(continuous_paired_csv)
@@ -177,18 +204,50 @@ class TestCommands:
                            "--bins", "5"]),
             ("independence", ["--type", "continuous", "--stat", "hsic", "--bandwidth", "1",
                               "--bandwidth-z", "1", "--adaptive"]),
+            ("twosample", ["-s", "2"]),
+            ("twosample", ["--stat", "l1-split", "-s", "1"]),
+            ("twosample", ["--type", "continuous", "--bins", "4", "-s", "1"]),
+            ("twosample", ["--type", "continuous", "--adaptive", "--bins", "5"]),
+            ("twosample", ["--type", "continuous", "--adaptive", "-s", "1"]),
+            ("twosample", ["--type", "continuous", "--stat", "mmd", "--bandwidth", "0.5",
+                           "-s", "1"]),
+            ("twosample", ["--type", "continuous", "--stat", "mmd", "--bandwidth", "0.5",
+                           "--categories", "9"]),
+            ("twosample", ["--type", "continuous", "--bins", "4", "--categories", "9"]),
+            ("independence", ["-s", "1"]),
+            ("independence", ["--type", "continuous", "--adaptive", "--bins", "3"]),
+            ("independence", ["--type", "continuous", "--stat", "hsic", "--bandwidth", "0.5",
+                              "--bandwidth-z", "0.5", "-s", "1"]),
         ],
     )
     def test_flag_the_test_ignores_exit_code_2(self, runner, tmp_path, command, flags):
         # binning applies only to the count statistic on continuous data,
-        # bandwidths only to a kernel statistic
+        # bandwidths only to a kernel statistic, smoothness only to a rule
         rng = np.random.default_rng(7)
         header = "group,x" if command == "twosample" else "y,z"
-        lines = [header] + [f"{a},{b}" for a, b in rng.integers(1, 3, (24, 2))]
+        rows = rng.integers(1, 3, (24, 2)).tolist()
+        if "continuous" in flags:
+            # coordinates in [0, 1], where a binned test could run; a two-sample
+            # file keeps its group column
+            start = 1 if command == "twosample" else 0
+            for row, u in zip(rows, rng.random((24, 2)).tolist()):
+                row[start:] = u[start:]
+        lines = [header] + [f"{a},{b}" for a, b in rows]
         path = _write(tmp_path / "cat.csv", "\n".join(lines) + "\n")
         result = runner.invoke(main, [command, "--input", path, *flags])
         assert result.exit_code == 2, result.output
         assert "apply only to" in result.output
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
+    def test_adaptive_level_outside_unit_interval_exit_code_2(
+        self, runner, continuous_two_sample_csv, alpha
+    ):
+        result = runner.invoke(
+            main, ["twosample", "--input", continuous_two_sample_csv, "--adaptive",
+                   "--alpha", alpha, "--perms", "19"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "alpha" in result.output
 
     def test_continuous_twosample_binned(self, runner, tmp_path):
         rng = np.random.default_rng(5)
@@ -265,3 +324,66 @@ class TestOutcomeRecord:
         record = json.loads(result.output)
         assert record["seed"] is None
         assert record["B"] is None
+
+
+# One case per route of cli._ROUTES: (command, input fixture, flags, procedure,
+# the procedure's arguments between the data and alpha, JSON record name).
+_ROUTE_CASES = [
+    ("twosample", "categorical_two_sample_csv", [],
+     testing.multinomial_l2_two_sample, (), "multinomial-l2-two-sample"),
+    ("twosample", "continuous_two_sample_csv", ["--adaptive"],
+     testing.adaptive_two_sample, (), "adaptive-two-sample"),
+    ("twosample", "continuous_two_sample_csv", ["--bins", "auto", "-s", "1"],
+     testing.holder_two_sample, (1.0,), "binned-two-sample"),
+    ("twosample", "continuous_two_sample_csv", ["--bins", "3"],
+     testing.binned_two_sample, (3,), "binned-two-sample"),
+    ("twosample", "categorical_two_sample_csv", ["--stat", "l1-split"],
+     testing.l1_split_two_sample, (), "l1-split-two-sample"),
+    ("twosample", "continuous_two_sample_csv", ["--stat", "mmd", "--bandwidth", "0.3,0.5"],
+     testing.mmd_test, (np.array([0.3, 0.5]),), "mmd"),
+    ("independence", "categorical_paired_csv", [],
+     testing.multinomial_l2_independence, (), "multinomial-l2-independence"),
+    ("independence", "continuous_paired_csv", ["--adaptive"],
+     testing.adaptive_independence, (), "adaptive-independence"),
+    ("independence", "continuous_paired_csv", ["--bins", "auto", "-s", "1"],
+     testing.holder_independence, (1.0,), "binned-independence"),
+    ("independence", "continuous_paired_csv", ["--bins", "3"],
+     testing.binned_independence, (3,), "binned-independence"),
+    ("independence", "categorical_paired_csv", ["--stat", "l1-split"],
+     testing.l1_split_independence, (), "l1-split-independence"),
+    ("independence", "continuous_paired_csv", ["--stat", "hsic", "--bandwidth", "0.5", "-s", "1"],
+     testing.hsic_test, (np.array([0.5]), testing.SmoothnessRule(1.0)), "hsic"),
+    ("poisson-chisq", "poisson_csv", [], testing.poisson_chisq_test, (), "poisson-chisq"),
+]
+_LOADERS = {
+    "twosample": load_two_sample_csv,
+    "independence": load_paired_csv,
+    "poisson-chisq": load_poisson_csv,
+}
+
+
+class TestRoutes:
+    def test_cases_cover_every_route(self):
+        def names(procedures):
+            return sorted(p.__name__ for p in procedures)
+
+        assert names(c[3] for c in _ROUTE_CASES) == names(r[0] for r in cli._ROUTES.values())
+
+    @pytest.mark.parametrize(
+        "command, fixture, flags, procedure, args, name",
+        _ROUTE_CASES,
+        ids=[f"{c[0]}-{c[3].__name__}" for c in _ROUTE_CASES],
+    )
+    def test_record_equals_direct_call(
+        self, runner, request, command, fixture, flags, procedure, args, name
+    ):
+        path = request.getfixturevalue(fixture)
+        result = runner.invoke(
+            main, [command, "--input", path, *flags, "--perms", "49", "--seed", "3",
+                   "--alpha", "0.1"]
+        )
+        assert result.exit_code == 0, result.output
+        plan = PermutationPlan.monte_carlo(49, 3)
+        outcome = procedure(_LOADERS[command](path), *args, 0.1, plan)
+        record = dataio.outcome_record(name, outcome, plan_seed=3)
+        assert result.output == dataio.write_outcome_json(record) + "\n"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -474,6 +475,13 @@ class TestRunTest:
         plan = PermutationPlan.monte_carlo(19, seed=0)
         with pytest.warns(RuntimeWarning, match="never reject"):
             run_test(lambda d, p: float(p[0]), None, 4, plan, 0.01)
+
+    def test_level_zero_raises_before_the_warning(self):
+        plan = PermutationPlan.monte_carlo(19, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="alpha"):
+                run_test(lambda d, p: float(p[0]), None, 4, plan, 0.0)
 
     def test_constant_never_rejects(self):
         for alpha in (0.05, 0.5, 0.9):

@@ -262,6 +262,19 @@ class TestAdaptive:
         assert comp.p_value == fixed.p_value
         assert adaptive.reject == fixed.reject
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_level_outside_unit_interval_raises(self, alpha):
+        # checked before the Bonferroni split, so no component is run at alpha / gamma_max
+        rng = np.random.default_rng(12)
+        two = TwoSamplePooled(y=rng.random(20), z=rng.random(20), domain=Continuous(1))
+        pair = PairedSample(
+            y=rng.random(20), z=rng.random(20), y_domain=Continuous(1), z_domain=Continuous(1)
+        )
+        with pytest.raises(ValueError, match="alpha"):
+            adaptive_two_sample(two, alpha=alpha, plan=MC(99, seed=0))
+        with pytest.raises(ValueError, match="alpha"):
+            adaptive_independence(pair, alpha=alpha, plan=MC(99, seed=0))
+
     def test_independence_adaptive_runs(self):
         rng = np.random.default_rng(11)
         y = rng.random(40)
