@@ -119,7 +119,7 @@ def _dispatch(command: str, data, domain) -> None:
     plan = (PermutationPlan.exact() if params["exact"]
             else PermutationPlan.monte_carlo(params["perms"], params["seed"]))
     outcome = procedure(data, *args, params["alpha"], plan)
-    record = dataio.outcome_record(name, outcome, plan_seed=params["seed"])
+    record = dataio.outcome_record(name, outcome)
     click.echo(dataio.write_outcome_json(record, params["output"]))
 
 

@@ -37,9 +37,16 @@ __all__ = [
 
 
 def _read_table(path) -> tuple[list[str], list[list[str]]]:
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                 f"the header has {len(rows[0])}")
+            rows.append(row)
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header row and at least one data row")
     header = [h.strip() for h in rows[0]]
@@ -176,7 +183,11 @@ def load_poisson_csv(path) -> PoissonCounts:
 
 
 def outcome_record(test: str, outcome, plan_seed: int | None = None) -> dict:
-    """Flat JSON-ready record for a test outcome (adaptive gets a breakdown)."""
+    """Flat JSON-ready record for a test outcome (adaptive gets a breakdown).
+
+    The seed comes from the outcome's plan; ``plan_seed`` is accepted for
+    older callers and ignored.
+    """
     if isinstance(outcome, AdaptiveOutcome):
         plan = outcome.components[0][1].plan
         return {
@@ -189,7 +200,7 @@ def outcome_record(test: str, outcome, plan_seed: int | None = None) -> dict:
             "gamma_max": outcome.gamma_max,
             "per_test_alpha": outcome.per_test_alpha,
             "B": plan.replicates,
-            "seed": plan_seed if plan.mode == "monte_carlo" else None,
+            "seed": plan.seed if plan.mode == "monte_carlo" else None,
             "components": [
                 {
                     "kappa": kappa,

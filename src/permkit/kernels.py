@@ -228,8 +228,8 @@ class Gaussian:
         lam = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
         if lam.ndim != 1 or lam.size < 1:
             raise ValueError("lambdas must be a non-empty 1-D array")
-        if np.any(lam <= 0):
-            raise ValueError("bandwidths must be positive")
+        if not np.all((lam > 0) & (lam < np.inf)):
+            raise ValueError("bandwidths must be positive and finite")
         object.__setattr__(self, "lambdas", lam)
 
     @property

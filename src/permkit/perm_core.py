@@ -29,7 +29,8 @@ Conventions
   matrix of index rows; a plain callable ``stat(data, perm)`` is called once
   per row.  The observed statistic is the identity row's value (exact row
   0, or a one-row batch under a Monte Carlo plan), so it equals its own
-  replicate exactly.
+  replicate exactly.  An evaluator may stack K statistics, returning (m, K)
+  values; each column becomes its own distribution over the same rows.
 * The Monte Carlo p-value is ``(1 + #{sampled replicates >= observed}) /
   (B + 1)``, which is valid in finite samples.  With
   ``include_identity=True`` (the default) the identity relabeling's value is
@@ -53,7 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -165,10 +166,6 @@ class PermutationPlan:
             seed=seed,
             include_identity=include_identity,
         )
-
-    def reseeded(self, seed: int) -> "PermutationPlan":
-        """Copy of this plan with a different master seed."""
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -331,7 +328,7 @@ def _evaluate(
             ) from exc
     if np.isfinite(values).all():
         return values
-    row = int(np.flatnonzero(~np.isfinite(values))[0])
+    row = int(np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))[0])
     index = _replicate_index(start, row, identity_first)
     raise StatisticEvaluationError(
         index, f"statistic is not finite at replicate {index}: {values[row]}"
@@ -348,7 +345,7 @@ def permutation_distribution(
     data: Any,
     n: int,
     plan: PermutationPlan,
-) -> PermutationDistribution:
+) -> PermutationDistribution | tuple[PermutationDistribution, ...]:
     """Observed statistic plus replicates of ``stat`` under relabelings.
 
     ``stat`` is evaluated through its ``evaluate_many(data, rows)``, which
@@ -360,6 +357,8 @@ def permutation_distribution(
     appends it to the replicate pool.  Rows are generated and evaluated one
     chunk at a time in both modes.  Raises :class:`StatisticEvaluationError`
     if ``stat`` raises or returns a value that is not finite.
+    An ``evaluate_many`` returning (m, K) values stacks K statistics on the
+    same rows and gives a tuple of K distributions, one per column.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -367,21 +366,24 @@ def permutation_distribution(
     if exact:
         total = _enumeration_size(n, plan.enumeration_limit)
         chunks = _enumeration_chunks(n, _chunk_rows(n))
-        values = np.empty(total, dtype=float)
     else:
         total = int(plan.replicates)
         identity = np.arange(n, dtype=np.intp)[None, :]
-        observed = float(_evaluate(stat, data, identity, 0, identity_first=True)[0])
+        observed = _evaluate(stat, data, identity, 0, identity_first=True)[0]
         chunks = _monte_carlo_chunks(n, total, int(plan.seed), _chunk_rows(n))
-        values = np.full(total + plan.include_identity, observed)
+    values = None
     for start, rows in chunks:
-        values[start : start + len(rows)] = _evaluate(
-            stat, data, rows, start, identity_first=exact and start == 0
-        )
+        batch = _evaluate(stat, data, rows, start, identity_first=exact and start == 0)
+        if values is None:  # (pool, K) for a stacked statistic
+            values = np.empty((total + (not exact and plan.include_identity),) + batch.shape[1:])
+        values[start : start + len(rows)] = batch
     if exact:
-        observed = float(values[0])
-    values.sort()
-    return PermutationDistribution(observed=observed, replicates=values, plan=plan, n=n)
+        observed = values[0].copy()
+    values[total:] = observed  # the appended identity value; nothing under an exact plan
+    values.sort(axis=0)
+    if values.ndim == 1:
+        return PermutationDistribution(float(observed), values, plan, n)
+    return tuple(PermutationDistribution(float(o), v, plan, n) for o, v in zip(observed, values.T))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -436,12 +438,13 @@ def run_test(
     n: int,
     plan: PermutationPlan,
     alpha: float,
-) -> TestOutcome:
+) -> TestOutcome | tuple[TestOutcome, ...]:
     """Assemble distribution, critical value and p-value into a decision.
 
     Raises ``ValueError`` unless 0 < alpha < 1, before any replicate is
     computed.  Warns when a Monte Carlo plan cannot reach ``alpha``: the
     smallest attainable p-value is 1/(B+1), so below it the test never rejects.
+    A stacked ``stat`` gives one outcome per column, each at ``alpha``.
     """
     _check_alpha(alpha)
     if plan.mode == "monte_carlo" and alpha < 1.0 / (plan.replicates + 1):
@@ -453,6 +456,8 @@ def run_test(
             stacklevel=2,
         )
     dist = permutation_distribution(stat, data, n, plan)
+    if isinstance(dist, tuple):
+        return tuple(outcome_from_distribution(d, alpha) for d in dist)
     return outcome_from_distribution(dist, alpha)
 
 

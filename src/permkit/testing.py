@@ -10,7 +10,11 @@ arrays, never re-touching kernels.
 Binned procedures discretize ``[0, 1]^dim`` with equal cells, count of cells
 per axis chosen from the smoothness-driven rules ``two_sample_bin_count``
 and ``independence_bin_count``.  Adaptive procedures sweep a dyadic grid of
-cell counts and Bonferroni-split the level across it.
+cell counts and Bonferroni-split the level across it.  All of their
+components are decided on one set of relabelings, the caller's plan: one
+stacked evaluator returns every kappa's statistic for each index row, so
+replicate i is the same permutation for every kappa, and each component
+equals the binned test at that kappa, the split level and the same plan.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import perm_core
 from .kernels import Gaussian, gram, product_weights, split_weights
-from .perm_core import PermutationPlan, TestOutcome, split_seed
+from .perm_core import PermutationPlan, TestOutcome
 from .ustats import (
     Categorical,
     Continuous,
@@ -86,6 +90,12 @@ class BinGrid:
         return self.kappa**self.dim
 
 
+def _check_smoothness(s: float) -> None:
+    # written so that NaN, which compares false, fails the check
+    if not 0 < s < math.inf:
+        raise ValueError("smoothness s must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SmoothnessRule:
     """Pick bandwidths from an assumed Holder/Sobolev exponent ``s``."""
@@ -93,8 +103,7 @@ class SmoothnessRule:
     s: float
 
     def __post_init__(self) -> None:
-        if self.s <= 0:
-            raise ValueError("smoothness s must be positive")
+        _check_smoothness(self.s)
 
 
 @dataclass(frozen=True)
@@ -144,15 +153,13 @@ def bin_data(points, grid: BinGrid) -> np.ndarray:
 
 def two_sample_bin_count(n1: int, s: float, d: int) -> int:
     """Bins per axis for the binned two-sample test: floor(n1^{2/(4s+d)}), at least 1."""
-    if s <= 0:
-        raise ValueError("smoothness s must be positive")
+    _check_smoothness(s)
     return max(1, int(math.floor(n1 ** (2.0 / (4.0 * s + d)) + 1e-9)))
 
 
 def independence_bin_count(n: int, s: float, d_total: int) -> int:
     """Bins per axis for the binned independence test: floor(n^{2/(4s+d1+d2)})."""
-    if s <= 0:
-        raise ValueError("smoothness s must be positive")
+    _check_smoothness(s)
     return max(1, int(math.floor(n ** (2.0 / (4.0 * s + d_total)) + 1e-9)))
 
 
@@ -354,17 +361,28 @@ def multinomial_l2_independence(
     return perm_core.run_test(stat, (y_codes, z_codes), data.n, plan, alpha)
 
 
+def _binned_two_sample_stat(data: TwoSamplePooled, kappa: int):
+    """Count statistic and compressed pooled codes of ``data`` binned at ``kappa``."""
+    grid = BinGrid(kappa=kappa, dim=data.domain.dim)
+    codes, _ = _compress(np.concatenate([bin_data(data.y, grid), bin_data(data.z, grid)]))
+    return _CountTwoSampleStat(data.n1, data.n2, n_cats=int(codes.max()) + 1), codes
+
+
+def _binned_independence_stat(data: PairedSample, kappa: int):
+    """Count statistic and compressed ``(y, z)`` codes of ``data`` binned at ``kappa``."""
+    gy = BinGrid(kappa=kappa, dim=data.y_domain.dim)
+    gz = BinGrid(kappa=kappa, dim=data.z_domain.dim)
+    y, _ = _compress(bin_data(data.y, gy))
+    z, _ = _compress(bin_data(data.z, gz))
+    return _CountIndependenceStat(int(y.max()) + 1, int(z.max()) + 1), (y, z)
+
+
 def binned_two_sample(
     data: TwoSamplePooled, kappa: int, alpha: float, plan: PermutationPlan
 ) -> TestOutcome:
-    dim = _require_continuous(data.domain, "two-sample data")
-    grid = BinGrid(kappa=kappa, dim=dim)
-    binned = TwoSamplePooled(
-        y=bin_data(data.y, grid),
-        z=bin_data(data.z, grid),
-        domain=Categorical(grid.cells),
-    )
-    return multinomial_l2_two_sample(binned, alpha, plan)
+    _require_continuous(data.domain, "two-sample data")
+    stat, codes = _binned_two_sample_stat(data, kappa)
+    return perm_core.run_test(stat, codes, data.n, plan, alpha)
 
 
 def holder_two_sample(
@@ -378,17 +396,10 @@ def holder_two_sample(
 def binned_independence(
     data: PairedSample, kappa: int, alpha: float, plan: PermutationPlan
 ) -> TestOutcome:
-    d1 = _require_continuous(data.y_domain, "y")
-    d2 = _require_continuous(data.z_domain, "z")
-    gy = BinGrid(kappa=kappa, dim=d1)
-    gz = BinGrid(kappa=kappa, dim=d2)
-    binned = PairedSample(
-        y=bin_data(data.y, gy),
-        z=bin_data(data.z, gz),
-        y_domain=Categorical(gy.cells),
-        z_domain=Categorical(gz.cells),
-    )
-    return multinomial_l2_independence(binned, alpha, plan)
+    _require_continuous(data.y_domain, "y")
+    _require_continuous(data.z_domain, "z")
+    stat, codes = _binned_independence_stat(data, kappa)
+    return perm_core.run_test(stat, codes, data.n, plan, alpha)
 
 
 def holder_independence(
@@ -417,34 +428,36 @@ class AdaptiveOutcome:
         return min(1.0, self.gamma_max * min(o.p_value for _, o in self.components))
 
 
-def _component_plan(plan: PermutationPlan, j: int) -> PermutationPlan:
-    if plan.mode == "exact":
-        return plan
-    return plan.reseeded(split_seed(plan.seed, j))
+@dataclass(frozen=True)
+class _StackedStat:
+    """Several evaluators on the same index rows: column j is ``stats[j]`` on ``data[j]``."""
+
+    stats: tuple
+
+    def evaluate_many(self, data: tuple, perms: np.ndarray) -> np.ndarray:
+        return np.stack([s.evaluate_many(d, perms) for s, d in zip(self.stats, data)], axis=1)
+
+
+def _adaptive(data, grid: AdaptiveGrid, alpha: float, plan: PermutationPlan, binned_stat):
+    """Union of the binned tests over ``grid``, each at alpha / gamma_max on ``plan``'s rows."""
+    level = grid.per_test_alpha(alpha)
+    stats, reduced = zip(*(binned_stat(data, kappa) for kappa in grid.kappas))
+    outcomes = perm_core.run_test(_StackedStat(stats), reduced, data.n, plan, level)
+    return AdaptiveOutcome(
+        reject=any(o.reject for o in outcomes),
+        alpha=alpha,
+        gamma_max=grid.gamma_max,
+        per_test_alpha=level,
+        components=tuple(zip(grid.kappas, outcomes)),
+    )
 
 
 def adaptive_two_sample(
     data: TwoSamplePooled, alpha: float, plan: PermutationPlan
 ) -> AdaptiveOutcome:
-    """Union of binned two-sample tests over a dyadic kappa grid.
-
-    Each component runs at level alpha / gamma_max; the union rejects iff
-    any component rejects.
-    """
-    dim = _require_continuous(data.domain, "two-sample data")
-    grid = adaptive_grid_two_sample(data.n1, dim)
-    level = grid.per_test_alpha(alpha)
-    components = []
-    for j, kappa in enumerate(grid.kappas):
-        outcome = binned_two_sample(data, kappa, level, _component_plan(plan, j))
-        components.append((kappa, outcome))
-    return AdaptiveOutcome(
-        reject=any(o.reject for _, o in components),
-        alpha=alpha,
-        gamma_max=grid.gamma_max,
-        per_test_alpha=level,
-        components=tuple(components),
-    )
+    """Union of binned two-sample tests over a dyadic kappa grid."""
+    grid = adaptive_grid_two_sample(data.n1, _require_continuous(data.domain, "two-sample data"))
+    return _adaptive(data, grid, alpha, plan, _binned_two_sample_stat)
 
 
 def adaptive_independence(
@@ -454,18 +467,7 @@ def adaptive_independence(
     d1 = _require_continuous(data.y_domain, "y")
     d2 = _require_continuous(data.z_domain, "z")
     grid = adaptive_grid_independence(data.n, d1, d2)
-    level = grid.per_test_alpha(alpha)
-    components = []
-    for j, kappa in enumerate(grid.kappas):
-        outcome = binned_independence(data, kappa, level, _component_plan(plan, j))
-        components.append((kappa, outcome))
-    return AdaptiveOutcome(
-        reject=any(o.reject for _, o in components),
-        alpha=alpha,
-        gamma_max=grid.gamma_max,
-        per_test_alpha=level,
-        components=tuple(components),
-    )
+    return _adaptive(data, grid, alpha, plan, _binned_independence_stat)
 
 
 def l1_split_two_sample(
@@ -550,8 +552,8 @@ def _resolve_bandwidths(bandwidths, dim: int, resolver) -> np.ndarray:
         lam = np.full(dim, float(lam[0]))
     if lam.shape != (dim,):
         raise ValueError(f"expected {dim} bandwidths")
-    if np.any(lam <= 0):
-        raise ValueError("bandwidths must be positive")
+    if not np.all((lam > 0) & (lam < np.inf)):
+        raise ValueError("bandwidths must be positive and finite")
     return lam
 
 

@@ -105,6 +105,19 @@ class TestLoaders:
         with pytest.raises(ValueError, match="positive"):
             load_two_sample_csv(path)
 
+    @pytest.mark.parametrize(
+        "load, text",
+        [
+            (load_two_sample_csv, "group,x\n# comment\n1,1\n1\n2,2\n2,1\n"),
+            (load_paired_csv, "y,z\n# comment\n1,2\n2,1,1\n1,1\n2,2\n"),
+            (load_poisson_csv, "group,c1,c2\n# comment\n1,1,2\n1,0\n2,1,1\n2,0,0\n"),
+        ],
+    )
+    def test_row_with_wrong_field_count_names_its_line(self, tmp_path, load, text):
+        path = _write(tmp_path / "ragged.csv", text)
+        with pytest.raises(ValueError, match="line 4 has"):
+            load(path)
+
     def test_paired_numbered_columns_sorted(self, tmp_path):
         path = _write(
             tmp_path / "p.csv",
@@ -237,6 +250,38 @@ class TestCommands:
         result = runner.invoke(main, [command, "--input", path, *flags])
         assert result.exit_code == 2, result.output
         assert "apply only to" in result.output
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("twosample", ["--stat", "mmd", "-s", "nan"]),
+            ("twosample", ["--stat", "mmd", "--bandwidth", "inf"]),
+            ("twosample", ["--bins", "auto", "-s", "inf"]),
+            ("independence", ["--stat", "hsic", "--bandwidth", "nan", "--bandwidth-z", "nan"]),
+            ("independence", ["--bins", "auto", "-s", "nan"]),
+        ],
+    )
+    def test_non_finite_smoothness_or_bandwidth_exit_code_2(
+        self, runner, continuous_two_sample_csv, continuous_paired_csv, command, flags
+    ):
+        path = continuous_two_sample_csv if command == "twosample" else continuous_paired_csv
+        result = runner.invoke(main, [command, "--input", path, "--perms", "19", *flags])
+        assert result.exit_code == 2, result.output
+        assert "finite" in result.output
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("twosample", "group,x\n1,1\n1\n2,2\n2,1\n"),
+            ("independence", "y,z\n1,2\n2\n1,1\n2,2\n1,2\n"),
+            ("poisson-chisq", "group,c1,c2\n1,1,2\n1,0\n2,1,1\n2,0,0\n"),
+        ],
+    )
+    def test_short_row_exit_code_2(self, runner, tmp_path, command, text):
+        path = _write(tmp_path / "short.csv", text)
+        result = runner.invoke(main, [command, "--input", path])
+        assert result.exit_code == 2, result.output
+        assert "line 3 has" in result.output
 
     @pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
     def test_adaptive_level_outside_unit_interval_exit_code_2(

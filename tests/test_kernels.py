@@ -169,6 +169,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Gaussian([1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_gaussian_finite_bandwidths(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Gaussian([1.0, bad])
+
     def test_dense_refusal_above_limit(self):
         # factors valid and d1*d2 above the materialization cap
         d = 1100

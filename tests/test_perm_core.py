@@ -382,6 +382,94 @@ class TestNonFiniteStatistic:
             assert err.value.replicate_index == -1
 
 
+class _SumOf:
+    """Batch evaluator: sum of the data at the first ``k`` relabeled positions."""
+
+    def __init__(self, k, power=1):
+        self.k = k
+        self.power = power
+
+    def evaluate_many(self, data, perms):
+        return (data[perms[:, : self.k]] ** self.power).sum(axis=1)
+
+
+class _Stacked:
+    """Column j is ``stats[j]``'s value on the same rows."""
+
+    def __init__(self, *stats):
+        self.stats = stats
+        self.batches = 0
+
+    def evaluate_many(self, data, perms):
+        self.batches += 1
+        return np.stack([s.evaluate_many(data, perms) for s in self.stats], axis=1)
+
+
+def _assert_same_distribution(got, want):
+    assert got.observed.hex() == want.observed.hex()
+    assert got.replicates.tobytes() == want.replicates.tobytes()
+    assert got.plan == want.plan and got.n == want.n
+
+
+class TestStackedEvaluator:
+    STATS = (_SumOf(3), _SumOf(50, power=2), _SumOf(7, power=3))
+
+    @pytest.mark.parametrize("include_identity", [True, False])
+    def test_monte_carlo_columns_equal_their_own_distributions(self, include_identity):
+        n = 5000
+        chunk_rows = BLOCK_ROWS * max(1, CHUNK_ENTRIES // (BLOCK_ROWS * n))
+        plan = PermutationPlan.monte_carlo(2 * chunk_rows + 50, 8, include_identity)
+        data = np.random.default_rng(0).normal(size=n)
+        stacked = _Stacked(*self.STATS)
+        dists = permutation_distribution(stacked, data, n, plan)
+        assert stacked.batches >= 1 + 3  # the identity row, then three chunks
+        assert len(dists) == len(self.STATS)
+        for stat, dist in zip(self.STATS, dists):
+            _assert_same_distribution(dist, permutation_distribution(stat, data, n, plan))
+
+    def test_exact_columns_equal_their_own_distributions(self, monkeypatch):
+        n = 7
+        monkeypatch.setattr(perm_core, "CHUNK_ENTRIES", math.factorial(n) * n // 3 - 1)
+        data = np.random.default_rng(1).normal(size=n)
+        stacked = _Stacked(*self.STATS)
+        dists = permutation_distribution(stacked, data, n, PermutationPlan.exact())
+        assert stacked.batches >= 3
+        for stat, dist in zip(self.STATS, dists):
+            own = permutation_distribution(stat, data, n, PermutationPlan.exact())
+            _assert_same_distribution(dist, own)
+
+    @pytest.mark.parametrize("plan", [PermutationPlan.monte_carlo(99, 3), PermutationPlan.exact()])
+    def test_run_test_decides_each_column(self, plan):
+        data = np.random.default_rng(2).normal(size=6)
+        outcomes = run_test(_Stacked(*self.STATS), data, 6, plan, 0.1)
+        assert outcomes == tuple(run_test(s, data, 6, plan, 0.1) for s in self.STATS)
+
+    @pytest.mark.parametrize(
+        "plan, row, index",
+        [
+            (PermutationPlan.monte_carlo(99, 1), 30, 30),
+            (PermutationPlan.monte_carlo(99, 1, include_identity=False), 0, -1),
+            (PermutationPlan.exact(), 4, 4),
+            (PermutationPlan.exact(), 0, -1),
+        ],
+    )
+    def test_non_finite_column_reports_its_row(self, plan, row, index):
+        n = 5
+
+        class NanInColumnOne:
+            def evaluate_many(self, data, perms):
+                values = np.zeros((perms.shape[0], 3))
+                # under a Monte Carlo plan the identity row comes alone, first
+                is_identity_batch = perms.shape[0] == 1
+                if plan.mode == "exact" or (row == 0) == is_identity_batch:
+                    values[row, 1] = np.nan
+                return values
+
+        with pytest.raises(StatisticEvaluationError) as err:
+            permutation_distribution(NanInColumnOne(), None, n, plan)
+        assert err.value.replicate_index == index
+
+
 class TestCriticalValue:
     def test_order_statistic(self):
         assert critical_value(_dist([1, 2, 3, 4, 5]), 0.2) == 4.0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from permkit.testing import (
     AdaptiveOutcome,
     BinGrid,
     SmoothnessRule,
+    binned_independence,
     binned_two_sample,
     adaptive_grid_independence,
     adaptive_grid_two_sample,
@@ -124,6 +126,29 @@ class TestRules:
         assert lam_z[0] == lam_y[0]
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_smoothness_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SmoothnessRule(bad)
+        with pytest.raises(ValueError, match="finite"):
+            two_sample_bin_count(50, bad, 1)
+        with pytest.raises(ValueError, match="finite"):
+            independence_bin_count(50, bad, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_bandwidths_refused(self, bad):
+        rng = np.random.default_rng(16)
+        two = TwoSamplePooled(y=rng.random(5), z=rng.random(5), domain=Continuous(1))
+        pair = PairedSample(
+            y=rng.random(6), z=rng.random(6), y_domain=Continuous(1), z_domain=Continuous(1)
+        )
+        with pytest.raises(ValueError, match="finite"):
+            mmd_test(two, np.array([bad]), 0.05, MC(19, seed=0))
+        with pytest.raises(ValueError, match="finite"):
+            hsic_test(pair, np.array([0.5]), np.array([bad]), 0.05, MC(19, seed=0))
+
+
 class TestMultinomialTwoSample:
     def test_disjoint_supports_reject(self):
         data = TwoSamplePooled(
@@ -224,6 +249,21 @@ class TestHolder:
         assert rejects / trials >= 0.9
 
 
+def _outcome_bytes(outcome):
+    return (
+        outcome.statistic.hex(), outcome.critical_value.hex(), outcome.p_value.hex(),
+        outcome.reject, outcome.alpha.hex(), outcome.replicate_count, outcome.plan,
+    )
+
+
+def _assert_components_are_binned_tests(out, data, plan):
+    """Each component equals the binned test at (kappa, alpha / gamma_max, plan)."""
+    binned = binned_two_sample if isinstance(data, TwoSamplePooled) else binned_independence
+    for kappa, comp in out.components:
+        fixed = binned(data, kappa, out.per_test_alpha, plan)
+        assert _outcome_bytes(comp) == _outcome_bytes(fixed), kappa
+
+
 class TestAdaptive:
     def test_reject_iff_any_component(self):
         rng = np.random.default_rng(8)
@@ -274,6 +314,43 @@ class TestAdaptive:
             adaptive_two_sample(two, alpha=alpha, plan=MC(99, seed=0))
         with pytest.raises(ValueError, match="alpha"):
             adaptive_independence(pair, alpha=alpha, plan=MC(99, seed=0))
+
+    @pytest.mark.parametrize("plan", [MC(199, seed=5), MC(199, seed=6, include_identity=False)])
+    def test_components_are_the_binned_tests_on_the_callers_plan(self, plan):
+        rng = np.random.default_rng(13)
+        two = TwoSamplePooled(y=rng.random(30), z=rng.random(30) ** 2, domain=Continuous(1))
+        y = rng.random((40, 2))
+        pair = PairedSample(
+            y=y, z=(y[:, 0] + rng.random(40)) / 2, y_domain=Continuous(2), z_domain=Continuous(1)
+        )
+        _assert_components_are_binned_tests(adaptive_two_sample(two, 0.2, plan), two, plan)
+        _assert_components_are_binned_tests(adaptive_independence(pair, 0.2, plan), pair, plan)
+
+    def test_exact_components_are_the_binned_tests(self):
+        rng = np.random.default_rng(14)
+        two = TwoSamplePooled(y=rng.random(4), z=rng.random(3), domain=Continuous(1))
+        pair = PairedSample(
+            y=rng.random(7), z=rng.random(7), y_domain=Continuous(1), z_domain=Continuous(1)
+        )
+        out = adaptive_two_sample(two, 0.1, EXACT)
+        assert len(out.components) > 1
+        _assert_components_are_binned_tests(out, two, EXACT)
+        out = adaptive_independence(pair, 0.1, EXACT)
+        assert len(out.components) > 1
+        _assert_components_are_binned_tests(out, pair, EXACT)
+
+    def test_unreachable_level_warns_once_per_call(self):
+        rng = np.random.default_rng(15)
+        two = TwoSamplePooled(y=rng.random(20), z=rng.random(20), domain=Continuous(1))
+        pair = PairedSample(
+            y=rng.random(20), z=rng.random(20), y_domain=Continuous(1), z_domain=Continuous(1)
+        )
+        for adaptive, data in ((adaptive_two_sample, two), (adaptive_independence, pair)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = adaptive(data, alpha=0.05, plan=MC(49, seed=2))
+            assert len(out.components) > 1
+            assert [str(w.message).count("never reject") for w in caught] == [1]
 
     def test_independence_adaptive_runs(self):
         rng = np.random.default_rng(11)
