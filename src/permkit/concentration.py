@@ -14,13 +14,13 @@ Two families live here:
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_csv
 from .kernels import GramMatrix
 
 __all__ = [
@@ -242,12 +242,7 @@ class TailReport:
         return out
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("# permkit-csv v1 tail-report\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "empirical", "se", "bound", "violation"])
-            for row in self.rows():
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        write_csv(path, "tail-report", ["t", "empirical", "se", "bound", "violation"], self.rows())
 
 
 def empirical_tail_check(

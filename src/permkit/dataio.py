@@ -1,4 +1,4 @@
-"""CSV input and JSON output for the command-line interface.
+"""CSV input, JSON output and versioned CSV output.
 
 On-disk conventions (documented in the README):
 
@@ -12,7 +12,8 @@ On-disk conventions (documented in the README):
   integer count columns ``c1..cd``, one individual per row with equal group
   sizes.
 
-Results serialize as one flat JSON record per test.
+Results serialize as one flat JSON record per test; experiment and report
+tables as versioned ``permkit-csv v1`` files.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "load_poisson_csv",
     "outcome_record",
     "write_outcome_json",
+    "write_csv",
 ]
 
 
@@ -61,11 +63,40 @@ def _is_integral(values: list[str]) -> bool:
     return all(re.fullmatch(r"[+-]?\d+", v) for v in values)
 
 
-def _to_categorical(values: list[str], name: str) -> np.ndarray:
-    arr = np.array([int(v) for v in values], dtype=np.int64)
-    if arr.min() < 1:
-        raise ValueError(f"{name}: categorical values must be positive integers (1-based)")
-    return arr - 1
+def _group_one(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
+    """Mask of the rows whose ``group`` column is 1 (the others are 2)."""
+    if "group" not in header:
+        raise ValueError(f"{path}: missing 'group' column")
+    groups = _column(rows, header.index("group"))
+    if not set(groups) <= {"1", "2"}:
+        raise ValueError(f"{path}: group column must contain only 1 and 2")
+    return np.array([g == "1" for g in groups])
+
+
+def _read_sides(path, rows, sides: list[list[int]], categories: tuple, kind: str | None) -> list:
+    """``(values, domain)`` of each column group in ``sides``.
+
+    ``categories`` has one entry per side.  By default the data is
+    categorical when every side is a single all-integer column.
+    """
+    if kind is None:
+        single = all(len(cols) == 1 and _is_integral(_column(rows, cols[0])) for cols in sides)
+        kind = "categorical" if single else "continuous"
+    if kind != "categorical":
+        if any(c is not None for c in categories):
+            raise ValueError("categories apply only to categorical data")
+        return [(np.array([[float(row[i]) for i in cols] for row in rows]), Continuous(len(cols)))
+                for cols in sides]
+    if any(len(cols) != 1 for cols in sides):
+        raise ValueError(f"{path}: categorical data needs a single column per variable")
+    out = []
+    for cols, d in zip(sides, categories):
+        values = np.array([int(v) for v in _column(rows, cols[0])], dtype=np.int64)
+        if values.min() < 1:
+            raise ValueError(f"{path}: categorical values must be positive integers (1-based)")
+        # 1-based on disk, so the largest value is the inferred category count
+        out.append((values - 1, Categorical(d if d is not None else int(values.max()))))
+    return out
 
 
 def load_two_sample_csv(path, categories: int | None = None, kind: str | None = None) -> TwoSamplePooled:
@@ -76,36 +107,12 @@ def load_two_sample_csv(path, categories: int | None = None, kind: str | None = 
     overrides the inferred category count; continuous data refuses it.
     """
     header, rows = _read_table(path)
-    if "group" not in header:
-        raise ValueError(f"{path}: missing 'group' column")
-    gi = header.index("group")
-    features = [i for i in range(len(header)) if i != gi]
+    mask_y = _group_one(path, header, rows)
+    features = [i for i, h in enumerate(header) if h != "group"]
     if not features:
         raise ValueError(f"{path}: no feature columns")
-    groups = _column(rows, gi)
-    if not set(groups) <= {"1", "2"}:
-        raise ValueError(f"{path}: group column must contain only 1 and 2")
-    mask_y = np.array([g == "1" for g in groups])
-    if kind is None:
-        kind = (
-            "categorical"
-            if len(features) == 1 and _is_integral(_column(rows, features[0]))
-            else "continuous"
-        )
-    if kind == "categorical":
-        if len(features) != 1:
-            raise ValueError(f"{path}: categorical data must have one feature column")
-        values = _to_categorical(_column(rows, features[0]), path)
-        d = categories if categories is not None else int(values.max()) + 1
-        return TwoSamplePooled(y=values[mask_y], z=values[~mask_y], domain=Categorical(d))
-    if categories is not None:
-        raise ValueError("categories apply only to categorical data")
-    mat = np.array(
-        [[float(row[i]) for i in features] for row in rows], dtype=float
-    )
-    return TwoSamplePooled(
-        y=mat[mask_y], z=mat[~mask_y], domain=Continuous(len(features))
-    )
+    [(values, domain)] = _read_sides(path, rows, [features], (categories,), kind)
+    return TwoSamplePooled(y=values[mask_y], z=values[~mask_y], domain=domain)
 
 
 def _prefixed_columns(header: list[str], prefix: str) -> list[int]:
@@ -132,53 +139,20 @@ def load_paired_csv(
     z_cols = _prefixed_columns(header, "z")
     if not y_cols or not z_cols:
         raise ValueError(f"{path}: need y and z columns (y, y1.. / z, z1..)")
-    if kind is None:
-        kind = (
-            "categorical"
-            if len(y_cols) == 1
-            and len(z_cols) == 1
-            and _is_integral(_column(rows, y_cols[0]))
-            and _is_integral(_column(rows, z_cols[0]))
-            else "continuous"
-        )
-    if kind == "categorical":
-        if len(y_cols) != 1 or len(z_cols) != 1:
-            raise ValueError(f"{path}: categorical pairs must be single columns")
-        y = _to_categorical(_column(rows, y_cols[0]), path)
-        z = _to_categorical(_column(rows, z_cols[0]), path)
-        d1 = categories[0] if categories[0] is not None else int(y.max()) + 1
-        d2 = categories[1] if categories[1] is not None else int(z.max()) + 1
-        return PairedSample(
-            y=y, z=z, y_domain=Categorical(d1), z_domain=Categorical(d2)
-        )
-    if any(c is not None for c in categories):
-        raise ValueError("categories apply only to categorical data")
-    y = np.array([[float(row[i]) for i in y_cols] for row in rows])
-    z = np.array([[float(row[i]) for i in z_cols] for row in rows])
-    return PairedSample(
-        y=y,
-        z=z,
-        y_domain=Continuous(len(y_cols)),
-        z_domain=Continuous(len(z_cols)),
-    )
+    (y, y_domain), (z, z_domain) = _read_sides(path, rows, [y_cols, z_cols], categories, kind)
+    return PairedSample(y=y, z=z, y_domain=y_domain, z_domain=z_domain)
 
 
 def load_poisson_csv(path) -> PoissonCounts:
     """Load per-individual count rows into a :class:`PoissonCounts`."""
     header, rows = _read_table(path)
-    if "group" not in header:
-        raise ValueError(f"{path}: missing 'group' column")
-    gi = header.index("group")
+    mask_y = _group_one(path, header, rows)
     count_cols = _prefixed_columns(header, "c")
     if not count_cols:
         raise ValueError(f"{path}: need count columns c1..cd")
-    groups = _column(rows, gi)
-    if not set(groups) <= {"1", "2"}:
-        raise ValueError(f"{path}: group column must contain only 1 and 2")
     mat = np.array([[int(row[i]) for i in count_cols] for row in rows], dtype=np.int64)
     if mat.min() < 0:
         raise ValueError(f"{path}: counts must be nonnegative")
-    mask_y = np.array([g == "1" for g in groups])
     return PoissonCounts.from_individuals(mat[mask_y], mat[~mask_y])
 
 
@@ -232,3 +206,16 @@ def write_outcome_json(record: dict, output=None) -> str:
         with open(output, "w") as fh:
             fh.write(text + "\n")
     return text
+
+
+def write_csv(path, experiment: str, header: list[str], rows) -> None:
+    """Versioned CSV: one comment line, then header, then rows.
+
+    Floats are serialized with repr so reruns are byte-identical.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# permkit-csv v1 {experiment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])

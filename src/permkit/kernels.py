@@ -100,12 +100,9 @@ class MultinomialIndicator:
                 raise ValueError(f"category {v} out of range [0, {self.d})")
         return 1.0 if xi == yi else 0.0
 
-    def gram(self, points, zero_diagonal: bool) -> GramMatrix:
+    def pairwise(self, points) -> np.ndarray:
         cats = _check_categories(points, self.d)
-        values = (cats[:, None] == cats[None, :]).astype(float)
-        if zero_diagonal:
-            np.fill_diagonal(values, 0.0)
-        return GramMatrix(values=values, diagonal_zeroed=zero_diagonal)
+        return (cats[:, None] == cats[None, :]).astype(float)
 
 
 def _validate_weights(weights: np.ndarray, d: int) -> None:
@@ -142,12 +139,9 @@ class WeightedMultinomial:
                 raise ValueError(f"category {v} out of range [0, {self.d})")
         return 1.0 / self.weights[xi] if xi == yi else 0.0
 
-    def gram(self, points, zero_diagonal: bool) -> GramMatrix:
+    def pairwise(self, points) -> np.ndarray:
         cats = _check_categories(points, self.d)
-        values = (cats[:, None] == cats[None, :]) / self.weights[cats][:, None]
-        if zero_diagonal:
-            np.fill_diagonal(values, 0.0)
-        return GramMatrix(values=values, diagonal_zeroed=zero_diagonal)
+        return (cats[:, None] == cats[None, :]) / self.weights[cats][:, None]
 
 
 @dataclass(frozen=True)
@@ -197,7 +191,7 @@ class ProductWeighted:
             return 1.0 / (self.row_weights[x1] * self.col_weights[x2])
         return 0.0
 
-    def gram(self, points, zero_diagonal: bool) -> GramMatrix:
+    def pairwise(self, points) -> np.ndarray:
         pts = np.asarray(points)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("ProductWeighted points must be (n, 2) integer pairs")
@@ -205,10 +199,7 @@ class ProductWeighted:
         k2 = _check_categories(pts[:, 1], self.d2)
         match = (k1[:, None] == k1[None, :]) & (k2[:, None] == k2[None, :])
         inv_w = 1.0 / (self.row_weights[k1] * self.col_weights[k2])
-        values = match * inv_w[:, None]
-        if zero_diagonal:
-            np.fill_diagonal(values, 0.0)
-        return GramMatrix(values=values, diagonal_zeroed=zero_diagonal)
+        return match * inv_w[:, None]
 
 
 @dataclass(frozen=True)
@@ -237,12 +228,13 @@ class Gaussian:
         return int(self.lambdas.size)
 
     @property
+    def _log_norm(self) -> float:
+        return -0.5 * self.dim * np.log(2 * np.pi) - np.log(self.lambdas).sum()
+
+    @property
     def max_value(self) -> float:
         """Peak value g(x, x) = (2 pi)^{-d/2} / prod(lambdas)."""
-        d = self.dim
-        return float(
-            np.exp(-0.5 * d * np.log(2 * np.pi) - np.log(self.lambdas).sum())
-        )
+        return float(np.exp(self._log_norm))
 
     def evaluate(self, x, y) -> float:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
@@ -250,20 +242,15 @@ class Gaussian:
         if xv.shape != (self.dim,) or yv.shape != (self.dim,):
             raise ValueError(f"points must have dimension {self.dim}")
         quad = float(np.sum(((xv - yv) / self.lambdas) ** 2))
-        log_norm = -0.5 * self.dim * np.log(2 * np.pi) - np.log(self.lambdas).sum()
-        return float(np.exp(log_norm - 0.5 * quad))
+        return float(np.exp(self._log_norm - 0.5 * quad))
 
-    def gram(self, points, zero_diagonal: bool) -> GramMatrix:
+    def pairwise(self, points) -> np.ndarray:
         pts = _as_points(points, self.dim)
         scaled = pts / self.lambdas
         sq = np.sum(scaled**2, axis=1)
         quad = sq[:, None] + sq[None, :] - 2.0 * (scaled @ scaled.T)
         np.maximum(quad, 0.0, out=quad)  # clip tiny negative round-off
-        log_norm = -0.5 * self.dim * np.log(2 * np.pi) - np.log(self.lambdas).sum()
-        values = np.exp(log_norm - 0.5 * quad)
-        if zero_diagonal:
-            np.fill_diagonal(values, 0.0)
-        return GramMatrix(values=values, diagonal_zeroed=zero_diagonal)
+        return np.exp(self._log_norm - 0.5 * quad)
 
 
 KernelSpec = MultinomialIndicator | WeightedMultinomial | ProductWeighted | Gaussian
@@ -279,7 +266,10 @@ def gram(spec: KernelSpec, points, zero_diagonal: bool = True) -> GramMatrix:
     pts = np.asarray(points)
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
-    return spec.gram(pts, zero_diagonal)
+    values = spec.pairwise(pts)
+    if zero_diagonal:
+        np.fill_diagonal(values, 0.0)
+    return GramMatrix(values=values, diagonal_zeroed=zero_diagonal)
 
 
 def split_weights(holdout_z, d: int) -> np.ndarray:

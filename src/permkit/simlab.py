@@ -13,7 +13,6 @@ worker count.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_csv
 from .perm_core import PermutationPlan, permutation_distribution, replicate_rng, split_seed
 from .testing import (
     SmoothnessRule,
@@ -100,6 +100,14 @@ def balanced_signs(d: int) -> np.ndarray:
     return np.repeat([1.0, -1.0], d // 2)
 
 
+def _checked_signs(signs, d: int) -> np.ndarray:
+    """``signs`` as a balanced length-d vector of +/-1; None gives :func:`balanced_signs`."""
+    s = balanced_signs(d) if signs is None else np.asarray(signs, float)
+    if s.shape != (d,) or not np.all(np.abs(s) == 1.0) or abs(float(s.sum())) > 0:
+        raise ValueError(f"signs must be a balanced length-{d} vector of +/-1")
+    return s
+
+
 @dataclass(frozen=True)
 class PerturbedHypercube:
     """Uniform pmf perturbed by delta along a balanced sign vector.
@@ -115,14 +123,9 @@ class PerturbedHypercube:
     def __post_init__(self) -> None:
         if self.d < 2 or self.d % 2:
             raise ValueError("perturbed hypercube needs an even d >= 2")
-        signs = balanced_signs(self.d) if self.signs is None else np.asarray(self.signs, float)
-        if signs.shape != (self.d,) or not np.all(np.abs(signs) == 1.0):
-            raise ValueError("signs must be a length-d vector of +/-1")
-        if abs(float(signs.sum())) > 0:
-            raise ValueError("signs must be balanced (sum to zero)")
         if not 0.0 <= self.delta <= 1.0 / self.d + PMF_TOL:
             raise ValueError("delta must lie in [0, 1/d]")
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signs", _checked_signs(self.signs, self.d))
 
 
 @dataclass(frozen=True)
@@ -144,15 +147,10 @@ class JointPerturbed:
         for d in (self.d1, self.d2):
             if d < 2 or d % 2:
                 raise ValueError("joint perturbation needs even d1, d2 >= 2")
-        sy = balanced_signs(self.d1) if self.signs_y is None else np.asarray(self.signs_y, float)
-        sz = balanced_signs(self.d2) if self.signs_z is None else np.asarray(self.signs_z, float)
-        for s, d in ((sy, self.d1), (sz, self.d2)):
-            if s.shape != (d,) or not np.all(np.abs(s) == 1.0) or abs(float(s.sum())) > 0:
-                raise ValueError("sign vectors must be balanced +/-1 of the right length")
         if not 0.0 <= self.delta <= 1.0 / (self.d1 * self.d2) + PMF_TOL:
             raise ValueError("delta must lie in [0, 1/(d1*d2)]")
-        object.__setattr__(self, "signs_y", sy)
-        object.__setattr__(self, "signs_z", sz)
+        object.__setattr__(self, "signs_y", _checked_signs(self.signs_y, self.d1))
+        object.__setattr__(self, "signs_z", _checked_signs(self.signs_z, self.d2))
 
 
 @dataclass(frozen=True)
@@ -228,19 +226,6 @@ def sample(spec, n: int, rng: np.random.Generator) -> np.ndarray:
 # harness plumbing
 
 
-def write_csv(path, experiment: str, header: list[str], rows) -> None:
-    """Versioned CSV: one comment line, then header, then rows.
-
-    Floats are serialized with repr so reruns are byte-identical.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# permkit-csv v1 {experiment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def _run_tasks(worker, tasks: list, workers: int) -> list:
     """Evaluate ``worker`` over ``tasks`` preserving order; fork when asked."""
     if workers <= 1:
@@ -248,6 +233,15 @@ def _run_tasks(worker, tasks: list, workers: int) -> list:
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
+
+
+def _trial_grid(worker, cfg, values) -> list[list]:
+    """``worker`` results for ``cfg.trials`` trials at each of ``values``, one seed per trial."""
+    results = []
+    for i, value in enumerate(values):
+        seeds = (split_seed(cfg.seed, i * cfg.trials + t) for t in range(cfg.trials))
+        results.append(_run_tasks(worker, [(cfg, value, s) for s in seeds], cfg.workers))
+    return results
 
 
 def _binomial_se(rate: float, trials: int) -> float:
@@ -345,12 +339,7 @@ def _threshold_scale(cfg: ThresholdConfig, gamma: float) -> float:
 def experiment_threshold_sensitivity(cfg: ThresholdConfig, output=None):
     """Per (method, C, gamma) type-I error rows; optionally written to CSV."""
     rows = []
-    for gi, gamma in enumerate(cfg.gammas):
-        tasks = [
-            (cfg, gamma, split_seed(cfg.seed, gi * cfg.trials + t))
-            for t in range(cfg.trials)
-        ]
-        results = _run_tasks(_threshold_trial, tasks, cfg.workers)
+    for gamma, results in zip(cfg.gammas, _trial_grid(_threshold_trial, cfg, cfg.gammas)):
         perm_rate = float(np.mean([r for r, _ in results]))
         rows.append(
             ("permutation", "", gamma, perm_rate, _binomial_se(perm_rate, cfg.trials))
@@ -409,10 +398,9 @@ def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
 
 def _count_stat_value(y: np.ndarray, z: np.ndarray) -> float:
     codes, _ = _compress(np.concatenate([y, z]))
-    u = int(codes.max()) + 1
-    c1 = np.bincount(codes[: y.size], minlength=u).astype(float)
-    c2 = np.bincount(codes[y.size :], minlength=u).astype(float)
-    return multinomial_two_sample_u(c1, c2)
+    c_all = np.bincount(codes)
+    c1 = np.bincount(codes[: y.size], minlength=c_all.size).astype(float)
+    return multinomial_two_sample_u(c1, c_all - c1)
 
 
 def _qq_task(task):
@@ -429,7 +417,7 @@ def _qq_task(task):
     y = _sample_categorical(py, cfg.n1, rng)
     z = _sample_categorical(pz, cfg.n2, rng)
     codes, _ = _compress(np.concatenate([y, z]))
-    stat = _CountTwoSampleStat(cfg.n1, cfg.n2, n_cats=int(codes.max()) + 1)
+    stat = _CountTwoSampleStat(cfg.n1, cfg.n2)
     plan = PermutationPlan.monte_carlo(
         cfg.replicates, split_seed(task_seed, 1), include_identity=False
     )
@@ -605,12 +593,7 @@ def _power_trial(task):
 def power_curve(cfg: PowerConfig, output=None):
     """(value, power, se) rows along the separation grid."""
     rows = []
-    for vi, value in enumerate(cfg.grid):
-        tasks = [
-            (cfg, value, split_seed(cfg.seed, vi * cfg.trials + t))
-            for t in range(cfg.trials)
-        ]
-        rejects = _run_tasks(_power_trial, tasks, cfg.workers)
+    for value, rejects in zip(cfg.grid, _trial_grid(_power_trial, cfg, cfg.grid)):
         rate = float(np.mean([bool(r) for r in rejects]))
         rows.append((float(value), rate, _binomial_se(rate, cfg.trials)))
     if output is not None:

@@ -159,8 +159,7 @@ def two_sample_bin_count(n1: int, s: float, d: int) -> int:
 
 def independence_bin_count(n: int, s: float, d_total: int) -> int:
     """Bins per axis for the binned independence test: floor(n^{2/(4s+d1+d2)})."""
-    _check_smoothness(s)
-    return max(1, int(math.floor(n ** (2.0 / (4.0 * s + d_total)) + 1e-9)))
+    return two_sample_bin_count(n, s, d_total)
 
 
 def _gamma_max(n: int, d_total: int) -> int:
@@ -240,18 +239,18 @@ class _CountTwoSampleStat:
     """Two-sample U-statistic on compressed category codes.
 
     ``data`` is the pooled code array; the permutation assigns the first
-    ``n1`` relabeled positions to group one.
+    ``n1`` relabeled positions to group one.  ``inv_weights``, when given,
+    has one entry per code.
     """
 
-    def __init__(self, n1: int, n2: int, n_cats: int, inv_weights: np.ndarray | None = None):
+    def __init__(self, n1: int, n2: int, inv_weights: np.ndarray | None = None):
         self.n1 = n1
         self.n2 = n2
-        self.n_cats = n_cats
         self.inv_weights = inv_weights
 
     def evaluate_many(self, codes: np.ndarray, perms: np.ndarray) -> np.ndarray:
-        u = self.n_cats
-        c_all = np.bincount(codes, minlength=u).astype(float)
+        c_all = np.bincount(codes).astype(float)
+        u = c_all.size
 
         def block_values(block: np.ndarray) -> np.ndarray:
             c1 = _row_counts(codes[block[:, : self.n1]], u)
@@ -268,23 +267,20 @@ class _CountIndependenceStat:
     row-sum dot products and invariant totals).
     """
 
-    def __init__(self, u1: int, u2: int):
-        self.u1 = u1
-        self.u2 = u2
-
     def evaluate_many(self, data, perms: np.ndarray) -> np.ndarray:
         y, z = data
         n = y.size
-        ncell = self.u1 * self.u2
-        cy = np.bincount(y, minlength=self.u1).astype(float)
-        cz = np.bincount(z, minlength=self.u2).astype(float)
+        cy = np.bincount(y).astype(float)
+        cz = np.bincount(z).astype(float)
+        u2 = cz.size
+        ncell = cy.size * u2
         ty = float((cy * cy).sum()) - n
         tz = float((cz * cz).sum()) - n
         ay = cy[y] - 1.0
         bz = cz[z] - 1.0
 
         def block_values(block: np.ndarray) -> np.ndarray:
-            joint = _row_counts(y[None, :] * self.u2 + z[block], ncell)
+            joint = _row_counts(y[None, :] * u2 + z[block], ncell)
             s1 = (joint * joint).sum(axis=1) - n
             r = bz[block] @ ay
             return _indep_from_sums(n, s1, r, ty, tz)
@@ -345,8 +341,7 @@ def multinomial_l2_two_sample(
     """Permutation test on the unweighted multinomial two-sample U-statistic."""
     _require_categorical(data.domain, "two-sample data")
     codes, _ = _compress(data.pooled())
-    stat = _CountTwoSampleStat(data.n1, data.n2, n_cats=int(codes.max()) + 1)
-    return perm_core.run_test(stat, codes, data.n, plan, alpha)
+    return perm_core.run_test(_CountTwoSampleStat(data.n1, data.n2), codes, data.n, plan, alpha)
 
 
 def multinomial_l2_independence(
@@ -357,32 +352,31 @@ def multinomial_l2_independence(
     _require_categorical(data.z_domain, "z")
     y_codes, _ = _compress(np.asarray(data.y, dtype=np.int64))
     z_codes, _ = _compress(np.asarray(data.z, dtype=np.int64))
-    stat = _CountIndependenceStat(int(y_codes.max()) + 1, int(z_codes.max()) + 1)
-    return perm_core.run_test(stat, (y_codes, z_codes), data.n, plan, alpha)
+    return perm_core.run_test(_CountIndependenceStat(), (y_codes, z_codes), data.n, plan, alpha)
 
 
-def _binned_two_sample_stat(data: TwoSamplePooled, kappa: int):
-    """Count statistic and compressed pooled codes of ``data`` binned at ``kappa``."""
+def _binned_two_sample_codes(data: TwoSamplePooled, kappa: int) -> np.ndarray:
+    """Compressed pooled codes of ``data`` binned at ``kappa``."""
     grid = BinGrid(kappa=kappa, dim=data.domain.dim)
     codes, _ = _compress(np.concatenate([bin_data(data.y, grid), bin_data(data.z, grid)]))
-    return _CountTwoSampleStat(data.n1, data.n2, n_cats=int(codes.max()) + 1), codes
+    return codes
 
 
-def _binned_independence_stat(data: PairedSample, kappa: int):
-    """Count statistic and compressed ``(y, z)`` codes of ``data`` binned at ``kappa``."""
+def _binned_independence_codes(data: PairedSample, kappa: int) -> tuple:
+    """Compressed ``(y, z)`` codes of ``data`` binned at ``kappa``."""
     gy = BinGrid(kappa=kappa, dim=data.y_domain.dim)
     gz = BinGrid(kappa=kappa, dim=data.z_domain.dim)
     y, _ = _compress(bin_data(data.y, gy))
     z, _ = _compress(bin_data(data.z, gz))
-    return _CountIndependenceStat(int(y.max()) + 1, int(z.max()) + 1), (y, z)
+    return y, z
 
 
 def binned_two_sample(
     data: TwoSamplePooled, kappa: int, alpha: float, plan: PermutationPlan
 ) -> TestOutcome:
     _require_continuous(data.domain, "two-sample data")
-    stat, codes = _binned_two_sample_stat(data, kappa)
-    return perm_core.run_test(stat, codes, data.n, plan, alpha)
+    codes = _binned_two_sample_codes(data, kappa)
+    return perm_core.run_test(_CountTwoSampleStat(data.n1, data.n2), codes, data.n, plan, alpha)
 
 
 def holder_two_sample(
@@ -398,8 +392,8 @@ def binned_independence(
 ) -> TestOutcome:
     _require_continuous(data.y_domain, "y")
     _require_continuous(data.z_domain, "z")
-    stat, codes = _binned_independence_stat(data, kappa)
-    return perm_core.run_test(stat, codes, data.n, plan, alpha)
+    codes = _binned_independence_codes(data, kappa)
+    return perm_core.run_test(_CountIndependenceStat(), codes, data.n, plan, alpha)
 
 
 def holder_independence(
@@ -430,19 +424,19 @@ class AdaptiveOutcome:
 
 @dataclass(frozen=True)
 class _StackedStat:
-    """Several evaluators on the same index rows: column j is ``stats[j]`` on ``data[j]``."""
+    """One evaluator on several datasets, same index rows: column j is ``stat`` on ``data[j]``."""
 
-    stats: tuple
+    stat: object
 
     def evaluate_many(self, data: tuple, perms: np.ndarray) -> np.ndarray:
-        return np.stack([s.evaluate_many(d, perms) for s, d in zip(self.stats, data)], axis=1)
+        return np.stack([self.stat.evaluate_many(d, perms) for d in data], axis=1)
 
 
-def _adaptive(data, grid: AdaptiveGrid, alpha: float, plan: PermutationPlan, binned_stat):
+def _adaptive(data, grid: AdaptiveGrid, alpha: float, plan: PermutationPlan, stat, binned_codes):
     """Union of the binned tests over ``grid``, each at alpha / gamma_max on ``plan``'s rows."""
     level = grid.per_test_alpha(alpha)
-    stats, reduced = zip(*(binned_stat(data, kappa) for kappa in grid.kappas))
-    outcomes = perm_core.run_test(_StackedStat(stats), reduced, data.n, plan, level)
+    reduced = tuple(binned_codes(data, kappa) for kappa in grid.kappas)
+    outcomes = perm_core.run_test(_StackedStat(stat), reduced, data.n, plan, level)
     return AdaptiveOutcome(
         reject=any(o.reject for o in outcomes),
         alpha=alpha,
@@ -457,7 +451,8 @@ def adaptive_two_sample(
 ) -> AdaptiveOutcome:
     """Union of binned two-sample tests over a dyadic kappa grid."""
     grid = adaptive_grid_two_sample(data.n1, _require_continuous(data.domain, "two-sample data"))
-    return _adaptive(data, grid, alpha, plan, _binned_two_sample_stat)
+    stat = _CountTwoSampleStat(data.n1, data.n2)
+    return _adaptive(data, grid, alpha, plan, stat, _binned_two_sample_codes)
 
 
 def adaptive_independence(
@@ -467,7 +462,7 @@ def adaptive_independence(
     d1 = _require_continuous(data.y_domain, "y")
     d2 = _require_continuous(data.z_domain, "z")
     grid = adaptive_grid_independence(data.n, d1, d2)
-    return _adaptive(data, grid, alpha, plan, _binned_independence_stat)
+    return _adaptive(data, grid, alpha, plan, _CountIndependenceStat(), _binned_independence_codes)
 
 
 def l1_split_two_sample(
@@ -499,9 +494,7 @@ def l1_split_two_sample(
     weights = split_weights(holdout, d)
     pooled = np.concatenate([y[:n1], z[:n1]])
     codes, kept = _compress(pooled)
-    stat = _CountTwoSampleStat(
-        n1, n1, n_cats=int(codes.max()) + 1, inv_weights=1.0 / weights[kept]
-    )
+    stat = _CountTwoSampleStat(n1, n1, inv_weights=1.0 / weights[kept])
     return perm_core.run_test(stat, codes, 2 * n1, plan, alpha)
 
 
@@ -540,7 +533,7 @@ def l1_split_independence(
     )
     codes, kept = _compress(pair_codes)
     inv_w = 1.0 / (pw.row_weights[kept // d2] * pw.col_weights[kept % d2])
-    stat = _CountTwoSampleStat(half, half, n_cats=int(codes.max()) + 1, inv_weights=inv_w)
+    stat = _CountTwoSampleStat(half, half, inv_weights=inv_w)
     return perm_core.run_test(stat, codes, n, plan, alpha)
 
 

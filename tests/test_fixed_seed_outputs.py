@@ -152,16 +152,20 @@ def _write_csvs(folder: Path) -> dict:
         files[name] = str(path)
 
     write("cat2s.csv", "group,x",
-          [(1, int(v)) for v in rng.integers(1, 6, 30)] + [(2, int(v)) for v in rng.integers(1, 6, 26)])
+          [(1, int(v)) for v in rng.integers(1, 6, 30)]
+          + [(2, int(v)) for v in rng.integers(1, 6, 26)])
     write("small2s.csv", "group,x",
-          [(1, int(v)) for v in rng.integers(1, 4, 4)] + [(2, int(v)) for v in rng.integers(1, 4, 4)])
+          [(1, int(v)) for v in rng.integers(1, 4, 4)]
+          + [(2, int(v)) for v in rng.integers(1, 4, 4)])
     write("cont2s.csv", "group,x1,x2",
           [(1, *map(float, r)) for r in rng.random((30, 2))]
           + [(2, *map(float, r)) for r in rng.random((26, 2)) ** 1.5])
     y = rng.integers(1, 5, 36)
-    write("catpair.csv", "y,z", [(int(a), int(b)) for a, b in zip(y, (y + rng.integers(0, 2, 36)) % 4 + 1)])
+    z = (y + rng.integers(0, 2, 36)) % 4 + 1
+    write("catpair.csv", "y,z", [(int(a), int(b)) for a, b in zip(y, z)])
     y = rng.random(36)
-    write("contpair.csv", "y,z", [(float(a), float(b)) for a, b in zip(y, 0.6 * y + 0.4 * rng.random(36))])
+    z = 0.6 * y + 0.4 * rng.random(36)
+    write("contpair.csv", "y,z", [(float(a), float(b)) for a, b in zip(y, z)])
     write("pois.csv", "group,c1,c2,c3",
           [(1, *map(int, r)) for r in rng.poisson(1.0, (12, 3))]
           + [(2, *map(int, r)) for r in rng.poisson(1.5, (12, 3))])
@@ -235,9 +239,8 @@ def simulation_csvs() -> dict:
             config_path = Path(tmp) / f"{name}.json"
             config_path.write_text(json.dumps({**config, "seed": 3}))
             csv_path = Path(tmp) / f"{name}.csv"
-            result = CliRunner().invoke(
-                main, ["simulate", experiment, "--config", str(config_path), "--output", str(csv_path)]
-            )
+            args = ["simulate", experiment, "--config", str(config_path), "--output", str(csv_path)]
+            result = CliRunner().invoke(main, args)
             assert result.exit_code == 0, result.output
             out[name] = _sha256(csv_path)
     return out

@@ -657,10 +657,10 @@ def _slicing_case(name):
     """(evaluator, data, temporary entries per row) for each batch evaluator, n = 12."""
     rng = np.random.default_rng(11)
     if name == "count-two-sample":
-        return _CountTwoSampleStat(6, 6, n_cats=5), rng.permutation(np.arange(12) % 5), 5
+        return _CountTwoSampleStat(6, 6), rng.permutation(np.arange(12) % 5), 5
     if name == "count-independence":
         data = (rng.permutation(np.arange(12) % 3), rng.permutation(np.arange(12) % 4))
-        return _CountIndependenceStat(3, 4), data, 3 * 4
+        return _CountIndependenceStat(), data, 3 * 4
     if name == "gram-two-sample":
         # BLAS may round a row of mask @ g differently by its place in the
         # block; entries in eighths keep every sum exact, so only the slicing
