@@ -93,11 +93,7 @@ class MultinomialIndicator:
             raise ValueError("d must be >= 1")
 
     def evaluate(self, x, y) -> float:
-        xi = int(x)
-        yi = int(y)
-        for v in (xi, yi):
-            if not 0 <= v < self.d:
-                raise ValueError(f"category {v} out of range [0, {self.d})")
+        xi, yi = _check_categories([x, y], self.d)
         return 1.0 if xi == yi else 0.0
 
     def pairwise(self, points) -> np.ndarray:
@@ -132,11 +128,7 @@ class WeightedMultinomial:
         return int(self.weights.size)
 
     def evaluate(self, x, y) -> float:
-        xi = int(x)
-        yi = int(y)
-        for v in (xi, yi):
-            if not 0 <= v < self.d:
-                raise ValueError(f"category {v} out of range [0, {self.d})")
+        xi, yi = _check_categories([x, y], self.d)
         return 1.0 / self.weights[xi] if xi == yi else 0.0
 
     def pairwise(self, points) -> np.ndarray:
@@ -180,23 +172,20 @@ class ProductWeighted:
             )
         return np.outer(self.row_weights, self.col_weights)
 
+    def _categories(self, points) -> tuple[np.ndarray, np.ndarray]:
+        pts = np.asarray(points)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("ProductWeighted points must be (n, 2) integer pairs")
+        return _check_categories(pts[:, 0], self.d1), _check_categories(pts[:, 1], self.d2)
+
     def evaluate(self, x, y) -> float:
-        x1, x2 = (int(v) for v in x)
-        y1, y2 = (int(v) for v in y)
-        if not (0 <= x1 < self.d1 and 0 <= y1 < self.d1):
-            raise ValueError(f"first category out of range [0, {self.d1})")
-        if not (0 <= x2 < self.d2 and 0 <= y2 < self.d2):
-            raise ValueError(f"second category out of range [0, {self.d2})")
+        (x1, y1), (x2, y2) = self._categories([x, y])
         if x1 == y1 and x2 == y2:
             return 1.0 / (self.row_weights[x1] * self.col_weights[x2])
         return 0.0
 
     def pairwise(self, points) -> np.ndarray:
-        pts = np.asarray(points)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("ProductWeighted points must be (n, 2) integer pairs")
-        k1 = _check_categories(pts[:, 0], self.d1)
-        k2 = _check_categories(pts[:, 1], self.d2)
+        k1, k2 = self._categories(points)
         match = (k1[:, None] == k1[None, :]) & (k2[:, None] == k2[None, :])
         inv_w = 1.0 / (self.row_weights[k1] * self.col_weights[k2])
         return match * inv_w[:, None]

@@ -111,7 +111,8 @@ def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
 class StatisticEvaluationError(RuntimeError):
     """A statistic evaluator raised while processing one relabeling.
 
-    Also raised when the evaluator returns a value that is not finite.
+    Also raised when the evaluator returns a value that is not finite; for a
+    stacked (m, K) evaluator the message names the first such column.
     ``replicate_index`` is the 0-based replicate number of the failing row;
     -1 marks the identity row, whose value is the observed statistic.  When
     an ``evaluate_many`` call raises, no single row is known and the index
@@ -328,11 +329,10 @@ def _evaluate(
             ) from exc
     if np.isfinite(values).all():
         return values
-    row = int(np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))[0])
+    row, column = (int(i) for i in np.argwhere(~np.isfinite(values.reshape(len(values), -1)))[0])
     index = _replicate_index(start, row, identity_first)
-    raise StatisticEvaluationError(
-        index, f"statistic is not finite at replicate {index}: {values[row]}"
-    )
+    where = f"replicate {index}, column {column}" if values.ndim == 2 else f"replicate {index}"
+    raise StatisticEvaluationError(index, f"statistic is not finite at {where}: {values[row]}")
 
 
 def _replicate_index(start: int, row: int, identity_first: bool) -> int:

@@ -257,11 +257,26 @@ def estimate_error_rates(runner, trials: int, seed: int, workers: int = 1):
     return rate, _binomial_se(rate, trials)
 
 
+# config field annotation -> (what a JSON value must be, the Python types it may
+# load as); bool is refused even where int is accepted
+_JSON_TYPES = {
+    "int": ("an integer", (int,)),
+    "float": ("a number", (int, float)),
+    "float | None": ("a number or null", (int, float, type(None))),
+    "str": ("a string", (str,)),
+    "tuple": ("a list", (list, tuple)),
+}
+
+
 def _config_with_overrides(cls, overrides: dict):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(overrides) - fields
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(overrides) - fields.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in overrides.items():
+        expected, types = _JSON_TYPES[fields[key]]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
     clean = {
         k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()
     }

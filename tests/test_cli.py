@@ -351,6 +351,24 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         assert out.read_text().startswith("# permkit-csv v1 power twosample")
 
+    @pytest.mark.parametrize(
+        "experiment, config",
+        [
+            ("threshold", {"trials": "x"}),
+            ("threshold", {"gammas": 5}),
+            ("power", {"workers": "two"}),
+        ],
+    )
+    def test_simulate_mistyped_config_exits_2(self, runner, tmp_path, experiment, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main, ["simulate", experiment, "--config", str(cfg), "--output", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "config key" in result.output
+
 
 class TestOutcomeRecord:
     def test_exact_plan_has_null_seed(self, runner, tmp_path):

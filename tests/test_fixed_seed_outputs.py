@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from permkit import kernels, testing
+from permkit import cli, kernels, testing
 from permkit.cli import main
 from permkit.concentration import empirical_tail_check
 from permkit.perm_core import PermutationPlan
@@ -330,6 +330,11 @@ def test_outputs_match_fixture(section, expected):
         gram_stat = section == "procedures" and key.split("/")[0].split("-")[0] in GRAM_TESTS
         _assert_same(actual[key], value, f"{section}: {key}", gram_stat)
     assert actual.keys() == expected[section].keys()
+
+
+def test_cli_runs_cover_every_route():
+    # a new route needs its own CLI_RUNS entry and a regenerated fixture
+    assert len(CLI_RUNS) == len(cli._ROUTES) + 1
 
 
 if __name__ == "__main__":

@@ -31,6 +31,19 @@ class TestEval:
         with pytest.raises(ValueError):
             kernel_eval(k, -1, 0)
 
+    @pytest.mark.parametrize(
+        "kernel, x, y",
+        [
+            (MultinomialIndicator(3), 1.5, 1),
+            (WeightedMultinomial([0.75, 0.25]), 0, 0.5),
+            (WeightedMultinomial(split_weights([0, 1, 2], 3)), 2.9, 2),
+            (ProductWeighted([0.75, 0.25], [0.25, 0.75]), (0, 1.5), (0, 1)),
+        ],
+    )
+    def test_categorical_evaluate_refuses_non_integers(self, kernel, x, y):
+        with pytest.raises(ValueError, match="integers"):
+            kernel_eval(kernel, x, y)
+
     def test_gaussian_peak(self):
         k = Gaussian([1.0])
         assert kernel_eval(k, 0.3, 0.3) == pytest.approx(1 / math.sqrt(2 * math.pi))

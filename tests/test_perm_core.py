@@ -465,7 +465,7 @@ class TestStackedEvaluator:
                     values[row, 1] = np.nan
                 return values
 
-        with pytest.raises(StatisticEvaluationError) as err:
+        with pytest.raises(StatisticEvaluationError, match="column 1:") as err:
             permutation_distribution(NanInColumnOne(), None, n, plan)
         assert err.value.replicate_index == index
 

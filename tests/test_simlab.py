@@ -269,6 +269,20 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict("qq", {"nope": 1})
 
+    @pytest.mark.parametrize(
+        "experiment, overrides, key",
+        [
+            ("threshold", {"trials": "x"}, "trials"),
+            ("threshold", {"gammas": 5}, "gammas"),
+            ("power", {"grid": [0.1], "workers": "two"}, "workers"),
+            ("power", {"grid": [0.1], "trials": True}, "trials"),
+            ("qq", {"seed": 1.5}, "seed"),
+        ],
+    )
+    def test_mistyped_values_rejected(self, experiment, overrides, key):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            config_from_dict(experiment, overrides)
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
             config_from_dict("mystery", {})
