@@ -19,32 +19,33 @@ Conventions
   replicates is a prefix of one with more, and neither the chunk size nor
   the worker count changes any row.
 * Exact plans enumerate the n! permutations in lexicographic order, so row
-  0 is the identity.  Rows of both modes are generated and evaluated one
-  chunk at a time, a whole number of blocks holding about ``CHUNK_ENTRIES``
-  (2^20) index entries.  The batch evaluators of ``ustats`` and ``testing``
-  slice each chunk by the same budget, so their temporaries (count tables,
-  Gram gathers and products) also hold about ``CHUNK_ENTRIES`` entries:
-  peak memory follows the budget, not B * n or n! * n.
+  0 is the identity; n! above ``ENUMERATION_LIMIT`` (10!) is refused.  Rows
+  of both modes are generated and evaluated one chunk at a time, a whole
+  number of blocks holding about ``CHUNK_ENTRIES`` (2^20) index entries.
+  The batch evaluators of ``ustats`` and ``testing`` slice each chunk by the
+  same budget, so their temporaries (count tables, Gram gathers and
+  products) also hold about ``CHUNK_ENTRIES`` entries: peak memory follows
+  the budget, not B * n or n! * n.
 * Evaluators have one protocol, ``evaluate_many(data, rows)`` on an (m, n)
   matrix of index rows; a plain callable ``stat(data, perm)`` is called once
-  per row.  The observed statistic is the identity row's value (exact row
-  0, or a one-row batch under a Monte Carlo plan), so it equals its own
-  replicate exactly.  An evaluator may stack K statistics, returning (m, K)
-  values; each column becomes its own distribution over the same rows.
-* The Monte Carlo p-value is ``(1 + #{sampled replicates >= observed}) /
-  (B + 1)``, which is valid in finite samples.  With
-  ``include_identity=True`` (the default) the identity relabeling's value is
-  also appended to the replicate pool used for the critical value.
+  per row.  An evaluator may stack K statistics, returning (m, K) values;
+  each column becomes its own distribution over the same rows.
+* The replicate pool always holds the identity relabeling's value exactly
+  once, at pool row 0: exact row 0, or, under a Monte Carlo plan, a one-row
+  batch stored ahead of the B sampled rows.  The observed statistic is that
+  value, so it equals its own replicate exactly.  One formula serves both
+  modes: the p-value is ``#{pool >= observed} / |pool|``, which under a
+  Monte Carlo plan is ``(1 + #{sampled replicates >= observed}) / (B + 1)``
+  and valid in finite samples.
 * The test is the conservative, non-randomized one: reject iff the observed
   statistic strictly exceeds the critical value.
 * Tie comparisons use a relative float tolerance: ``TIE_REL`` times the
-  largest absolute value among the observed statistic and the replicates,
-  and plain equality when all of them are 0.  Many statistics take exactly
-  equal values on symmetric relabelings and the level guarantee counts
-  those as ties; rounding noise from different summation orders must not
-  split them, or the test turns anti-conservative.  The tolerance has no
-  absolute floor, so the decision does not depend on the units of the
-  statistic.
+  largest absolute value in the pool, and plain equality when all of them
+  are 0.  Many statistics take exactly equal values on symmetric
+  relabelings and the level guarantee counts those as ties; rounding noise
+  from different summation orders must not split them, or the test turns
+  anti-conservative.  The tolerance has no absolute floor, so the decision
+  does not depend on the units of the statistic.
 * A statistic value that is not finite (NaN or infinite) raises
   :class:`StatisticEvaluationError`; it is never ranked.
 """
@@ -60,7 +61,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 __all__ = [
-    "DEFAULT_ENUMERATION_LIMIT",
+    "ENUMERATION_LIMIT",
     "PermutationPlan",
     "PermutationDistribution",
     "TestOutcome",
@@ -75,7 +76,7 @@ __all__ = [
     "run_test",
 ]
 
-DEFAULT_ENUMERATION_LIMIT = math.factorial(10)
+ENUMERATION_LIMIT = math.factorial(10)
 
 # relative scale for treating replicate-vs-observed comparisons as ties
 TIE_REL = 1e-12
@@ -132,15 +133,14 @@ class PermutationPlan:
     """How to build the permutation distribution.
 
     ``mode`` is ``"exact"`` (full enumeration of all n! relabelings, only
-    allowed when n! does not exceed ``enumeration_limit``) or
+    allowed when n! does not exceed ``ENUMERATION_LIMIT``) or
     ``"monte_carlo"`` (``replicates`` uniform draws seeded by ``seed``).
+    Either way the pool also holds the identity relabeling, once.
     """
 
     mode: str
     replicates: int | None = None
     seed: int = 0
-    include_identity: bool = True
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "monte_carlo"):
@@ -150,40 +150,37 @@ class PermutationPlan:
                 raise ValueError("monte_carlo mode requires replicates >= 1")
             if not 0 <= int(self.seed) <= _MASK64:
                 raise ValueError("seed must fit in 64 unsigned bits")
-        if self.enumeration_limit < 1:
-            raise ValueError("enumeration_limit must be positive")
 
     @classmethod
-    def exact(cls, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT) -> "PermutationPlan":
-        return cls(mode="exact", enumeration_limit=enumeration_limit)
+    def exact(cls) -> "PermutationPlan":
+        return cls(mode="exact")
 
     @classmethod
-    def monte_carlo(
-        cls, replicates: int, seed: int, include_identity: bool = True
-    ) -> "PermutationPlan":
-        return cls(
-            mode="monte_carlo",
-            replicates=replicates,
-            seed=seed,
-            include_identity=include_identity,
-        )
+    def monte_carlo(cls, replicates: int, seed: int) -> "PermutationPlan":
+        return cls(mode="monte_carlo", replicates=replicates, seed=seed)
 
 
 @dataclass(frozen=True)
 class PermutationDistribution:
-    """Observed statistic plus the sorted multiset of permuted replicates."""
+    """Observed statistic plus the sorted replicate pool that holds it."""
 
     observed: float
-    replicates: np.ndarray  # sorted, non-decreasing
+    replicates: np.ndarray  # sorted, non-decreasing; holds ``observed``
     plan: PermutationPlan
     n: int
 
     def __post_init__(self) -> None:
-        if self.replicates.size < 1:
+        reps = self.replicates
+        if reps.size < 1:
             raise ValueError("replicate set must be non-empty")
         # compare neighbours: np.diff would allocate a float copy of the replicates
-        if np.any(self.replicates[1:] < self.replicates[:-1]):
+        if np.any(reps[1:] < reps[:-1]):
             raise ValueError("replicates must be sorted non-decreasing")
+        # the identity's value ranks inside its own pool, or p could be 0
+        tol = self.tie_tolerance
+        i = int(np.searchsorted(reps, self.observed - tol, side="left"))
+        if i == reps.size or reps[i] > self.observed + tol:
+            raise ValueError("replicate pool must hold the observed statistic")
 
     @property
     def size(self) -> int:
@@ -193,11 +190,12 @@ class PermutationDistribution:
     def tie_tolerance(self) -> float:
         """Absolute slack under which a replicate ties the observed value.
 
-        Relative to the largest absolute value in play, so rescaling the
-        statistic rescales the slack; 0 (plain equality) when every value is 0.
+        Relative to the largest absolute value in the pool (one of its two
+        ends), so rescaling the statistic rescales the slack; 0 (plain
+        equality) when every value is 0.
         """
-        scale = max(abs(self.observed), float(np.abs(self.replicates).max()))
-        return TIE_REL * scale
+        reps = self.replicates
+        return TIE_REL * max(abs(float(reps[0])), abs(float(reps[-1])))
 
 
 @dataclass(frozen=True)
@@ -220,24 +218,22 @@ def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(n)
 
 
-def enumerate_permutations(
-    n: int, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> Iterator[np.ndarray]:
+def enumerate_permutations(n: int) -> Iterator[np.ndarray]:
     """Yield all n! permutations of ``range(n)`` in lexicographic order."""
-    _enumeration_size(n, enumeration_limit)
+    _enumeration_size(n)
     for _, rows in _enumeration_chunks(n, _chunk_rows(n)):
         yield from np.array(rows)
 
 
-def _enumeration_size(n: int, enumeration_limit: int) -> int:
-    """n!, refused when it exceeds ``enumeration_limit``."""
+def _enumeration_size(n: int) -> int:
+    """n!, refused when it exceeds ``ENUMERATION_LIMIT``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     total = math.factorial(n)
-    if total > enumeration_limit:
+    if total > ENUMERATION_LIMIT:
         raise ValueError(
             f"{n}! = {total} permutations exceeds the enumeration limit "
-            f"{enumeration_limit}; use a monte_carlo plan"
+            f"{ENUMERATION_LIMIT}; use a monte_carlo plan"
         )
     return total
 
@@ -276,13 +272,15 @@ def _enumeration_chunks(n: int, chunk: int) -> Iterator[tuple[int, np.ndarray]]:
 def _monte_carlo_chunks(
     n: int, replicates: int, seed: int, chunk: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Replicates ``0 .. replicates - 1`` as ``(start, rows)`` chunks.
+    """The identity, then replicates ``0 .. replicates - 1``, as ``(start, rows)``.
 
-    A chunk is a whole number of blocks, so every block is shuffled in one
-    ``permuted`` call from its own stream; rows past ``replicates`` in the
-    last block are never drawn.  The rows share one buffer, overwritten by
-    the next chunk.
+    ``start`` is the pool row of ``rows[0]``: the identity comes alone as
+    pool row 0, and replicate i is pool row ``1 + i``.  A chunk is a whole
+    number of blocks, so every block is shuffled in one ``permuted`` call
+    from its own stream; rows past ``replicates`` in the last block are never
+    drawn.  The rows share one buffer, overwritten by the next chunk.
     """
+    yield 0, np.arange(n, dtype=np.intp)[None, :]
     buffer = np.empty((min(chunk, replicates), n), dtype=np.intp)
     for start in range(0, replicates, chunk):
         rows = buffer[: min(chunk, replicates - start)]
@@ -291,7 +289,7 @@ def _monte_carlo_chunks(
             block = rows[first : first + BLOCK_ROWS]
             k = (start + first) // BLOCK_ROWS
             replicate_rng(seed, k).permuted(block, axis=1, out=block)
-        yield start, rows
+        yield 1 + start, rows
 
 
 def _chunk_rows(n: int) -> int:
@@ -299,15 +297,13 @@ def _chunk_rows(n: int) -> int:
     return BLOCK_ROWS * max(1, CHUNK_ENTRIES // (BLOCK_ROWS * n))
 
 
-def _evaluate(
-    stat: Any, data: Any, rows: np.ndarray, start: int, identity_first: bool
-) -> np.ndarray:
+def _evaluate(stat: Any, data: Any, rows: np.ndarray, start: int, sampled: bool) -> np.ndarray:
     """Values of ``stat`` on the index ``rows``, as finite floats.
 
     Calls ``stat.evaluate_many(data, rows)``, or a plain ``stat(data, perm)``
-    once per row.  Row i is replicate ``start + i``, except that with
-    ``identity_first`` row 0 is the identity (observed) row, index -1.  A
-    batch evaluator that raises reports the index of row 0.
+    once per row.  Row i is pool row ``start + i`` (see
+    :func:`_replicate_index`).  A batch evaluator that raises reports the
+    index of row 0.
     """
     many = getattr(stat, "evaluate_many", None)
     if many is None:
@@ -317,27 +313,28 @@ def _evaluate(
                 values[i] = stat(data, perm)
             except Exception as exc:  # noqa: BLE001 - annotate with the replicate index
                 raise StatisticEvaluationError(
-                    _replicate_index(start, i, identity_first)
+                    _replicate_index(start + i, sampled)
                 ) from exc
     else:
         try:
             values = np.asarray(many(data, rows), dtype=float)
         except Exception as exc:  # noqa: BLE001 - annotate with the batch's first index
-            index = _replicate_index(start, 0, identity_first)
+            index = _replicate_index(start, sampled)
             raise StatisticEvaluationError(
                 index, f"batched statistic evaluation failed from replicate {index}"
             ) from exc
     if np.isfinite(values).all():
         return values
     row, column = (int(i) for i in np.argwhere(~np.isfinite(values.reshape(len(values), -1)))[0])
-    index = _replicate_index(start, row, identity_first)
+    index = _replicate_index(start + row, sampled)
     where = f"replicate {index}, column {column}" if values.ndim == 2 else f"replicate {index}"
     raise StatisticEvaluationError(index, f"statistic is not finite at {where}: {values[row]}")
 
 
-def _replicate_index(start: int, row: int, identity_first: bool) -> int:
-    """Replicate index of ``row`` in a batch whose row 0 is replicate ``start``."""
-    return -1 if identity_first and row == 0 else start + row
+def _replicate_index(pool_row: int, sampled: bool) -> int:
+    """-1 for the identity at pool row 0, else the row's enumeration index,
+    or, for a ``sampled`` (Monte Carlo) pool, its replicate ``pool_row - 1``."""
+    return -1 if pool_row == 0 else pool_row - sampled
 
 
 def permutation_distribution(
@@ -352,34 +349,30 @@ def permutation_distribution(
     maps an (m, n) matrix of 0-based index rows to m values; a plain
     callable ``stat(data, perm)`` without it is called once per row.  Either
     must be a pure function of its arguments.  The observed statistic is the
-    identity row's value: row 0 of the exact enumeration, or a one-row batch
-    under a ``monte_carlo`` plan, which with ``include_identity=True`` also
-    appends it to the replicate pool.  Rows are generated and evaluated one
-    chunk at a time in both modes.  Raises :class:`StatisticEvaluationError`
-    if ``stat`` raises or returns a value that is not finite.
-    An ``evaluate_many`` returning (m, K) values stacks K statistics on the
-    same rows and gives a tuple of K distributions, one per column.
+    identity row's value at pool row 0: row 0 of the exact enumeration, or a
+    one-row batch ahead of the B sampled rows under a ``monte_carlo`` plan.
+    Rows are generated and evaluated one chunk at a time in both modes.
+    Raises :class:`StatisticEvaluationError` if ``stat`` raises or returns a
+    value that is not finite.  An ``evaluate_many`` returning (m, K) values
+    stacks K statistics on the same rows and gives a tuple of K
+    distributions, one per column.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    exact = plan.mode == "exact"
-    if exact:
-        total = _enumeration_size(n, plan.enumeration_limit)
-        chunks = _enumeration_chunks(n, _chunk_rows(n))
+    sampled = plan.mode == "monte_carlo"
+    if sampled:
+        size = 1 + int(plan.replicates)  # the identity, then B sampled rows
+        chunks = _monte_carlo_chunks(n, int(plan.replicates), int(plan.seed), _chunk_rows(n))
     else:
-        total = int(plan.replicates)
-        identity = np.arange(n, dtype=np.intp)[None, :]
-        observed = _evaluate(stat, data, identity, 0, identity_first=True)[0]
-        chunks = _monte_carlo_chunks(n, total, int(plan.seed), _chunk_rows(n))
+        size = _enumeration_size(n)
+        chunks = _enumeration_chunks(n, _chunk_rows(n))
     values = None
     for start, rows in chunks:
-        batch = _evaluate(stat, data, rows, start, identity_first=exact and start == 0)
+        batch = _evaluate(stat, data, rows, start, sampled)
         if values is None:  # (pool, K) for a stacked statistic
-            values = np.empty((total + (not exact and plan.include_identity),) + batch.shape[1:])
+            values = np.empty((size,) + batch.shape[1:])
         values[start : start + len(rows)] = batch
-    if exact:
-        observed = values[0].copy()
-    values[total:] = observed  # the appended identity value; nothing under an exact plan
+    observed = values[0].copy()
     values.sort(axis=0)
     if values.ndim == 1:
         return PermutationDistribution(float(observed), values, plan, n)
@@ -400,8 +393,6 @@ def critical_value(dist: PermutationDistribution, alpha: float) -> float:
     _check_alpha(alpha)
     reps = dist.replicates
     m = reps.size
-    if m == 0:
-        raise ValueError("empty replicate set")
     # k = smallest integer with k/M >= 1 - alpha; tiny slack guards against
     # float round-up on exact multiples like 0.8 * 5.
     k = math.ceil(m * (1.0 - alpha) - 1e-9)
@@ -410,26 +401,15 @@ def critical_value(dist: PermutationDistribution, alpha: float) -> float:
 
 
 def p_value(dist: PermutationDistribution) -> float:
-    """Finite-sample valid permutation p-value.
+    """Finite-sample valid permutation p-value, ``#{pool >= observed} / |pool|``.
 
-    Exact mode: ``#{replicates >= observed} / M``.  Monte Carlo mode:
-    ``(1 + #{sampled replicates >= observed}) / (B + 1)`` where the appended
-    identity value, if any, is not double counted.  Replicates within the
-    tie tolerance of the observed value count as greater-or-equal.
+    The pool holds the identity's value, so under a Monte Carlo plan this is
+    ``(1 + #{sampled replicates >= observed}) / (B + 1)``.  Replicates within
+    the tie tolerance of the observed value count as greater-or-equal.
     """
     reps = dist.replicates
-    m = reps.size
-    if m == 0:
-        raise ValueError("empty replicate set")
-    cutoff = dist.observed - dist.tie_tolerance
-    count_ge = m - int(np.searchsorted(reps, cutoff, side="left"))
-    if dist.plan.mode == "exact":
-        return count_ge / m
-    b = int(dist.plan.replicates)
-    if dist.plan.include_identity:
-        # pool = B sampled + identity; identity contributes exactly one >=.
-        return count_ge / (b + 1)
-    return (1 + count_ge) / (b + 1)
+    below = int(np.searchsorted(reps, dist.observed - dist.tie_tolerance, side="left"))
+    return (reps.size - below) / reps.size
 
 
 def run_test(

@@ -433,9 +433,7 @@ def _qq_task(task):
     z = _sample_categorical(pz, cfg.n2, rng)
     codes, _ = _compress(np.concatenate([y, z]))
     stat = _CountTwoSampleStat(cfg.n1, cfg.n2)
-    plan = PermutationPlan.monte_carlo(
-        cfg.replicates, split_seed(task_seed, 1), include_identity=False
-    )
+    plan = PermutationPlan.monte_carlo(cfg.replicates, split_seed(task_seed, 1))
     dist = permutation_distribution(stat, codes, cfg.n1 + cfg.n2, plan)
     null_rng = replicate_rng(task_seed, 2)
     null_values = np.array(

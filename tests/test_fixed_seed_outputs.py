@@ -1,10 +1,10 @@
 """Fixed-seed outputs checked against a recorded fixture.
 
 ``fixtures/fixed_seed_outputs.json`` pins what a behaviour-preserving change
-must leave unchanged: every procedure's outcome under Monte Carlo plans (with
-and without the identity row) and under an exact plan, one CLI record per
-route plus an ``--exact`` record, the sha256 of each ``permkit simulate``
-CSV, kernel Gram matrices and ``evaluate`` values, and the tail-report CSV.
+must leave unchanged: every procedure's outcome under a Monte Carlo plan and
+under an exact plan, one CLI record per route plus an ``--exact`` record, the
+sha256 of each ``permkit simulate`` CSV, kernel Gram matrices and
+``evaluate`` values, and the tail-report CSV.
 All values compare exactly, except the MMD and HSIC statistics and critical
 values, whose last bits depend on how BLAS blocks the Gram products (and so
 on the BLAS thread count); those compare at relative 1e-12.
@@ -116,7 +116,6 @@ PROCEDURES = (
 
 PLANS = {
     "monte-carlo": lambda: PermutationPlan.monte_carlo(99, 7),
-    "monte-carlo-no-identity": lambda: PermutationPlan.monte_carlo(99, 7, include_identity=False),
     "exact": PermutationPlan.exact,
 }
 

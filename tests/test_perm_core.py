@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -27,8 +28,10 @@ from permkit.perm_core import (
 )
 
 
-def _dist(replicates, observed=0.0, plan=None, n=3):
+def _dist(replicates, observed=None, plan=None, n=3):
+    """A hand-built distribution; the observed value defaults to the first replicate."""
     plan = plan or PermutationPlan.exact()
+    observed = float(replicates[0]) if observed is None else observed
     return PermutationDistribution(
         observed=observed, replicates=np.sort(np.asarray(replicates, float)), plan=plan, n=n
     )
@@ -74,8 +77,9 @@ class TestEnumeratePermutations:
         assert (3, 2, 1, 0) in perms
 
     def test_over_limit_refused(self):
+        assert perm_core.ENUMERATION_LIMIT == math.factorial(10)
         with pytest.raises(ValueError, match="enumeration limit"):
-            list(enumerate_permutations(5, enumeration_limit=100))
+            list(enumerate_permutations(11))
 
 
 class TestPermutationDistribution:
@@ -98,6 +102,16 @@ class TestPermutationDistribution:
             lambda data, perm: float(perm[0]), None, 4, plan
         )
         assert dist.size == 11
+        assert dist.observed == 0.0 and dist.observed in dist.replicates
+
+    @pytest.mark.parametrize("observed", [-1.0, 2.5, 1000.0, math.nan])
+    def test_pool_without_observed_refused(self, observed):
+        with pytest.raises(ValueError, match="must hold the observed"):
+            _dist([0.0, 1.0, 2.0, 3.0], observed=observed)
+
+    def test_observed_within_tie_tolerance_accepted(self):
+        dist = _dist([1.0, 2.0, 3.0], observed=2.0 * (1 + 1e-14))
+        assert p_value(dist) == pytest.approx(2 / 3)
 
     def test_sortedness_check_makes_no_float_copy(self):
         replicates = np.arange(2.0**20)  # 8 MiB; np.diff would allocate as much again
@@ -234,9 +248,10 @@ class TestMonteCarloStream:
             def evaluate_many(self, d, perms):
                 return d[perms[:, :100]].sum(axis=1)
 
-        plan = PermutationPlan.monte_carlo(replicates, seed=8, include_identity=False)
+        plan = PermutationPlan.monte_carlo(replicates, seed=8)
         chunked = permutation_distribution(SumStat(), data, n, plan)
-        one_batch = np.sort(SumStat().evaluate_many(data, _contract_rows(n, replicates, 8)))
+        rows = np.concatenate([np.arange(n)[None, :], _contract_rows(n, replicates, 8)])
+        one_batch = np.sort(SumStat().evaluate_many(data, rows))  # the identity, then the draws
         assert np.array_equal(chunked.replicates, one_batch)
 
     def test_uniform_over_all_permutations(self):
@@ -414,11 +429,12 @@ def _assert_same_distribution(got, want):
 class TestStackedEvaluator:
     STATS = (_SumOf(3), _SumOf(50, power=2), _SumOf(7, power=3))
 
-    @pytest.mark.parametrize("include_identity", [True, False])
-    def test_monte_carlo_columns_equal_their_own_distributions(self, include_identity):
+    @pytest.mark.parametrize("partial_block", [True, False])
+    def test_monte_carlo_columns_equal_their_own_distributions(self, partial_block):
         n = 5000
         chunk_rows = BLOCK_ROWS * max(1, CHUNK_ENTRIES // (BLOCK_ROWS * n))
-        plan = PermutationPlan.monte_carlo(2 * chunk_rows + 50, 8, include_identity)
+        tail = 50 if partial_block else BLOCK_ROWS  # rows in the last chunk
+        plan = PermutationPlan.monte_carlo(2 * chunk_rows + tail, 8)
         data = np.random.default_rng(0).normal(size=n)
         stacked = _Stacked(*self.STATS)
         dists = permutation_distribution(stacked, data, n, plan)
@@ -448,7 +464,7 @@ class TestStackedEvaluator:
         "plan, row, index",
         [
             (PermutationPlan.monte_carlo(99, 1), 30, 30),
-            (PermutationPlan.monte_carlo(99, 1, include_identity=False), 0, -1),
+            (PermutationPlan.monte_carlo(99, 1), 0, -1),
             (PermutationPlan.exact(), 4, 4),
             (PermutationPlan.exact(), 0, -1),
         ],
@@ -488,8 +504,8 @@ class TestCriticalValue:
             critical_value(_dist([1.0]), 1.0)
 
     def test_empty_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            _dist([])
+        with pytest.raises(ValueError, match="non-empty"):
+            _dist([], observed=0.0)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
@@ -507,13 +523,14 @@ class TestCriticalValue:
 
 class TestPValue:
     def test_observed_above_all(self):
-        plan = PermutationPlan.monte_carlo(99, seed=0, include_identity=False)
-        dist = _dist(np.arange(99), observed=1000.0, plan=plan)
-        assert p_value(dist) == pytest.approx(1 / 100)
+        # the pool: 99 sampled replicates plus the identity's value
+        plan = PermutationPlan.monte_carlo(99, seed=0)
+        dist = _dist(np.append(np.arange(99), 1000.0), observed=1000.0, plan=plan)
+        assert p_value(dist) == 1 / 100
 
     def test_observed_equal_everywhere(self):
-        plan = PermutationPlan.monte_carlo(99, seed=0, include_identity=False)
-        dist = _dist(np.full(99, 5.0), observed=5.0, plan=plan)
+        plan = PermutationPlan.monte_carlo(99, seed=0)
+        dist = _dist(np.full(100, 5.0), observed=5.0, plan=plan)
         assert p_value(dist) == 1.0
 
     def test_exact_antisymmetric_pair(self):
@@ -526,8 +543,8 @@ class TestPValue:
         assert p_value(dist) == 0.5
 
     def test_identity_not_double_counted(self):
-        plan = PermutationPlan.monte_carlo(4, seed=0, include_identity=True)
-        # pool: 4 sampled below observed + appended identity
+        plan = PermutationPlan.monte_carlo(4, seed=0)
+        # pool: 4 sampled below observed + the identity
         dist = _dist([1, 2, 3, 4, 10.0], observed=10.0, plan=plan)
         assert p_value(dist) == pytest.approx(1 / 5)
 
@@ -591,19 +608,20 @@ class TestRunTest:
         assert out2.critical_value == 0.0
         assert out2.reject
 
-    def test_p_le_alpha_implies_reject(self):
+    # B = 100 and 200 make B(1 - alpha) an integer for every alpha below;
+    # n = 6 gives 20 distinct values (many ties), n = 12 gives 924
+    @pytest.mark.parametrize("replicates", [37, 100, 200])
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_p_le_alpha_implies_reject(self, replicates, n):
         rng = np.random.default_rng(5)
-        data = rng.normal(size=6)
+        data = rng.normal(size=n)
         for alpha in (0.05, 0.1, 0.3, 0.6):
             for seed in range(20):
-                plan = PermutationPlan.monte_carlo(37, seed=seed)
+                plan = PermutationPlan.monte_carlo(replicates, seed=seed)
                 out = run_test(
-                    lambda d, perm: float(d[perm[:3]].sum()), data, 6, plan, alpha
+                    lambda d, perm: float(d[perm[: n // 2]].sum()), data, n, plan, alpha
                 )
-                if out.p_value <= alpha:
-                    assert out.reject
-                if out.reject:
-                    assert out.p_value <= alpha
+                assert out.reject == (out.p_value <= alpha)
 
 
 class TestLevelProperties:
@@ -663,6 +681,9 @@ class TestPlanValidation:
             PermutationPlan(mode="bootstrap")
 
     def test_exact_limit_enforced_at_build(self):
-        plan = PermutationPlan(mode="exact", enumeration_limit=10)
-        with pytest.raises(ValueError):
-            permutation_distribution(lambda d, p: 0.0, None, 4, plan)
+        with pytest.raises(ValueError, match="enumeration limit"):
+            permutation_distribution(lambda d, p: 0.0, None, 11, PermutationPlan.exact())
+
+    def test_plan_has_only_mode_replicates_and_seed(self):
+        names = [f.name for f in dataclasses.fields(PermutationPlan)]
+        assert names == ["mode", "replicates", "seed"]

@@ -315,7 +315,7 @@ class TestAdaptive:
         with pytest.raises(ValueError, match="alpha"):
             adaptive_independence(pair, alpha=alpha, plan=MC(99, seed=0))
 
-    @pytest.mark.parametrize("plan", [MC(199, seed=5), MC(199, seed=6, include_identity=False)])
+    @pytest.mark.parametrize("plan", [MC(199, seed=5), MC(199, seed=6)])
     def test_components_are_the_binned_tests_on_the_callers_plan(self, plan):
         rng = np.random.default_rng(13)
         two = TwoSamplePooled(y=rng.random(30), z=rng.random(30) ** 2, domain=Continuous(1))
