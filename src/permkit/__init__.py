@@ -32,7 +32,6 @@ from .perm_core import (
     p_value,
     permutation_distribution,
     run_test,
-    sample_permutation,
 )
 from .testing import (
     AdaptiveGrid,

@@ -73,13 +73,13 @@ def _as_points(x, dim: int | None = None) -> np.ndarray:
 
 def _check_categories(x: np.ndarray, d: int) -> np.ndarray:
     arr = np.asarray(x)
-    if not np.issubdtype(arr.dtype, np.integer):
-        arr = arr.astype(np.int64)
-        if not np.array_equal(arr, np.asarray(x)):
-            raise ValueError("categories must be integers")
+    integral = np.issubdtype(arr.dtype, np.integer)
+    # test before casting: casting NaN, inf or a huge float to int64 warns
+    if not integral and not (np.isfinite(arr) & (arr == np.floor(arr))).all():
+        raise ValueError("categories must be integers")
     if arr.size and (arr.min() < 0 or arr.max() >= d):
         raise ValueError(f"category out of range [0, {d})")
-    return arr
+    return arr if integral else arr.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,6 @@ __all__ = [
     "StatisticEvaluationError",
     "split_seed",
     "replicate_rng",
-    "sample_permutation",
     "enumerate_permutations",
     "permutation_distribution",
     "critical_value",
@@ -145,11 +144,15 @@ class PermutationPlan:
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "monte_carlo"):
             raise ValueError(f"unknown plan mode: {self.mode!r}")
-        if self.mode == "monte_carlo":
-            if self.replicates is None or self.replicates < 1:
-                raise ValueError("monte_carlo mode requires replicates >= 1")
-            if not 0 <= int(self.seed) <= _MASK64:
-                raise ValueError("seed must fit in 64 unsigned bits")
+        if self.mode == "exact":
+            if self.replicates is not None:
+                raise ValueError("an exact plan enumerates n! rows; it takes no replicates")
+            return
+        b = self.replicates
+        if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1:
+            raise ValueError(f"monte_carlo mode requires an integer replicates >= 1, got {b!r}")
+        if not 0 <= int(self.seed) <= _MASK64:
+            raise ValueError("seed must fit in 64 unsigned bits")
 
     @classmethod
     def exact(cls) -> "PermutationPlan":
@@ -209,13 +212,6 @@ class TestOutcome:
     alpha: float
     replicate_count: int
     plan: PermutationPlan
-
-
-def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a uniformly random permutation of ``range(n)`` (Fisher-Yates)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return rng.permutation(n)
 
 
 def enumerate_permutations(n: int) -> Iterator[np.ndarray]:

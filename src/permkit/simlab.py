@@ -257,15 +257,22 @@ def estimate_error_rates(runner, trials: int, seed: int, workers: int = 1):
     return rate, _binomial_se(rate, trials)
 
 
-# config field annotation -> (what a JSON value must be, the Python types it may
-# load as); bool is refused even where int is accepted
+# config field annotation -> (what a JSON value must be, the Python types it or,
+# for a tuple field, each of its elements may load as); bool is refused even
+# where int is accepted
 _JSON_TYPES = {
     "int": ("an integer", (int,)),
     "float": ("a number", (int, float)),
     "float | None": ("a number or null", (int, float, type(None))),
     "str": ("a string", (str,)),
-    "tuple": ("a list", (list, tuple)),
+    "tuple[int, ...]": ("a list of integers", (int,)),
+    "tuple[float, ...]": ("a list of numbers", (int, float)),
+    "tuple[str, ...]": ("a list of strings", (str,)),
 }
+
+
+def _json_typed(value, types) -> bool:
+    return not isinstance(value, bool) and isinstance(value, types)
 
 
 def _config_with_overrides(cls, overrides: dict):
@@ -275,7 +282,11 @@ def _config_with_overrides(cls, overrides: dict):
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in overrides.items():
         expected, types = _JSON_TYPES[fields[key]]
-        if isinstance(value, bool) or not isinstance(value, types):
+        if fields[key].startswith("tuple"):
+            ok = isinstance(value, (list, tuple)) and all(_json_typed(v, types) for v in value)
+        else:
+            ok = _json_typed(value, types)
+        if not ok:
             raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
     clean = {
         k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()
@@ -297,8 +308,8 @@ class ThresholdConfig:
     """
 
     kind: str = "twosample"  # or "independence"
-    gammas: tuple = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6)
-    c_grid: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)
+    gammas: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6)
+    c_grid: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0)
     n1: int = 50
     n2: int = 50
     n: int = 100
@@ -382,13 +393,13 @@ def experiment_threshold_sensitivity(cfg: ThresholdConfig, output=None):
 class QQConfig:
     """Permutation distribution vs Monte Carlo null distribution quantiles."""
 
-    d_values: tuple = (5, 100, 1000)
+    d_values: tuple[int, ...] = (5, 100, 1000)
     n1: int = 200
     n2: int = 200
     replicates: int = 2000
     null_reps: int = 2000
-    designs: tuple = ("null", "alternative")
-    quantiles: tuple = tuple(round(0.01 * q, 2) for q in range(1, 100))
+    designs: tuple[str, ...] = ("null", "alternative")
+    quantiles: tuple[float, ...] = tuple(round(0.01 * q, 2) for q in range(1, 100))
     seed: int = 0
     workers: int = 1
 
@@ -485,7 +496,7 @@ def experiment_qq(cfg: QQConfig, output=None) -> QQResult:
 class HistogramConfig:
     """Null U-statistic samples across bin counts, for external histogramming."""
 
-    d_values: tuple = (5, 100, 10000)
+    d_values: tuple[int, ...] = (5, 100, 10000)
     n1: int = 100
     n2: int = 100
     replicates: int = 1000
@@ -545,7 +556,7 @@ class PowerConfig:
     """
 
     kind: str = "twosample"
-    grid: tuple = ()
+    grid: tuple[float, ...] = ()
     d: int = 10
     d1: int = 4
     d2: int = 4

@@ -357,6 +357,7 @@ class TestCommands:
             ("threshold", {"trials": "x"}),
             ("threshold", {"gammas": 5}),
             ("power", {"workers": "two"}),
+            ("threshold", {"gammas": ["x"], "trials": 2}),
         ],
     )
     def test_simulate_mistyped_config_exits_2(self, runner, tmp_path, experiment, config):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,11 +39,26 @@ class TestEval:
             (WeightedMultinomial([0.75, 0.25]), 0, 0.5),
             (WeightedMultinomial(split_weights([0, 1, 2], 3)), 2.9, 2),
             (ProductWeighted([0.75, 0.25], [0.25, 0.75]), (0, 1.5), (0, 1)),
+            (MultinomialIndicator(3), math.nan, 1),
+            (MultinomialIndicator(3), 1, math.inf),
+            (WeightedMultinomial([0.75, 0.25]), -math.inf, 0),
+            (ProductWeighted([0.75, 0.25], [0.25, 0.75]), (0, math.nan), (0, 1)),
         ],
     )
     def test_categorical_evaluate_refuses_non_integers(self, kernel, x, y):
-        with pytest.raises(ValueError, match="integers"):
-            kernel_eval(kernel, x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any warning-raising cast
+            with pytest.raises(ValueError, match="integers"):
+                kernel_eval(kernel, x, y)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5, 1e30])
+    def test_categorical_gram_refuses_non_integers(self, bad):
+        points = np.array([0.0, 1.0, bad])
+        for kernel in (MultinomialIndicator(3), WeightedMultinomial([0.5, 0.25, 0.25])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="integers|range"):
+                    gram(kernel, points)
 
     def test_gaussian_peak(self):
         k = Gaussian([1.0])

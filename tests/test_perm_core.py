@@ -23,7 +23,6 @@ from permkit.perm_core import (
     permutation_distribution,
     replicate_rng,
     run_test,
-    sample_permutation,
     split_seed,
 )
 
@@ -35,30 +34,6 @@ def _dist(replicates, observed=None, plan=None, n=3):
     return PermutationDistribution(
         observed=observed, replicates=np.sort(np.asarray(replicates, float)), plan=plan, n=n
     )
-
-
-class TestSamplePermutation:
-    def test_n1_always_identity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert sample_permutation(1, rng).tolist() == [0]
-
-    def test_bijection(self):
-        rng = np.random.default_rng(1)
-        perm = sample_permutation(5, rng)
-        assert sorted(perm.tolist()) == [0, 1, 2, 3, 4]
-
-    def test_n0_rejected(self):
-        with pytest.raises(ValueError):
-            sample_permutation(0, np.random.default_rng(0))
-
-    def test_n2_frequency(self):
-        # binomial Monte Carlo check: P(swap) = 1/2 within 3 sigma
-        rng = np.random.default_rng(2)
-        draws = 100_000
-        swaps = sum(sample_permutation(2, rng)[0] == 1 for _ in range(draws))
-        se = math.sqrt(0.25 / draws)
-        assert abs(swaps / draws - 0.5) <= 3 * se
 
 
 class TestEnumeratePermutations:
@@ -683,6 +658,20 @@ class TestPlanValidation:
     def test_exact_limit_enforced_at_build(self):
         with pytest.raises(ValueError, match="enumeration limit"):
             permutation_distribution(lambda d, p: 0.0, None, 11, PermutationPlan.exact())
+
+    @pytest.mark.parametrize("replicates", [99.5, True, False, np.True_, "99", None, 0, -3])
+    def test_monte_carlo_replicates_must_be_a_positive_integer(self, replicates):
+        with pytest.raises(ValueError, match="replicates"):
+            PermutationPlan.monte_carlo(replicates, 1)
+
+    @pytest.mark.parametrize("replicates", [1, 99, np.int64(99), np.int32(7)])
+    def test_monte_carlo_integer_replicates_accepted(self, replicates):
+        assert PermutationPlan.monte_carlo(replicates, 1).replicates == replicates
+
+    @pytest.mark.parametrize("replicates", [5, 0])
+    def test_exact_refuses_replicates(self, replicates):
+        with pytest.raises(ValueError, match="no replicates"):
+            PermutationPlan("exact", replicates=replicates)
 
     def test_plan_has_only_mode_replicates_and_seed(self):
         names = [f.name for f in dataclasses.fields(PermutationPlan)]

@@ -277,6 +277,13 @@ class TestConfigFromDict:
             ("power", {"grid": [0.1], "workers": "two"}, "workers"),
             ("power", {"grid": [0.1], "trials": True}, "trials"),
             ("qq", {"seed": 1.5}, "seed"),
+            ("threshold", {"gammas": ["x"]}, "gammas"),
+            ("threshold", {"c_grid": [1.0, None]}, "c_grid"),
+            ("qq", {"d_values": [5, 2.5]}, "d_values"),
+            ("qq", {"designs": ["null", 1]}, "designs"),
+            ("qq", {"quantiles": [0.5, True]}, "quantiles"),
+            ("histogram", {"d_values": ["5"]}, "d_values"),
+            ("power", {"grid": [0.1, [0.2]]}, "grid"),
         ],
     )
     def test_mistyped_values_rejected(self, experiment, overrides, key):
