@@ -585,18 +585,22 @@ class TestRunTest:
 
     # B = 100 and 200 make B(1 - alpha) an integer for every alpha below;
     # n = 6 gives 20 distinct values (many ties), n = 12 gives 924
-    @pytest.mark.parametrize("replicates", [37, 100, 200])
-    @pytest.mark.parametrize("n", [6, 12])
-    def test_p_le_alpha_implies_reject(self, replicates, n):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=n)
-        for alpha in (0.05, 0.1, 0.3, 0.6):
-            for seed in range(20):
-                plan = PermutationPlan.monte_carlo(replicates, seed=seed)
-                out = run_test(
-                    lambda d, perm: float(d[perm[: n // 2]].sum()), data, n, plan, alpha
-                )
-                assert out.reject == (out.p_value <= alpha)
+    def test_p_le_alpha_implies_reject(self):
+        for n in (6, 12):
+            rng = np.random.default_rng(5)
+            data = rng.normal(size=n)
+            for replicates in (37, 100, 200):
+                for alpha in (0.05, 0.1, 0.3, 0.6):
+                    for seed in range(20):
+                        plan = PermutationPlan.monte_carlo(replicates, seed=seed)
+                        out = run_test(
+                            lambda d, perm: float(d[perm[: n // 2]].sum()),
+                            data,
+                            n,
+                            plan,
+                            alpha,
+                        )
+                        assert out.reject == (out.p_value <= alpha), (n, replicates)
 
 
 class TestLevelProperties:
