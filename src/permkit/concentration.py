@@ -231,15 +231,21 @@ class TailReport:
     empirical_tail: np.ndarray
     standard_errors: np.ndarray
     bound: np.ndarray
-    violations: int
+
+    @property
+    def _violated(self) -> np.ndarray:
+        """Per grid point: the frequency exceeds the bound by more than 3 standard errors."""
+        return self.empirical_tail - 3.0 * self.standard_errors > self.bound
+
+    @property
+    def violations(self) -> int:
+        return int(self._violated.sum())
 
     def rows(self) -> list[tuple[float, float, float, float, int]]:
-        out = []
-        for t, emp, se, bnd in zip(
-            self.t_grid, self.empirical_tail, self.standard_errors, self.bound
-        ):
-            out.append((float(t), float(emp), float(se), float(bnd), int(emp - 3.0 * se > bnd)))
-        return out
+        columns = zip(self.t_grid, self.empirical_tail, self.standard_errors, self.bound,
+                      self._violated)
+        return [(float(t), float(emp), float(se), float(bnd), int(flag))
+                for t, emp, se, bnd, flag in columns]
 
     def to_csv(self, path) -> None:
         write_csv(path, "tail-report", ["t", "empirical", "se", "bound", "violation"], self.rows())
@@ -273,11 +279,4 @@ def empirical_tail_check(
     emp = np.array([(draws >= t).mean() for t in grid])
     se = np.sqrt(emp * (1.0 - emp) / replicates)
     bounds = np.array([float(bound_fn(t)) for t in grid])
-    violations = int(np.sum(emp - 3.0 * se > bounds))
-    return TailReport(
-        t_grid=grid,
-        empirical_tail=emp,
-        standard_errors=se,
-        bound=bounds,
-        violations=violations,
-    )
+    return TailReport(t_grid=grid, empirical_tail=emp, standard_errors=se, bound=bounds)

@@ -151,9 +151,7 @@ def load_poisson_csv(path) -> PoissonCounts:
     if not count_cols:
         raise ValueError(f"{path}: need count columns c1..cd")
     mat = np.array([[int(row[i]) for i in count_cols] for row in rows], dtype=np.int64)
-    if mat.min() < 0:
-        raise ValueError(f"{path}: counts must be nonnegative")
-    return PoissonCounts.from_individuals(mat[mask_y], mat[~mask_y])
+    return PoissonCounts(mat[mask_y], mat[~mask_y])
 
 
 def outcome_record(test: str, outcome, plan_seed: int | None = None) -> dict:

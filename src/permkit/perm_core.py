@@ -37,8 +37,10 @@ Conventions
   modes: the p-value is ``#{pool >= observed} / |pool|``, which under a
   Monte Carlo plan is ``(1 + #{sampled replicates >= observed}) / (B + 1)``
   and valid in finite samples.
-* The test is the conservative, non-randomized one: reject iff the observed
-  statistic strictly exceeds the critical value.
+* The test is the conservative, non-randomized one, with one decision rule:
+  reject iff p <= alpha.  The reported critical value agrees with it: p <=
+  alpha exactly when the observed statistic exceeds the critical value by
+  more than the tie tolerance.
 * Tie comparisons use a relative float tolerance: ``TIE_REL`` times the
   largest absolute value in the pool, and plain equality when all of them
   are 0.  Many statistics take exactly equal values on symmetric
@@ -170,7 +172,6 @@ class PermutationDistribution:
     observed: float
     replicates: np.ndarray  # sorted, non-decreasing; holds ``observed``
     plan: PermutationPlan
-    n: int
 
     def __post_init__(self) -> None:
         reps = self.replicates
@@ -208,10 +209,14 @@ class TestOutcome:
     statistic: float
     critical_value: float
     p_value: float
-    reject: bool
     alpha: float
     replicate_count: int
     plan: PermutationPlan
+
+    @property
+    def reject(self) -> bool:
+        """The decision: reject iff ``p_value <= alpha``."""
+        return bool(self.p_value <= self.alpha)
 
 
 def enumerate_permutations(n: int) -> Iterator[np.ndarray]:
@@ -371,8 +376,8 @@ def permutation_distribution(
     observed = values[0].copy()
     values.sort(axis=0)
     if values.ndim == 1:
-        return PermutationDistribution(float(observed), values, plan, n)
-    return tuple(PermutationDistribution(float(o), v, plan, n) for o, v in zip(observed, values.T))
+        return PermutationDistribution(float(observed), values, plan)
+    return tuple(PermutationDistribution(float(o), v, plan) for o, v in zip(observed, values.T))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -442,17 +447,14 @@ def outcome_from_distribution(
 ) -> TestOutcome:
     """Decision at level ``alpha`` from an already-built distribution.
 
-    Rejects iff the observed statistic exceeds the critical value by more
-    than the tie tolerance, which keeps ``reject`` equivalent to
-    ``p_value <= alpha``.
+    The outcome rejects iff ``p_value <= alpha``; the critical value it
+    reports is exceeded by the observed statistic, beyond the tie tolerance,
+    in exactly those cases.
     """
-    crit = critical_value(dist, alpha)
-    pval = p_value(dist)
     return TestOutcome(
         statistic=dist.observed,
-        critical_value=crit,
-        p_value=pval,
-        reject=bool(dist.observed > crit + dist.tie_tolerance),
+        critical_value=critical_value(dist, alpha),
+        p_value=p_value(dist),
         alpha=alpha,
         replicate_count=dist.size,
         plan=dist.plan,

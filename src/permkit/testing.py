@@ -85,10 +85,6 @@ class BinGrid:
         if self.kappa**self.dim >= 2**62:
             raise ValueError("total cell count is not representable")
 
-    @property
-    def cells(self) -> int:
-        return self.kappa**self.dim
-
 
 def _check_smoothness(s: float) -> None:
     # written so that NaN, which compares false, fails the check
@@ -410,11 +406,19 @@ def holder_independence(
 class AdaptiveOutcome:
     """Decision of a smoothness-adaptive test plus its per-kappa breakdown."""
 
-    reject: bool
     alpha: float
     gamma_max: int
-    per_test_alpha: float
     components: tuple[tuple[int, TestOutcome], ...]
+
+    @property
+    def reject(self) -> bool:
+        """The union decision: some component rejects."""
+        return any(o.reject for _, o in self.components)
+
+    @property
+    def per_test_alpha(self) -> float:
+        """The Bonferroni-split level every component is decided at."""
+        return self.alpha / self.gamma_max
 
     @property
     def p_value(self) -> float:
@@ -434,16 +438,10 @@ class _StackedStat:
 
 def _adaptive(data, grid: AdaptiveGrid, alpha: float, plan: PermutationPlan, stat, binned_codes):
     """Union of the binned tests over ``grid``, each at alpha / gamma_max on ``plan``'s rows."""
-    level = grid.per_test_alpha(alpha)
+    level = grid.per_test_alpha(alpha)  # refuses alpha outside (0, 1), which run_test cannot see
     reduced = tuple(binned_codes(data, kappa) for kappa in grid.kappas)
     outcomes = perm_core.run_test(_StackedStat(stat), reduced, data.n, plan, level)
-    return AdaptiveOutcome(
-        reject=any(o.reject for o in outcomes),
-        alpha=alpha,
-        gamma_max=grid.gamma_max,
-        per_test_alpha=level,
-        components=tuple(zip(grid.kappas, outcomes)),
-    )
+    return AdaptiveOutcome(alpha, grid.gamma_max, tuple(zip(grid.kappas, outcomes)))
 
 
 def adaptive_two_sample(
@@ -602,11 +600,9 @@ def poisson_chisq_test(
 ) -> TestOutcome:
     """Permutation test on the centered chi-square statistic.
 
-    Relabels the 2n per-individual count vectors; requires the per-individual
-    matrices and equal group sizes (enforced by :class:`PoissonCounts`).
+    Relabels the 2n per-individual count rows; :class:`PoissonCounts`
+    enforces equal group sizes.
     """
-    if counts.y_individual is None:
-        raise ValueError("poisson_chisq_test requires per-individual count matrices")
     pooled = np.vstack([counts.y_individual, counts.z_individual])
     stat = _PoissonChisqStat(counts.group_size)
     return perm_core.run_test(stat, pooled, 2 * counts.group_size, plan, alpha)

@@ -145,62 +145,55 @@ class PairedSample:
 
 @dataclass(frozen=True)
 class PoissonCounts:
-    """Per-category Poisson counts for two equal-size groups.
+    """Per-individual Poisson count rows for two equal-size groups.
 
-    ``v`` and ``w`` are the length-d group totals.  ``y_individual`` and
-    ``z_individual`` are the optional n x d per-individual count matrices;
-    they are required for permuted evaluation and must column-sum to ``v``
-    and ``w``.  Unequal group sizes are rejected.
+    ``y_individual`` and ``z_individual`` are n x d arrays of nonnegative
+    integer counts, one row per individual, of the same shape.  The group
+    totals ``v`` and ``w`` are their column sums; totals on their own are
+    one-row groups, ``PoissonCounts([v], [w])``.
     """
 
-    v: np.ndarray
-    w: np.ndarray
-    y_individual: np.ndarray | None = None
-    z_individual: np.ndarray | None = None
+    y_individual: np.ndarray
+    z_individual: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=np.int64)
-        w = np.asarray(self.w, dtype=np.int64)
-        if v.ndim != 1 or w.shape != v.shape:
-            raise ValueError("v and w must be equal-length 1-D count vectors")
-        if np.any(v < 0) or np.any(w < 0):
-            raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        if (self.y_individual is None) != (self.z_individual is None):
-            raise ValueError("per-individual matrices must be given for both groups")
-        if self.y_individual is not None:
-            ym = np.asarray(self.y_individual, dtype=np.int64)
-            zm = np.asarray(self.z_individual, dtype=np.int64)
-            if ym.ndim != 2 or zm.ndim != 2 or ym.shape[1] != v.size or zm.shape[1] != v.size:
-                raise ValueError("per-individual matrices must be n x d")
-            if ym.shape[0] != zm.shape[0]:
-                raise ValueError("the Poisson chi-square statistic requires equal group sizes")
-            if not np.array_equal(ym.sum(axis=0), v) or not np.array_equal(zm.sum(axis=0), w):
-                raise ValueError("per-individual matrices must column-sum to v and w")
-            object.__setattr__(self, "y_individual", ym)
-            object.__setattr__(self, "z_individual", zm)
+        ym = _count_rows(self.y_individual, "y_individual")
+        zm = _count_rows(self.z_individual, "z_individual")
+        if ym.shape != zm.shape:
+            raise ValueError(f"count rows need equal group sizes and one d: {ym.shape}, {zm.shape}")
+        object.__setattr__(self, "y_individual", ym)
+        object.__setattr__(self, "z_individual", zm)
 
-    @classmethod
-    def from_individuals(cls, y_individual, z_individual) -> "PoissonCounts":
-        ym = np.asarray(y_individual, dtype=np.int64)
-        zm = np.asarray(z_individual, dtype=np.int64)
-        return cls(
-            v=ym.sum(axis=0),
-            w=zm.sum(axis=0),
-            y_individual=ym,
-            z_individual=zm,
-        )
+    @property
+    def v(self) -> np.ndarray:
+        return self.y_individual.sum(axis=0)
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.z_individual.sum(axis=0)
 
     @property
     def d(self) -> int:
-        return int(self.v.size)
+        return int(self.y_individual.shape[1])
 
     @property
     def group_size(self) -> int:
-        if self.y_individual is None:
-            raise ValueError("per-individual matrices are not present")
         return int(self.y_individual.shape[0])
+
+
+def _count_rows(rows, name: str) -> np.ndarray:
+    """``rows`` as an n x d int64 array, refused unless finite, integral and >= 0."""
+    arr = np.asarray(rows)
+    if arr.ndim != 2:
+        raise ValueError(f"{name}: count rows must be an n x d array")
+    # test before casting: casting NaN or inf warns, and a fraction would truncate
+    if not np.issubdtype(arr.dtype, np.integer) and not (
+        np.isfinite(arr) & (arr == np.floor(arr))
+    ).all():
+        raise ValueError(f"{name}: counts must be integers")
+    if arr.size and arr.min() < 0:
+        raise ValueError(f"{name}: counts must be nonnegative")
+    return arr.astype(np.int64)
 
 
 def _identity_if_none(labeling, n: int) -> np.ndarray:
@@ -486,17 +479,11 @@ def poisson_chisq(
     sums after relabeling the 2n individuals.  The pooled totals V_k + W_k
     are relabeling-invariant.
     """
-    totals = (counts.v + counts.w).astype(float)
-    if relabeling is None:
-        delta = (counts.v - counts.w).astype(float)
-    else:
-        if counts.y_individual is None:
-            raise ValueError("permuted evaluation requires per-individual matrices")
-        pooled = np.vstack([counts.y_individual, counts.z_individual])
-        n = counts.group_size
-        perm = _identity_if_none(relabeling, 2 * n)
-        first = pooled[perm[:n]].sum(axis=0).astype(float)
-        delta = 2.0 * first - totals
+    n = counts.group_size
+    perm = _identity_if_none(relabeling, 2 * n)
+    pooled = np.vstack([counts.y_individual, counts.z_individual])
+    totals = pooled.sum(axis=0).astype(float)
+    delta = 2.0 * pooled[perm[:n]].sum(axis=0) - totals
     return float(_chisq_from_delta(delta, totals))
 
 

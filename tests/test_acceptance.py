@@ -156,9 +156,7 @@ def _pv_hsic(rng):
 
 
 def _pv_poisson(rng):
-    counts = PoissonCounts.from_individuals(
-        rng.poisson(0.7, (2, 3)), rng.poisson(0.7, (2, 3))
-    )
+    counts = PoissonCounts(rng.poisson(0.7, (2, 3)), rng.poisson(0.7, (2, 3)))
     return poisson_chisq_test(counts, 0.1, EXACT).p_value
 
 

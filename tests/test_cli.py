@@ -177,6 +177,12 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["test"] == "poisson-chisq"
 
+    def test_poisson_negative_count_exit_code_2(self, runner, tmp_path):
+        path = _write(tmp_path / "neg.csv", "group,c1,c2\n1,-1,2\n1,3,0\n2,1,1\n2,0,2\n")
+        result = runner.invoke(main, ["poisson-chisq", "--input", path, "--perms", "19"])
+        assert result.exit_code == 2, result.output
+        assert "nonnegative" in result.output
+
     def test_output_file_written(self, runner, categorical_two_sample_csv, tmp_path):
         out = tmp_path / "result.json"
         result = runner.invoke(

@@ -62,9 +62,7 @@ def _paired(rng, kind: str, n: int) -> PairedSample:
 
 
 def _poisson(rng, group_size: int) -> PoissonCounts:
-    return PoissonCounts.from_individuals(
-        rng.poisson(1.0, (group_size, 4)), rng.poisson(1.5, (group_size, 4))
-    )
+    return PoissonCounts(rng.poisson(1.0, (group_size, 4)), rng.poisson(1.5, (group_size, 4)))
 
 
 # (name, data maker, procedure on (data, plan)); the maker takes a Generator

@@ -27,12 +27,12 @@ from permkit.perm_core import (
 )
 
 
-def _dist(replicates, observed=None, plan=None, n=3):
+def _dist(replicates, observed=None, plan=None):
     """A hand-built distribution; the observed value defaults to the first replicate."""
     plan = plan or PermutationPlan.exact()
     observed = float(replicates[0]) if observed is None else observed
     return PermutationDistribution(
-        observed=observed, replicates=np.sort(np.asarray(replicates, float)), plan=plan, n=n
+        observed=observed, replicates=np.sort(np.asarray(replicates, float)), plan=plan
     )
 
 
@@ -93,13 +93,13 @@ class TestPermutationDistribution:
         plan = PermutationPlan.exact()
         tracemalloc.start()
         try:
-            PermutationDistribution(observed=0.0, replicates=replicates, plan=plan, n=10)
+            PermutationDistribution(observed=0.0, replicates=replicates, plan=plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < replicates.nbytes / 4
         with pytest.raises(ValueError, match="sorted"):
-            PermutationDistribution(observed=0.0, replicates=replicates[::-1], plan=plan, n=10)
+            PermutationDistribution(observed=0.0, replicates=replicates[::-1], plan=plan)
 
     def test_failure_carries_replicate_index(self):
         def bad(data, perm):
@@ -398,7 +398,7 @@ class _Stacked:
 def _assert_same_distribution(got, want):
     assert got.observed.hex() == want.observed.hex()
     assert got.replicates.tobytes() == want.replicates.tobytes()
-    assert got.plan == want.plan and got.n == want.n
+    assert got.plan == want.plan
 
 
 class TestStackedEvaluator:
@@ -584,23 +584,26 @@ class TestRunTest:
         assert out2.reject
 
     # B = 100 and 200 make B(1 - alpha) an integer for every alpha below;
-    # n = 6 gives 20 distinct values (many ties), n = 12 gives 924
+    # n = 6 gives 20 distinct values (many ties), n = 12 gives 924.  The
+    # reported critical value must agree with the decision: the observed
+    # statistic exceeds it, beyond the tie tolerance, exactly when p <= alpha.
     def test_p_le_alpha_implies_reject(self):
         for n in (6, 12):
             rng = np.random.default_rng(5)
             data = rng.normal(size=n)
+
+            def stat(d, perm):
+                return float(d[perm[: n // 2]].sum())
+
             for replicates in (37, 100, 200):
                 for alpha in (0.05, 0.1, 0.3, 0.6):
                     for seed in range(20):
                         plan = PermutationPlan.monte_carlo(replicates, seed=seed)
-                        out = run_test(
-                            lambda d, perm: float(d[perm[: n // 2]].sum()),
-                            data,
-                            n,
-                            plan,
-                            alpha,
-                        )
+                        out = run_test(stat, data, n, plan, alpha)
                         assert out.reject == (out.p_value <= alpha), (n, replicates)
+                        dist = permutation_distribution(stat, data, n, plan)
+                        above = dist.observed > critical_value(dist, alpha) + dist.tie_tolerance
+                        assert above == out.reject, (n, replicates, alpha, seed)
 
 
 class TestLevelProperties:

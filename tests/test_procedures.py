@@ -624,16 +624,10 @@ class TestMonteCarloLevel:
 
 class TestPoissonTest:
     def test_all_zero_counts_never_rejects(self):
-        counts = PoissonCounts.from_individuals(
-            np.zeros((5, 4), dtype=int), np.zeros((5, 4), dtype=int)
-        )
+        counts = PoissonCounts(np.zeros((5, 4), dtype=int), np.zeros((5, 4), dtype=int))
         out = poisson_chisq_test(counts, alpha=0.05, plan=MC(99, seed=0))
         assert out.statistic == 0.0
         assert not out.reject
-
-    def test_requires_individuals(self):
-        with pytest.raises(ValueError):
-            poisson_chisq_test(PoissonCounts(v=[3], w=[2]), 0.05, EXACT)
 
     def test_separated_rates_power(self):
         rng = np.random.default_rng(22)
@@ -647,7 +641,7 @@ class TestPoissonTest:
         for t in range(trials):
             ym = rng.poisson(p_y, (100, d))
             zm = rng.poisson(p_z, (100, d))
-            counts = PoissonCounts.from_individuals(ym, zm)
+            counts = PoissonCounts(ym, zm)
             out = poisson_chisq_test(counts, 0.05, MC(199, seed=t))
             rejects += out.reject
         assert rejects / trials >= 0.9

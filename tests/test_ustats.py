@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,20 +213,23 @@ class TestDegeneracyUnderPermutation:
 
 class TestPoissonChisq:
     def test_hand_examples(self):
-        assert poisson_chisq(PoissonCounts(v=[3], w=[3])) == pytest.approx(-1.0)
-        assert poisson_chisq(PoissonCounts(v=[0], w=[0])) == pytest.approx(0.0)
-        assert poisson_chisq(PoissonCounts(v=[2], w=[0])) == pytest.approx(1.0)
+        # group totals alone are one-row groups
+        assert poisson_chisq(PoissonCounts([[3]], [[3]])) == pytest.approx(-1.0)
+        assert poisson_chisq(PoissonCounts([[0]], [[0]])) == pytest.approx(0.0)
+        assert poisson_chisq(PoissonCounts([[2]], [[0]])) == pytest.approx(1.0)
 
-    def test_relabeling_requires_individuals(self):
-        counts = PoissonCounts(v=[3], w=[3])
-        with pytest.raises(ValueError):
-            poisson_chisq(counts, relabeling=np.arange(4))
+    def test_totals_are_the_column_sums(self):
+        ym = np.array([[1, 0, 2], [0, 3, 1]])
+        zm = np.array([[2, 2, 0], [1, 0, 0]])
+        counts = PoissonCounts(ym, zm)
+        assert counts.v.tolist() == [1, 3, 3] and counts.w.tolist() == [3, 2, 0]
+        assert counts.d == 3 and counts.group_size == 2
 
     def test_within_group_relabeling_invariant(self):
         rng = np.random.default_rng(19)
         ym = rng.poisson(1.0, (4, 3))
         zm = rng.poisson(1.0, (4, 3))
-        counts = PoissonCounts.from_individuals(ym, zm)
+        counts = PoissonCounts(ym, zm)
         base = poisson_chisq(counts, relabeling=np.arange(8))
         for _ in range(10):
             perm = np.concatenate([rng.permutation(4), 4 + rng.permutation(4)])
@@ -233,15 +237,45 @@ class TestPoissonChisq:
 
     def test_unequal_group_sizes_rejected(self):
         with pytest.raises(ValueError, match="equal group sizes"):
-            PoissonCounts.from_individuals(np.zeros((3, 2), int), np.zeros((4, 2), int))
+            PoissonCounts(np.zeros((3, 2), int), np.zeros((4, 2), int))
 
-    def test_column_sum_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            PoissonCounts(
-                v=[5], w=[0],
-                y_individual=np.array([[1], [1]]),
-                z_individual=np.array([[0], [0]]),
-            )
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (-1, "nonnegative"),
+            (1.7, "integers"),
+            (math.nan, "integers"),
+            (math.inf, "integers"),
+            (-math.inf, "integers"),
+        ],
+    )
+    def test_bad_counts_refused_without_a_cast_warning(self, bad, match):
+        ym = np.array([[bad, 2.0], [3.0, 0.0]])
+        zm = np.array([[1.0, 1.0], [0.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                PoissonCounts(ym, zm)
+            with pytest.raises(ValueError, match=match):
+                PoissonCounts(zm, ym)
+
+    def test_negative_integer_counts_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PoissonCounts([[-1, 2], [3, 0]], [[1, 1], [0, 2]])
+
+    @pytest.mark.parametrize(
+        "ym, zm",
+        [
+            ([1, 2], [0, 1]),  # 1-D totals
+            ([[1, 2]], [0, 1]),
+            ([[[1]]], [[[1]]]),
+            ([[1, 2]], [[1, 2, 3]]),  # mismatched d
+            ([[1, 2], [0, 0]], [[1, 2]]),  # mismatched group sizes
+        ],
+    )
+    def test_bad_shapes_refused(self, ym, zm):
+        with pytest.raises(ValueError, match="n x d|equal group sizes"):
+            PoissonCounts(ym, zm)
 
 
 class TestLinearStat:
