@@ -129,13 +129,19 @@ class StatisticEvaluationError(RuntimeError):
         )
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PermutationPlan:
     """How to build the permutation distribution.
 
     ``mode`` is ``"exact"`` (full enumeration of all n! relabelings, only
     allowed when n! does not exceed ``ENUMERATION_LIMIT``) or
-    ``"monte_carlo"`` (``replicates`` uniform draws seeded by ``seed``).
+    ``"monte_carlo"`` (``replicates`` uniform draws seeded by ``seed``, an
+    integer in [0, 2^64); a Monte Carlo plan stores both as Python ints).
     Either way the pool also holds the identity relabeling, once.
     """
 
@@ -150,11 +156,13 @@ class PermutationPlan:
             if self.replicates is not None:
                 raise ValueError("an exact plan enumerates n! rows; it takes no replicates")
             return
-        b = self.replicates
-        if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1:
+        b, seed = self.replicates, self.seed
+        if not _is_integer(b) or b < 1:
             raise ValueError(f"monte_carlo mode requires an integer replicates >= 1, got {b!r}")
-        if not 0 <= int(self.seed) <= _MASK64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        if not _is_integer(seed) or not 0 <= seed <= _MASK64:
+            raise ValueError(f"monte_carlo seed must be an integer in [0, 2^64), got {seed!r}")
+        object.__setattr__(self, "replicates", int(b))
+        object.__setattr__(self, "seed", int(seed))
 
     @classmethod
     def exact(cls) -> "PermutationPlan":
@@ -362,8 +370,8 @@ def permutation_distribution(
         raise ValueError("n must be >= 1")
     sampled = plan.mode == "monte_carlo"
     if sampled:
-        size = 1 + int(plan.replicates)  # the identity, then B sampled rows
-        chunks = _monte_carlo_chunks(n, int(plan.replicates), int(plan.seed), _chunk_rows(n))
+        size = 1 + plan.replicates  # the identity, then B sampled rows
+        chunks = _monte_carlo_chunks(n, plan.replicates, plan.seed, _chunk_rows(n))
     else:
         size = _enumeration_size(n)
         chunks = _enumeration_chunks(n, _chunk_rows(n))

@@ -17,6 +17,7 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -288,6 +289,15 @@ def _config_with_overrides(cls, overrides: dict):
             ok = _json_typed(value, types)
         if not ok:
             raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+    kind_keys = getattr(cls, "_kind_keys", {})
+    kind = overrides.get("kind", getattr(cls, "kind", None))
+    if kind in kind_keys:
+        others = {key for keys in kind_keys.values() for key in keys} - set(kind_keys[kind])
+        unread = sorted(others & overrides.keys())
+        if unread:
+            raise ValueError(f"kind {kind!r} does not read config keys {unread}")
+    if overrides.get("bandwidth") is not None and "smoothness" in overrides:
+        raise ValueError("config key 'smoothness' does not apply when 'bandwidth' is given")
     clean = {
         k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()
     }
@@ -321,6 +331,12 @@ class ThresholdConfig:
     trials: int = 2000
     seed: int = 0
     workers: int = 1
+
+    # the size keys each kind reads; a config file may not set another kind's
+    _kind_keys: ClassVar[dict] = {
+        "twosample": ("n1", "n2", "d"),
+        "independence": ("n", "d1", "d2"),
+    }
 
     def __post_init__(self) -> None:
         if self.kind not in ("twosample", "independence"):
@@ -571,6 +587,14 @@ class PowerConfig:
     smoothness: float = 1.0
     seed: int = 0
     workers: int = 1
+
+    # the keys each kind reads; a config file may not set another kind's
+    _kind_keys: ClassVar[dict] = {
+        "twosample": ("d", "n1", "n2"),
+        "independence": ("d1", "d2", "n"),
+        "mmd": ("dim", "n1", "n2", "bandwidth", "smoothness"),
+        "hsic": ("dim", "n", "bandwidth", "smoothness"),
+    }
 
     def __post_init__(self) -> None:
         if self.kind not in ("twosample", "independence", "mmd", "hsic"):

@@ -377,6 +377,27 @@ class TestCommands:
         assert "config key" in result.output
 
 
+    @pytest.mark.parametrize(
+        "experiment, config",
+        [
+            ("threshold", {"kind": "independence", "n1": 500, "d": 7, "trials": 1}),
+            ("power", {"kind": "mmd", "d1": 9, "grid": [0.1]}),
+            ("power", {"kind": "hsic", "grid": [0.1], "bandwidth": 0.5, "smoothness": 2}),
+        ],
+    )
+    def test_simulate_key_the_kind_does_not_read_exits_2(
+        self, runner, tmp_path, experiment, config
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main, ["simulate", experiment, "--config", str(cfg), "--output", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "does not" in result.output and not out.exists()
+
+
 class TestOutcomeRecord:
     def test_exact_plan_has_null_seed(self, runner, tmp_path):
         path = _write(tmp_path / "t.csv", "group,x\n1,1\n1,2\n2,1\n2,2\n")

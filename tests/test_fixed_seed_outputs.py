@@ -12,6 +12,12 @@ on the BLAS thread count); those compare at relative 1e-12.
 Regenerate the fixture only when results change on purpose:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_fixed_seed_outputs.py
+
+An optional PATH argument writes there instead of the fixture, so a change
+that should keep outputs can be checked byte for byte without touching it:
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_fixed_seed_outputs.py regen.json
+    cmp regen.json tests/fixtures/fixed_seed_outputs.json
 """
 
 from __future__ import annotations
@@ -335,6 +341,7 @@ def test_cli_runs_cover_every_route():
 
 
 if __name__ == "__main__":
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps({name: fn() for name, fn in SECTIONS.items()}, indent=1) + "\n")
-    print(f"wrote {FIXTURE}", file=sys.stderr)
+    target = Path(sys.argv[1]) if len(sys.argv) > 1 else FIXTURE
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps({name: fn() for name, fn in SECTIONS.items()}, indent=1) + "\n")
+    print(f"wrote {target}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from permkit import perm_core
+from permkit.dataio import outcome_record, write_outcome_json
 from permkit.perm_core import (
     BLOCK_ROWS,
     CHUNK_ENTRIES,
@@ -679,6 +681,29 @@ class TestPlanValidation:
     def test_exact_refuses_replicates(self, replicates):
         with pytest.raises(ValueError, match="no replicates"):
             PermutationPlan("exact", replicates=replicates)
+
+    @pytest.mark.parametrize("seed", [1.5, 3.0, True, np.True_, "3", None, -1, 2**64, np.int64(-2)])
+    def test_monte_carlo_seed_must_be_a_64_bit_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            PermutationPlan.monte_carlo(99, seed)
+
+    @pytest.mark.parametrize(
+        "replicates, seed",
+        [(49, 0), (np.int64(49), 1), (49, np.uint64(3)), (np.int32(7), np.int64(5)),
+         (49, 2**64 - 1), (49, np.uint64(2**64 - 1))],
+    )
+    def test_monte_carlo_plan_stores_python_ints(self, replicates, seed):
+        plan = PermutationPlan.monte_carlo(replicates, seed)
+        assert type(plan.replicates) is int and plan.replicates == replicates
+        assert type(plan.seed) is int and plan.seed == seed
+
+    @pytest.mark.parametrize("replicates, seed", [(np.int64(49), 1), (49, np.uint64(3))])
+    def test_numpy_integer_plan_record_round_trips_through_json(self, replicates, seed):
+        plan = PermutationPlan.monte_carlo(replicates, seed)
+        outcome = run_test(lambda d, p: float(p[0]), None, 5, plan, 0.1)
+        record = json.loads(write_outcome_json(outcome_record("plan", outcome)))
+        assert record["B"] == 49 and record["seed"] == int(seed)
+        assert record["reject"] is outcome.reject and record["p_value"] == outcome.p_value
 
     def test_plan_has_only_mode_replicates_and_seed(self):
         names = [f.name for f in dataclasses.fields(PermutationPlan)]

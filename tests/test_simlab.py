@@ -290,6 +290,44 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match=f"config key '{key}'"):
             config_from_dict(experiment, overrides)
 
+    @pytest.mark.parametrize(
+        "experiment, overrides, key, kind",
+        [
+            ("threshold", {"kind": "independence", "n1": 500, "d": 7, "trials": 1}, "d",
+             "independence"),
+            ("threshold", {"n": 30}, "n", "twosample"),
+            ("threshold", {"kind": "twosample", "d1": 5}, "d1", "twosample"),
+            ("power", {"kind": "mmd", "d1": 9, "grid": [0.1]}, "d1", "mmd"),
+            ("power", {"grid": [0.1], "dim": 2}, "dim", "twosample"),
+            ("power", {"grid": [0.1], "bandwidth": 0.5}, "bandwidth", "twosample"),
+            ("power", {"kind": "independence", "grid": [0.1], "n1": 20}, "n1", "independence"),
+            ("power", {"kind": "hsic", "grid": [0.1], "n2": 20}, "n2", "hsic"),
+            ("power", {"kind": "mmd", "grid": [0.1], "n": 20}, "n", "mmd"),
+        ],
+    )
+    def test_keys_another_kind_reads_rejected(self, experiment, overrides, key, kind):
+        with pytest.raises(ValueError, match=f"kind '{kind}' does not read config keys .*'{key}'"):
+            config_from_dict(experiment, overrides)
+
+    @pytest.mark.parametrize("kind", ["mmd", "hsic"])
+    def test_smoothness_with_bandwidth_rejected(self, kind):
+        with pytest.raises(ValueError, match="'smoothness' does not apply"):
+            config_from_dict("power", {"kind": kind, "grid": [0.1], "bandwidth": 0.5,
+                                       "smoothness": 2.0})
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("threshold", {"kind": "independence", "n": 40, "d1": 6, "d2": 4}),
+            ("power", {"kind": "mmd", "grid": [0.1], "dim": 2, "n1": 20, "smoothness": 2.0}),
+            ("power", {"kind": "hsic", "grid": [0.1], "bandwidth": None, "smoothness": 2.0}),
+            ("power", {"kind": "hsic", "grid": [0.1], "n": 30, "bandwidth": 0.7}),
+        ],
+    )
+    def test_keys_the_kind_reads_accepted(self, experiment, overrides):
+        cfg = config_from_dict(experiment, overrides)
+        assert all(getattr(cfg, k) == v for k, v in overrides.items() if k != "grid")
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
             config_from_dict("mystery", {})
