@@ -239,6 +239,7 @@ class TailReport:
 
     @property
     def violations(self) -> int:
+        """Number of grid points flagged as violations in :meth:`rows`."""
         return int(self._violated.sum())
 
     def rows(self) -> list[tuple[float, float, float, float, int]]:
