@@ -182,17 +182,18 @@ class PoissonCounts:
 
 
 def _count_rows(rows, name: str) -> np.ndarray:
-    """``rows`` as an n x d int64 array, refused unless finite, integral and >= 0."""
+    """``rows`` as an n x d int64 array, refused unless integral and in [0, 2^63)."""
     arr = np.asarray(rows)
     if arr.ndim != 2:
         raise ValueError(f"{name}: count rows must be an n x d array")
-    # test before casting: casting NaN or inf warns, and a fraction would truncate
+    # test before casting: casting NaN, inf or 2^63 warns or wraps, and a
+    # fraction would truncate
     if not np.issubdtype(arr.dtype, np.integer) and not (
         np.isfinite(arr) & (arr == np.floor(arr))
     ).all():
         raise ValueError(f"{name}: counts must be integers")
-    if arr.size and arr.min() < 0:
-        raise ValueError(f"{name}: counts must be nonnegative")
+    if arr.size and not (arr.min() >= 0 and arr.max() < 2**63):
+        raise ValueError(f"{name}: counts must be nonnegative and below 2^63")
     return arr.astype(np.int64)
 
 

@@ -248,10 +248,12 @@ class TestPoissonChisq:
             (math.nan, "integers"),
             (math.inf, "integers"),
             (-math.inf, "integers"),
+            (1e30, "below 2\\^63"),
+            (np.uint64(2**63), "below 2\\^63"),  # would wrap to a negative int64
         ],
     )
     def test_bad_counts_refused_without_a_cast_warning(self, bad, match):
-        ym = np.array([[bad, 2], [3, 0]])
+        ym = np.array([[bad, 2], [3, 0]], dtype=np.asarray(bad).dtype)
         zm = np.array([[1, 1], [0, 2]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
