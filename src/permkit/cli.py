@@ -145,7 +145,8 @@ _common_test_options = _stack(
     click.option("--perms", "-B", "perms", default=999, show_default=True,
                  help="Monte Carlo permutation replicates."),
     click.option("--seed", default=0, show_default=True),
-    click.option("--exact", is_flag=True, help="Enumerate all permutations."),
+    click.option("--exact", is_flag=True,
+                 help="Enumerate every relabeling (the C(n, n1) subsets for two-sample tests)."),
     click.option("--output", type=click.Path(), default=None,
                  help="Write the JSON record here as well as stdout."),
 )

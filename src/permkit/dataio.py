@@ -63,6 +63,14 @@ def _is_integral(values: list[str]) -> bool:
     return all(re.fullmatch(r"[+-]?\d+", v) for v in values)
 
 
+def _int64_column(path, header: list[str], rows: list[list[str]], index: int) -> np.ndarray:
+    """Column ``index`` as int64, refused if a value is outside the int64 range."""
+    values = [int(v) for v in _column(rows, index)]
+    if not all(-(2**63) <= v < 2**63 for v in values):
+        raise ValueError(f"{path}: column {header[index]!r} holds an integer outside int64")
+    return np.array(values, dtype=np.int64)
+
+
 def _group_one(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
     """Mask of the rows whose ``group`` column is 1 (the others are 2)."""
     if "group" not in header:
@@ -73,7 +81,7 @@ def _group_one(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
     return np.array([g == "1" for g in groups])
 
 
-def _read_sides(path, rows, sides: list[list[int]], categories: tuple, kind: str | None) -> list:
+def _read_sides(path, header, rows, sides: list[list[int]], categories: tuple, kind) -> list:
     """``(values, domain)`` of each column group in ``sides``.
 
     ``categories`` has one entry per side.  By default the data is
@@ -91,7 +99,7 @@ def _read_sides(path, rows, sides: list[list[int]], categories: tuple, kind: str
         raise ValueError(f"{path}: categorical data needs a single column per variable")
     out = []
     for cols, d in zip(sides, categories):
-        values = np.array([int(v) for v in _column(rows, cols[0])], dtype=np.int64)
+        values = _int64_column(path, header, rows, cols[0])
         if values.min() < 1:
             raise ValueError(f"{path}: categorical values must be positive integers (1-based)")
         # 1-based on disk, so the largest value is the inferred category count
@@ -111,7 +119,7 @@ def load_two_sample_csv(path, categories: int | None = None, kind: str | None = 
     features = [i for i, h in enumerate(header) if h != "group"]
     if not features:
         raise ValueError(f"{path}: no feature columns")
-    [(values, domain)] = _read_sides(path, rows, [features], (categories,), kind)
+    [(values, domain)] = _read_sides(path, header, rows, [features], (categories,), kind)
     return TwoSamplePooled(y=values[mask_y], z=values[~mask_y], domain=domain)
 
 
@@ -139,7 +147,8 @@ def load_paired_csv(
     z_cols = _prefixed_columns(header, "z")
     if not y_cols or not z_cols:
         raise ValueError(f"{path}: need y and z columns (y, y1.. / z, z1..)")
-    (y, y_domain), (z, z_domain) = _read_sides(path, rows, [y_cols, z_cols], categories, kind)
+    sides = _read_sides(path, header, rows, [y_cols, z_cols], categories, kind)
+    (y, y_domain), (z, z_domain) = sides
     return PairedSample(y=y, z=z, y_domain=y_domain, z_domain=z_domain)
 
 
@@ -150,7 +159,7 @@ def load_poisson_csv(path) -> PoissonCounts:
     count_cols = _prefixed_columns(header, "c")
     if not count_cols:
         raise ValueError(f"{path}: need count columns c1..cd")
-    mat = np.array([[int(row[i]) for i in count_cols] for row in rows], dtype=np.int64)
+    mat = np.stack([_int64_column(path, header, rows, i) for i in count_cols], axis=1)
     return PoissonCounts(mat[mask_y], mat[~mask_y])
 
 

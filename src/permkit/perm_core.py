@@ -19,9 +19,22 @@ Conventions
   replicates is a prefix of one with more, and neither the chunk size nor
   the worker count changes any row.
 * Exact plans enumerate the n! permutations in lexicographic order, so row
-  0 is the identity; n! above ``ENUMERATION_LIMIT`` (10!) is refused.  Rows
-  of both modes are generated and evaluated one chunk at a time, a whole
-  number of blocks holding about ``CHUNK_ENTRIES`` (2^20) index entries.
+  0 is the identity.  An evaluator whose values depend only on the set
+  ``perm[:k]`` says so with an attribute ``subset_size = k`` (the
+  two-sample evaluators of ``testing``: count, binned, l1-split, MMD and
+  Poisson, k the first group's size).  An exact plan then enumerates the
+  C(n, k) subsets of ``range(n)`` in lexicographic order instead, each
+  completed by its complement in increasing order, so row 0 is still the
+  identity.  Each subset stands for k! (n - k)! relabelings, all with its
+  value, so the distribution carries that ``multiplicity``: its ``size``
+  and the outcome's ``replicate_count`` stay n!, while ``replicates`` holds
+  the C(n, k) subset values.  The p-value and the critical value equal
+  those of the n! enumeration.  Independence statistics and plain callables
+  enumerate all n!.  ``ENUMERATION_LIMIT`` (10!) bounds the rows actually
+  enumerated, C(n, k) or n!, so exact two-sample tests reach n = 24 (12 +
+  12).  Rows of both modes are generated and evaluated one chunk at a time,
+  a whole number of blocks holding about ``CHUNK_ENTRIES`` (2^20) index
+  entries.
   The batch evaluators of ``ustats`` and ``testing`` slice each chunk by the
   same budget, so their temporaries (count tables, Gram gathers and
   products) also hold about ``CHUNK_ENTRIES`` entries: peak memory follows
@@ -138,8 +151,9 @@ def _is_integer(value) -> bool:
 class PermutationPlan:
     """How to build the permutation distribution.
 
-    ``mode`` is ``"exact"`` (full enumeration of all n! relabelings, only
-    allowed when n! does not exceed ``ENUMERATION_LIMIT``) or
+    ``mode`` is ``"exact"`` (full enumeration of all n! relabelings, or of
+    the C(n, k) subsets for a statistic that declares ``subset_size = k``;
+    only allowed when those rows do not exceed ``ENUMERATION_LIMIT``) or
     ``"monte_carlo"`` (``replicates`` uniform draws seeded by ``seed``, an
     integer in [0, 2^64); a Monte Carlo plan stores both as Python ints).
     Either way the pool also holds the identity relabeling, once.
@@ -175,16 +189,24 @@ class PermutationPlan:
 
 @dataclass(frozen=True)
 class PermutationDistribution:
-    """Observed statistic plus the sorted replicate pool that holds it."""
+    """Observed statistic plus the sorted replicate pool that holds it.
+
+    Each pool value stands for ``multiplicity`` relabelings: k! (n - k)! when
+    an exact plan enumerated the C(n, k) subsets, else 1.  ``size`` counts
+    relabelings, ``replicates.size`` pool values.
+    """
 
     observed: float
     replicates: np.ndarray  # sorted, non-decreasing; holds ``observed``
     plan: PermutationPlan
+    multiplicity: int = 1
 
     def __post_init__(self) -> None:
         reps = self.replicates
         if reps.size < 1:
             raise ValueError("replicate set must be non-empty")
+        if not _is_integer(self.multiplicity) or self.multiplicity < 1:
+            raise ValueError(f"multiplicity must be an integer >= 1, got {self.multiplicity!r}")
         # compare neighbours: np.diff would allocate a float copy of the replicates
         if np.any(reps[1:] < reps[:-1]):
             raise ValueError("replicates must be sorted non-decreasing")
@@ -196,7 +218,8 @@ class PermutationDistribution:
 
     @property
     def size(self) -> int:
-        return int(self.replicates.size)
+        """Relabelings the pool stands for: n! under an exact plan, B + 1 under Monte Carlo."""
+        return int(self.replicates.size) * int(self.multiplicity)
 
     @property
     def tie_tolerance(self) -> float:
@@ -234,48 +257,68 @@ def enumerate_permutations(n: int) -> Iterator[np.ndarray]:
         yield from np.array(rows)
 
 
-def _enumeration_size(n: int) -> int:
-    """n!, refused when it exceeds ``ENUMERATION_LIMIT``."""
+def _enumeration_size(n: int, subset_size: int | None = None) -> int:
+    """Rows an exact plan enumerates, refused above ``ENUMERATION_LIMIT``.
+
+    n! permutations, or the C(n, k) subsets when ``subset_size`` is k.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = math.factorial(n)
+    if subset_size is None:
+        total = math.factorial(n)
+        counted = f"{n}! = {total} permutations"
+    else:
+        total = math.comb(n, subset_size)
+        counted = f"C({n}, {subset_size}) = {total} subsets"
     if total > ENUMERATION_LIMIT:
         raise ValueError(
-            f"{n}! = {total} permutations exceeds the enumeration limit "
-            f"{ENUMERATION_LIMIT}; use a monte_carlo plan"
+            f"{counted} exceeds the enumeration limit {ENUMERATION_LIMIT}; use a monte_carlo plan"
         )
     return total
 
 
-_ENUM_CACHE: dict[int, np.ndarray] = {}
-_ENUM_CACHE_MAX_N = 8  # 8! rows cached at most; larger built chunk by chunk
+_ENUM_CACHE: dict[tuple[int, int | None], np.ndarray] = {}
+_ENUM_CACHE_MAX_N = 8  # rows for n <= 8 cached (8! at most); larger built chunk by chunk
 
 
-def _permutation_rows(perms: Iterator[tuple], rows: int, n: int) -> np.ndarray:
-    """The next ``rows`` tuples of ``perms`` as a (rows, n) index matrix."""
-    flat = itertools.chain.from_iterable(itertools.islice(perms, rows))
-    return np.fromiter(flat, dtype=np.intp, count=rows * n).reshape(rows, n)
+def _index_rows(tuples: Iterator[tuple], rows: int, width: int) -> np.ndarray:
+    """The next ``rows`` tuples of ``tuples`` as a (rows, width) index matrix."""
+    flat = itertools.chain.from_iterable(itertools.islice(tuples, rows))
+    return np.fromiter(flat, dtype=np.intp, count=rows * width).reshape(rows, width)
 
 
-def _enumeration_chunks(n: int, chunk: int) -> Iterator[tuple[int, np.ndarray]]:
-    """All n! permutations in lexicographic order as ``(start, rows)`` chunks.
+def _enumeration_chunks(
+    n: int, chunk: int, subset_size: int | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """An exact plan's rows in lexicographic order as ``(start, rows)`` chunks.
 
-    Up to ``_ENUM_CACHE_MAX_N`` the whole matrix is built once, kept read-only
-    and sliced; above it each chunk is built from the tuple stream, so only
-    one chunk of rows exists at a time.  Row 0 is the identity.
+    All n! permutations or, when ``subset_size`` is k, the C(n, k) subsets
+    of ``range(n)``, each followed by its complement in increasing order.
+    Row 0 is the identity either way.  Up to ``_ENUM_CACHE_MAX_N`` the whole
+    matrix is built once, kept read-only and sliced; above it each chunk is
+    built from the tuple stream, so only one chunk of rows exists at a time.
     """
-    total = math.factorial(n)
-    perms = itertools.permutations(range(n))
-    cached = _ENUM_CACHE.get(n)
+    k = subset_size
+    if k is None:
+        total, tuples = math.factorial(n), itertools.permutations(range(n))
+    else:
+        total, tuples = math.comb(n, k), itertools.combinations(range(n), k)
+
+    def build(rows: int) -> np.ndarray:
+        if k is None:
+            return _index_rows(tuples, rows, n)
+        head = _index_rows(tuples, rows, k)
+        rest = np.ones((rows, n), dtype=bool)
+        rest[np.arange(rows)[:, None], head] = False
+        return np.concatenate([head, rest.nonzero()[1].reshape(rows, n - k)], axis=1)
+
+    cached = _ENUM_CACHE.get((n, k))
     if cached is None and n <= _ENUM_CACHE_MAX_N:
-        cached = _ENUM_CACHE[n] = _permutation_rows(perms, total, n)
+        cached = _ENUM_CACHE[n, k] = build(total)
         cached.flags.writeable = False
     for start in range(0, total, chunk):
         rows = min(chunk, total - start)
-        if cached is None:
-            yield start, _permutation_rows(perms, rows, n)
-        else:
-            yield start, cached[start : start + rows]
+        yield start, build(rows) if cached is None else cached[start : start + rows]
 
 
 def _monte_carlo_chunks(
@@ -341,8 +384,9 @@ def _evaluate(stat: Any, data: Any, rows: np.ndarray, start: int, sampled: bool)
 
 
 def _replicate_index(pool_row: int, sampled: bool) -> int:
-    """-1 for the identity at pool row 0, else the row's enumeration index,
-    or, for a ``sampled`` (Monte Carlo) pool, its replicate ``pool_row - 1``."""
+    """-1 for the identity at pool row 0, else the row's enumeration index
+    (permutation or subset), or, for a ``sampled`` (Monte Carlo) pool, its
+    replicate ``pool_row - 1``."""
     return -1 if pool_row == 0 else pool_row - sampled
 
 
@@ -361,20 +405,26 @@ def permutation_distribution(
     identity row's value at pool row 0: row 0 of the exact enumeration, or a
     one-row batch ahead of the B sampled rows under a ``monte_carlo`` plan.
     Rows are generated and evaluated one chunk at a time in both modes.
-    Raises :class:`StatisticEvaluationError` if ``stat`` raises or returns a
-    value that is not finite.  An ``evaluate_many`` returning (m, K) values
+    Under an exact plan, a ``stat`` with a ``subset_size`` attribute k is
+    evaluated on the C(n, k) subset rows only, and the distribution carries
+    their multiplicity k! (n - k)!.  Raises
+    :class:`StatisticEvaluationError` if ``stat`` raises or returns a value
+    that is not finite.  An ``evaluate_many`` returning (m, K) values
     stacks K statistics on the same rows and gives a tuple of K
     distributions, one per column.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     sampled = plan.mode == "monte_carlo"
+    multiplicity = 1
     if sampled:
         size = 1 + plan.replicates  # the identity, then B sampled rows
         chunks = _monte_carlo_chunks(n, plan.replicates, plan.seed, _chunk_rows(n))
     else:
-        size = _enumeration_size(n)
-        chunks = _enumeration_chunks(n, _chunk_rows(n))
+        k = getattr(stat, "subset_size", None)
+        size = _enumeration_size(n, k)
+        multiplicity = math.factorial(n) // size
+        chunks = _enumeration_chunks(n, _chunk_rows(n), k)
     values = None
     for start, rows in chunks:
         batch = _evaluate(stat, data, rows, start, sampled)
@@ -384,8 +434,10 @@ def permutation_distribution(
     observed = values[0].copy()
     values.sort(axis=0)
     if values.ndim == 1:
-        return PermutationDistribution(float(observed), values, plan)
-    return tuple(PermutationDistribution(float(o), v, plan) for o, v in zip(observed, values.T))
+        return PermutationDistribution(float(observed), values, plan, multiplicity)
+    return tuple(
+        PermutationDistribution(float(o), v, plan, multiplicity) for o, v in zip(observed, values.T)
+    )
 
 
 def _check_alpha(alpha: float) -> None:
@@ -398,15 +450,16 @@ def critical_value(dist: PermutationDistribution, alpha: float) -> float:
 
     This is the 1 - alpha quantile of the empirical permutation distribution,
     realized as an order statistic of the replicate multiset (ties kept).
+    ``M`` counts relabelings, so the k-th smallest of them is pool value
+    ``(k - 1) // multiplicity``.
     """
     _check_alpha(alpha)
-    reps = dist.replicates
-    m = reps.size
+    m = dist.size
     # k = smallest integer with k/M >= 1 - alpha; tiny slack guards against
     # float round-up on exact multiples like 0.8 * 5.
     k = math.ceil(m * (1.0 - alpha) - 1e-9)
     k = min(max(k, 1), m)
-    return float(reps[k - 1])
+    return float(dist.replicates[(k - 1) // dist.multiplicity])
 
 
 def p_value(dist: PermutationDistribution) -> float:
@@ -414,7 +467,9 @@ def p_value(dist: PermutationDistribution) -> float:
 
     The pool holds the identity's value, so under a Monte Carlo plan this is
     ``(1 + #{sampled replicates >= observed}) / (B + 1)``.  Replicates within
-    the tie tolerance of the observed value count as greater-or-equal.
+    the tie tolerance of the observed value count as greater-or-equal.  A
+    uniform multiplicity cancels: counting subsets gives the same float as
+    counting the relabelings they stand for.
     """
     reps = dist.replicates
     below = int(np.searchsorted(reps, dist.observed - dist.tie_tolerance, side="left"))

@@ -5,7 +5,10 @@ binning or sample splitting, and a :class:`~permkit.perm_core.PermutationPlan`
 into a finished decision.  Statistic evaluators have one method,
 ``evaluate_many(data, rows)``, a pure function of the reduced data and a
 matrix of index rows, so Monte Carlo and exact enumeration both run on index
-arrays, never re-touching kernels.
+arrays, never re-touching kernels.  Two-sample evaluators also declare
+``subset_size``, the first group's size: their values depend only on which
+points land in that group, so an exact plan enumerates subsets, not all n!
+permutations (see ``perm_core``).
 
 Binned procedures discretize ``[0, 1]^dim`` with equal cells, count of cells
 per axis chosen from the smoothness-driven rules ``two_sample_bin_count``
@@ -244,6 +247,11 @@ class _CountTwoSampleStat:
         self.n2 = n2
         self.inv_weights = inv_weights
 
+    @property
+    def subset_size(self) -> int:
+        """Values depend on the set ``perm[:n1]`` only (see ``perm_core``)."""
+        return self.n1
+
     def evaluate_many(self, codes: np.ndarray, perms: np.ndarray) -> np.ndarray:
         c_all = np.bincount(codes).astype(float)
         u = c_all.size
@@ -291,6 +299,11 @@ class _GramTwoSampleStat:
         self.n1 = n1
         self.n2 = n2
 
+    @property
+    def subset_size(self) -> int:
+        """Values depend on the set ``perm[:n1]`` only (see ``perm_core``)."""
+        return self.n1
+
     def evaluate_many(self, gram_matrix, perms: np.ndarray) -> np.ndarray:
         return two_sample_u_many(gram_matrix, self.n1, self.n2, perms)
 
@@ -308,6 +321,11 @@ class _PoissonChisqStat:
 
     def __init__(self, group_size: int):
         self.group_size = group_size
+
+    @property
+    def subset_size(self) -> int:
+        """Values depend on the set ``perm[:group_size]`` only (see ``perm_core``)."""
+        return self.group_size
 
     def evaluate_many(self, pooled: np.ndarray, perms: np.ndarray) -> np.ndarray:
         totals = pooled.sum(axis=0).astype(float)
@@ -431,6 +449,11 @@ class _StackedStat:
     """One evaluator on several datasets, same index rows: column j is ``stat`` on ``data[j]``."""
 
     stat: object
+
+    @property
+    def subset_size(self) -> int | None:
+        """The inner evaluator's, so exact two-sample grids enumerate subsets."""
+        return getattr(self.stat, "subset_size", None)
 
     def evaluate_many(self, data: tuple, perms: np.ndarray) -> np.ndarray:
         return np.stack([self.stat.evaluate_many(d, perms) for d in data], axis=1)

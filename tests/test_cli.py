@@ -183,6 +183,21 @@ class TestCommands:
         assert result.exit_code == 2, result.output
         assert "nonnegative" in result.output
 
+    @pytest.mark.parametrize(
+        "command, text, column",
+        [
+            ("poisson-chisq", "group,c1,c2\n1,1,9223372036854775808\n2,0,1\n", "c2"),
+            ("twosample", "group,x\n1,2\n1,9223372036854775808\n2,1\n2,3\n", "x"),
+        ],
+        ids=["poisson-chisq", "twosample"],
+    )
+    def test_integer_beyond_int64_exit_code_2(self, runner, tmp_path, command, text, column):
+        # parsed ints are range-checked before the int64 array is built
+        path = _write(tmp_path / "big.csv", text)
+        result = runner.invoke(main, [command, "--input", path, "--perms", "19"])
+        assert result.exit_code == 2, result.output
+        assert f"column '{column}'" in result.output and "int64" in result.output
+
     def test_output_file_written(self, runner, categorical_two_sample_csv, tmp_path):
         out = tmp_path / "result.json"
         result = runner.invoke(

@@ -138,6 +138,10 @@ def procedure_outcomes() -> dict:
         for plan_name, plan in PLANS.items():
             data = make(np.random.default_rng(20), plan_name == "exact")
             out[f"{name}/{plan_name}"] = _outcome(run(data, plan()))
+    # 7 + 7 points: 14! relabelings, enumerated as the C(14, 7) subsets
+    data = _two_sample(np.random.default_rng(20), "categorical", 7, 7)
+    out["multinomial-l2-two-sample/exact-7+7"] = _outcome(
+        testing.multinomial_l2_two_sample(data, ALPHA, PermutationPlan.exact()))
     return out
 
 

@@ -323,6 +323,114 @@ class TestExactStream:
         assert peak < 32 * 2**20
 
 
+class _SubsetRows:
+    """Declares ``subset_size = k``; its value encodes the set ``perm[:k]`` exactly.
+
+    Records every row it is handed.
+    """
+
+    def __init__(self, k):
+        self.subset_size = k
+        self.rows = []
+
+    def evaluate_many(self, data, perms):
+        self.rows.append(perms.copy())
+        return (2.0 ** perms[:, : self.subset_size]).sum(axis=1)
+
+
+class TestSubsetEnumeration:
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (4, 2), (5, 1), (6, 6), (9, 4)])
+    def test_rows_are_subsets_then_complements(self, n, k):
+        stat = _SubsetRows(k)
+        dist = permutation_distribution(stat, None, n, PermutationPlan.exact())
+        rows = np.concatenate(stat.rows)
+        subsets = list(itertools.combinations(range(n), k))
+        assert rows[:, :k].tolist() == [list(c) for c in subsets]  # lexicographic
+        assert rows[:, k:].tolist() == [sorted(set(range(n)) - set(c)) for c in subsets]
+        assert rows[0].tolist() == list(range(n))
+        assert dist.replicates.size == math.comb(n, k)
+        assert dist.multiplicity == math.factorial(k) * math.factorial(n - k)
+        assert dist.size == math.factorial(n)
+
+    def test_chunking_leaves_rows_unchanged(self, monkeypatch):
+        n, k = 10, 5  # past the enumeration cache, so built chunk by chunk
+        one = _SubsetRows(k)
+        permutation_distribution(one, None, n, PermutationPlan.exact())
+        monkeypatch.setattr(perm_core, "CHUNK_ENTRIES", 1)  # one block of 64 rows per chunk
+        many = _SubsetRows(k)
+        permutation_distribution(many, None, n, PermutationPlan.exact())
+        assert len(one.rows) == 1 and len(many.rows) == 4  # C(10, 5) = 252 rows
+        assert np.concatenate(many.rows).tobytes() == one.rows[0].tobytes()
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (7, 3), (8, 4)])
+    def test_same_decision_as_all_permutations(self, n, k):
+        # integers, so summing a subset in any order gives the same float
+        data = np.random.default_rng(n).integers(-50, 50, n).astype(float)
+        subsets = permutation_distribution(_SubsetSum(k), data, n, PermutationPlan.exact())
+        full = permutation_distribution(_SumOf(k), data, n, PermutationPlan.exact())
+        assert subsets.replicates.size == math.comb(n, k) and full.replicates.size == full.size
+        assert subsets.size == full.size
+        assert subsets.observed.hex() == full.observed.hex()
+        assert np.repeat(subsets.replicates, subsets.multiplicity).tobytes() == (
+            full.replicates.tobytes()
+        )
+        assert p_value(subsets).hex() == p_value(full).hex()
+        for alpha in np.linspace(0.001, 0.999, 211):
+            assert critical_value(subsets, alpha) == critical_value(full, alpha), alpha
+        outcomes = (run_test(stat, data, n, PermutationPlan.exact(), 0.1)
+                    for stat in (_SubsetSum(k), _SumOf(k)))
+        assert len({dataclasses.astuple(o) for o in outcomes}) == 1
+
+    @given(
+        st.lists(st.integers(0, 6), min_size=1, max_size=30),
+        st.integers(1, 30),
+        st.floats(0.001, 0.999),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_multiplicity_is_an_expanded_pool(self, values, multiplicity, alpha):
+        reps = np.sort(np.asarray(values, float))
+        plan = PermutationPlan.exact()
+        for observed in (reps[0], reps[-1]):
+            packed = PermutationDistribution(observed, reps, plan, multiplicity)
+            expanded = PermutationDistribution(observed, np.repeat(reps, multiplicity), plan)
+            assert packed.size == expanded.size
+            assert critical_value(packed, alpha) == critical_value(expanded, alpha)
+            assert p_value(packed) == p_value(expanded)
+
+    @pytest.mark.parametrize("multiplicity", [0, -2, 1.5, True, "2", None])
+    def test_multiplicity_must_be_a_positive_integer(self, multiplicity):
+        with pytest.raises(ValueError, match="multiplicity"):
+            PermutationDistribution(0.0, np.zeros(3), PermutationPlan.exact(), multiplicity)
+
+    def test_limit_counts_the_subsets(self):
+        # C(14, 7) = 3432 rows stand for 14! relabelings, far past the 10! limit
+        dist = permutation_distribution(_SubsetSum(7), np.arange(14.0), 14, PermutationPlan.exact())
+        assert dist.replicates.size == 3432 and dist.size == math.factorial(14)
+        assert math.comb(24, 12) <= perm_core.ENUMERATION_LIMIT < math.comb(25, 12)
+        with pytest.raises(ValueError, match=r"C\(25, 12\) = 5200300 subsets exceeds"):
+            permutation_distribution(_SubsetSum(12), None, 25, PermutationPlan.exact())
+        with pytest.raises(ValueError, match="11! = 39916800 permutations exceeds"):
+            permutation_distribution(_SumOf(7), None, 11, PermutationPlan.exact())
+
+    def test_monte_carlo_plan_ignores_the_declaration(self):
+        data = np.random.default_rng(3).normal(size=12)
+        plan = PermutationPlan.monte_carlo(99, 4)
+        subsets = permutation_distribution(_SubsetSum(5), data, 12, plan)
+        _assert_same_distribution(subsets, permutation_distribution(_SumOf(5), data, 12, plan))
+        assert subsets.multiplicity == 1 and subsets.size == 100
+
+    def test_stacked_columns_share_the_multiplicity(self):
+        n, k = 8, 3
+        data = np.random.default_rng(2).integers(-50, 50, n).astype(float)
+        stacked = _Stacked(_SumOf(k), _SumOf(k, power=2))
+        stacked.subset_size = k
+        dists = permutation_distribution(stacked, data, n, PermutationPlan.exact())
+        for power, dist in zip((1, 2), dists):
+            own = permutation_distribution(_SubsetSum(k, power), data, n, PermutationPlan.exact())
+            _assert_same_distribution(dist, own)
+            assert dist.multiplicity == own.multiplicity == 3 * 2 * 5 * 4 * 3 * 2
+
+
 class TestNonFiniteStatistic:
     def test_non_finite_observed(self):
         for bad in (math.nan, math.inf):
@@ -383,6 +491,14 @@ class _SumOf:
 
     def evaluate_many(self, data, perms):
         return (data[perms[:, : self.k]] ** self.power).sum(axis=1)
+
+
+class _SubsetSum(_SumOf):
+    """``_SumOf`` declaring that it reads only ``perm[:k]``."""
+
+    @property
+    def subset_size(self):
+        return self.k
 
 
 class _Stacked:

@@ -1,11 +1,16 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from permkit import ustats
+from permkit import perm_core, ustats
 from permkit.perm_core import PermutationPlan, replicate_rng
 from permkit.testing import (
     AdaptiveOutcome,
@@ -645,6 +650,193 @@ class TestPoissonTest:
             out = poisson_chisq_test(counts, 0.05, MC(199, seed=t))
             rejects += out.reject
         assert rejects / trials >= 0.9
+
+
+class _RowsOnly:
+    """Forwards only ``evaluate_many``, so an exact plan enumerates all n! rows."""
+
+    def __init__(self, stat):
+        self.evaluate_many = stat.evaluate_many
+
+
+def _exact_run(call, hide_subsets: bool):
+    """``call()``'s outcome and the ``subset_size`` each evaluator it ran declared.
+
+    With ``hide_subsets`` every evaluator is stripped of its declaration, so
+    an exact plan enumerates all n! rows.
+    """
+    declared = []
+    run_test = perm_core.run_test
+
+    def patched(stat, *args):
+        declared.append(getattr(stat, "subset_size", None))
+        return run_test(_RowsOnly(stat) if hide_subsets else stat, *args)
+
+    perm_core.run_test = patched
+    try:
+        return call(), declared
+    finally:
+        perm_core.run_test = run_test
+
+
+def _decision_fields(outcome):
+    if isinstance(outcome, AdaptiveOutcome):
+        return [_decision_fields(c) for _, c in outcome.components]
+    return (outcome.statistic.hex(), outcome.critical_value.hex(), outcome.p_value.hex(),
+            outcome.reject, outcome.replicate_count)
+
+
+def _continuous(rng, n1, n2, dim=2):
+    return TwoSamplePooled(y=rng.random((n1, dim)), z=rng.random((n2, dim)) ** 1.5,
+                           domain=Continuous(dim))
+
+
+def _categorical(rng, n1, n2, d=4):
+    return TwoSamplePooled(y=rng.integers(0, d, n1), z=rng.integers(0, (d + 1) // 2, n2),
+                           domain=Categorical(d))
+
+
+def _split_pairs(rng, n1, n2):
+    # 3 * (n1 + n2) pairs: l1_split_independence permutes n1 + n2 of them, half per group
+    y = rng.integers(0, 3, 3 * (n1 + n2))
+    return PairedSample(y=y, z=(y + rng.integers(0, 2, y.size)) % 3,
+                        y_domain=Categorical(3), z_domain=Categorical(3))
+
+
+def _poisson_rows(rng, n1, n2):
+    return PoissonCounts(rng.poisson(1.0, (n1, 3)), rng.poisson(1.5, (n2, 3)))
+
+
+# every procedure whose evaluator declares subset_size: (procedure on (data, plan),
+# data on n1 + n2 permuted points, the (n1, n2) designs it accepts)
+SUBSET_PROCEDURES = {
+    "multinomial": (lambda d, p: multinomial_l2_two_sample(d, 0.1, p), _categorical,
+                    [(4, 4), (5, 4)]),
+    "binned": (lambda d, p: binned_two_sample(d, 3, 0.1, p), _continuous, [(4, 4), (5, 4)]),
+    "holder": (lambda d, p: holder_two_sample(d, 0.5, 0.05, p), _continuous, [(4, 4), (5, 4)]),
+    "adaptive": (lambda d, p: adaptive_two_sample(d, 0.1, p), _continuous, [(4, 4), (5, 4)]),
+    "l1-split": (lambda d, p: l1_split_two_sample(d, 0.1, p),
+                 lambda rng, n1, n2: _categorical(rng, 2 * n1, 2 * n2), [(4, 4), (5, 4)]),
+    "l1-split-independence": (lambda d, p: l1_split_independence(d, 0.1, p), _split_pairs,
+                              [(4, 4), (3, 3)]),
+    "mmd": (lambda d, p: mmd_test(d, SmoothnessRule(1.0), 0.1, p), _continuous,
+            [(4, 4), (5, 4)]),
+    "mmd-bandwidth": (lambda d, p: mmd_test(d, [0.3, 0.5], 0.05, p), _continuous,
+                      [(4, 4), (5, 4)]),
+    "poisson": (lambda d, p: poisson_chisq_test(d, 0.1, p), _poisson_rows, [(4, 4), (3, 3)]),
+}
+
+# acceptance criterion 1's two-sample designs, on its data streams
+CRITERION_1_DESIGNS = {
+    "multinomial": (0, lambda rng: multinomial_l2_two_sample(
+        TwoSamplePooled(y=rng.integers(0, 3, 2), z=rng.integers(0, 3, 2), domain=Categorical(3)),
+        0.1, EXACT)),
+    "holder": (2, lambda rng: holder_two_sample(
+        TwoSamplePooled(y=rng.random(3), z=rng.random(2), domain=Continuous(1)),
+        0.25, 0.1, EXACT)),
+    "adaptive": (4, lambda rng: adaptive_two_sample(
+        TwoSamplePooled(y=rng.random((3, 2)), z=rng.random((2, 2)), domain=Continuous(2)),
+        0.1, EXACT)),
+    "l1-split": (6, lambda rng: l1_split_two_sample(
+        TwoSamplePooled(y=rng.integers(0, 2, 4), z=rng.integers(0, 2, 4), domain=Categorical(2)),
+        0.1, EXACT)),
+    "mmd": (8, lambda rng: mmd_test(
+        TwoSamplePooled(y=rng.normal(size=(2, 1)), z=rng.normal(size=(2, 1)),
+                        domain=Continuous(1)),
+        np.array([0.5]), 0.1, EXACT)),
+    "poisson": (10, lambda rng: poisson_chisq_test(
+        PoissonCounts(rng.poisson(0.7, (2, 3)), rng.poisson(0.7, (2, 3))), 0.1, EXACT)),
+}
+
+
+def _subset_mismatches(names, seeds=(0, 1)) -> list[str]:
+    """Designs of ``SUBSET_PROCEDURES[names]`` whose subset and n! outcomes differ."""
+    bad = []
+    for name in names:
+        procedure, make, designs = SUBSET_PROCEDURES[name]
+        for (n1, n2), seed in itertools.product(designs, seeds):
+            data = make(np.random.default_rng(seed), n1, n2)
+            fast, declared = _exact_run(lambda: procedure(data, EXACT), False)
+            slow, _ = _exact_run(lambda: procedure(data, EXACT), True)
+            if None in declared or _decision_fields(fast) != _decision_fields(slow):
+                bad.append(f"{name} {n1}+{n2} seed {seed}")
+    return bad
+
+
+class TestSubsetEnumeration:
+    """Two-sample evaluators declare ``subset_size``: exact plans enumerate C(n, n1) rows."""
+
+    @pytest.mark.parametrize("name", list(SUBSET_PROCEDURES))
+    def test_same_outcome_as_all_permutations(self, name):
+        assert _subset_mismatches([name]) == []
+
+    def test_mmd_same_outcome_under_one_blas_thread(self):
+        # the MMD's last bits depend on how BLAS blocks mask @ g, so pin one
+        # thread (as the fixture does) in a fresh process
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+        code = ("import test_procedures as t; "
+                "print(t._subset_mismatches(['mmd', 'mmd-bandwidth'], seeds=range(4)))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("name", list(CRITERION_1_DESIGNS))
+    def test_criterion_1_designs(self, name):
+        index, run = CRITERION_1_DESIGNS[name]
+        for t in range(100):
+            fast, declared = _exact_run(lambda: run(replicate_rng(1000 + index, t)), False)
+            slow, _ = _exact_run(lambda: run(replicate_rng(1000 + index, t)), True)
+            assert None not in declared
+            assert _decision_fields(fast) == _decision_fields(slow), t
+
+    def test_exact_reach_past_the_permutation_limit(self):
+        # 7 + 7 points: 14! relabelings, enumerated as C(14, 7) = 3432 subsets
+        rng = np.random.default_rng(4)
+        n1 = n2 = 7
+        y, z = rng.integers(0, 4, n1), rng.integers(0, 2, n2)
+        out = multinomial_l2_two_sample(
+            TwoSamplePooled(y=y, z=z, domain=Categorical(4)), 0.05, EXACT)
+        assert out.replicate_count == math.factorial(14)
+        # the statistic times n1(n1-1)n2(n2-1), in integers, on every subset
+        x = np.concatenate([y, z])
+        subsets = np.array(list(itertools.combinations(range(n1 + n2), n1)))
+        c1 = np.stack([np.bincount(x[s], minlength=4) for s in subsets])
+        c2 = np.bincount(x, minlength=4) - c1
+        t = (c1 * (c1 - 1) * n2 * (n2 - 1) + c2 * (c2 - 1) * n1 * (n1 - 1)
+             - 2 * c1 * c2 * (n1 - 1) * (n2 - 1)).sum(axis=1)
+        assert out.p_value == int((t >= t[0]).sum()) / len(subsets)
+        assert 0 < out.p_value < 1
+        k = math.ceil(len(subsets) * 0.95)  # the 95% order statistic of the subsets
+        scale = n1 * (n1 - 1) * n2 * (n2 - 1)
+        assert out.critical_value == pytest.approx(np.sort(t)[k - 1] / scale, rel=1e-12)
+
+    def test_exact_independence_still_enumerates_all_permutations(self):
+        rng = np.random.default_rng(5)
+        data = PairedSample(y=rng.integers(0, 3, 11), z=rng.integers(0, 3, 11),
+                            y_domain=Categorical(3), z_domain=Categorical(3))
+        with pytest.raises(ValueError, match="11! = 39916800 permutations exceeds"):
+            multinomial_l2_independence(data, 0.1, EXACT)
+        with pytest.raises(ValueError, match="enumeration limit"):
+            adaptive_independence(
+                PairedSample(y=rng.random(11), z=rng.random(11),
+                             y_domain=Continuous(1), z_domain=Continuous(1)),
+                0.1, EXACT)
+
+    def test_exact_adaptive_memory_is_bounded(self):
+        # 5 + 5 points, K = 7 kappas: all 10! rows would hold K * 10! floats (about 200 MB)
+        data = _continuous(np.random.default_rng(6), 5, 5, dim=1)
+        tracemalloc.start()
+        try:
+            out = adaptive_two_sample(data, 0.1, EXACT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.components) == 7
+        assert all(c.replicate_count == math.factorial(10) for _, c in out.components)
+        assert peak < 5 * 2**20
 
 
 def _slicing_case(name):
