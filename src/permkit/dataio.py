@@ -81,7 +81,7 @@ def _group_one(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
     return np.array([g == "1" for g in groups])
 
 
-def _read_sides(path, header, rows, sides: list[list[int]], categories: tuple, kind) -> list:
+def _read_sides(path, header, rows, sides: list[list[int]], categories: tuple, kind: str | None) -> list:
     """``(values, domain)`` of each column group in ``sides``.
 
     ``categories`` has one entry per side.  By default the data is
@@ -147,8 +147,7 @@ def load_paired_csv(
     z_cols = _prefixed_columns(header, "z")
     if not y_cols or not z_cols:
         raise ValueError(f"{path}: need y and z columns (y, y1.. / z, z1..)")
-    sides = _read_sides(path, header, rows, [y_cols, z_cols], categories, kind)
-    (y, y_domain), (z, z_domain) = sides
+    (y, y_domain), (z, z_domain) = _read_sides(path, header, rows, [y_cols, z_cols], categories, kind)
     return PairedSample(y=y, z=z, y_domain=y_domain, z_domain=z_domain)
 
 

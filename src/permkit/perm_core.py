@@ -31,8 +31,10 @@ Conventions
   the C(n, k) subset values.  The p-value and the critical value equal
   those of the n! enumeration.  Independence statistics and plain callables
   enumerate all n!.  ``ENUMERATION_LIMIT`` (10!) bounds the rows actually
-  enumerated, C(n, k) or n!, so exact two-sample tests reach n = 24 (12 +
-  12).  Rows of both modes are generated and evaluated one chunk at a time,
+  enumerated, C(n, k) or n!, so exact two-sample tests reach n = 24 with
+  equal groups (12 + 12) and further with unequal ones (C(171, 2) = 14535
+  rows for 2 + 169 points), up to 1558 points, the most whose n! still
+  prints as an outcome's ``replicate_count``.  Rows of both modes are generated and evaluated one chunk at a time,
   a whole number of blocks holding about ``CHUNK_ENTRIES`` (2^20) index
   entries.
   The batch evaluators of ``ustats`` and ``testing`` slice each chunk by the
@@ -91,6 +93,9 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = math.factorial(10)
+# largest n whose n! (an exact outcome's replicate_count) has at most 4300
+# digits, the most Python converts to text by default, so the outcome prints
+_EXACT_MAX_N = 1558
 
 # relative scale for treating replicate-vs-observed comparisons as ties
 TIE_REL = 1e-12
@@ -153,7 +158,8 @@ class PermutationPlan:
 
     ``mode`` is ``"exact"`` (full enumeration of all n! relabelings, or of
     the C(n, k) subsets for a statistic that declares ``subset_size = k``;
-    only allowed when those rows do not exceed ``ENUMERATION_LIMIT``) or
+    only allowed when those rows do not exceed ``ENUMERATION_LIMIT`` and n
+    is at most 1558) or
     ``"monte_carlo"`` (``replicates`` uniform draws seeded by ``seed``, an
     integer in [0, 2^64); a Monte Carlo plan stores both as Python ints).
     Either way the pool also holds the identity relabeling, once.
@@ -267,6 +273,11 @@ def _enumeration_size(n: int, subset_size: int | None = None) -> int:
     if subset_size is None:
         total = math.factorial(n)
         counted = f"{n}! = {total} permutations"
+    elif n > _EXACT_MAX_N:
+        raise ValueError(
+            f"an exact plan on {n} points counts {n}! relabelings, more digits than Python "
+            f"prints (at most {_EXACT_MAX_N} points); use a monte_carlo plan"
+        )
     else:
         total = math.comb(n, subset_size)
         counted = f"C({n}, {subset_size}) = {total} subsets"
@@ -446,20 +457,22 @@ def _check_alpha(alpha: float) -> None:
 
 
 def critical_value(dist: PermutationDistribution, alpha: float) -> float:
-    """Smallest replicate ``t`` with ``#{replicates <= t} / M >= 1 - alpha``.
+    """Smallest replicate ``t`` with ``#{replicates <= t} / size >= 1 - alpha``.
 
     This is the 1 - alpha quantile of the empirical permutation distribution,
     realized as an order statistic of the replicate multiset (ties kept).
-    ``M`` counts relabelings, so the k-th smallest of them is pool value
-    ``(k - 1) // multiplicity``.
+    It is ranked over the pool.  When each pool value stands for the same
+    ``multiplicity`` m relabelings, the relabelings' rank K = ceil(M (1 -
+    alpha)) falls on pool rank ceil(K / m) = ceil(M (1 - alpha) / m), so
+    ranking the pool picks the same value.
     """
     _check_alpha(alpha)
-    m = dist.size
-    # k = smallest integer with k/M >= 1 - alpha; tiny slack guards against
+    m = dist.replicates.size
+    # k = smallest integer with k/m >= 1 - alpha; tiny slack guards against
     # float round-up on exact multiples like 0.8 * 5.
     k = math.ceil(m * (1.0 - alpha) - 1e-9)
     k = min(max(k, 1), m)
-    return float(dist.replicates[(k - 1) // dist.multiplicity])
+    return float(dist.replicates[k - 1])
 
 
 def p_value(dist: PermutationDistribution) -> float:

@@ -246,11 +246,7 @@ class _CountTwoSampleStat:
         self.n1 = n1
         self.n2 = n2
         self.inv_weights = inv_weights
-
-    @property
-    def subset_size(self) -> int:
-        """Values depend on the set ``perm[:n1]`` only (see ``perm_core``)."""
-        return self.n1
+        self.subset_size = n1  # values depend on the set perm[:n1] only
 
     def evaluate_many(self, codes: np.ndarray, perms: np.ndarray) -> np.ndarray:
         c_all = np.bincount(codes).astype(float)
@@ -298,11 +294,7 @@ class _GramTwoSampleStat:
     def __init__(self, n1: int, n2: int):
         self.n1 = n1
         self.n2 = n2
-
-    @property
-    def subset_size(self) -> int:
-        """Values depend on the set ``perm[:n1]`` only (see ``perm_core``)."""
-        return self.n1
+        self.subset_size = n1
 
     def evaluate_many(self, gram_matrix, perms: np.ndarray) -> np.ndarray:
         return two_sample_u_many(gram_matrix, self.n1, self.n2, perms)
@@ -321,11 +313,7 @@ class _PoissonChisqStat:
 
     def __init__(self, group_size: int):
         self.group_size = group_size
-
-    @property
-    def subset_size(self) -> int:
-        """Values depend on the set ``perm[:group_size]`` only (see ``perm_core``)."""
-        return self.group_size
+        self.subset_size = group_size
 
     def evaluate_many(self, pooled: np.ndarray, perms: np.ndarray) -> np.ndarray:
         totals = pooled.sum(axis=0).astype(float)

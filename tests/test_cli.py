@@ -150,6 +150,19 @@ class TestCommands:
         record = json.loads(result.output)
         assert record["p_value"] == 1.0
 
+    @pytest.mark.parametrize("n2, exit_code", [(169, 0), (1557, 2)])
+    def test_twosample_exact_small_group(self, runner, tmp_path, n2, exit_code):
+        # C(171, 2) = 14535 subset rows stand for 171! relabelings, past the
+        # float range; 1559 points are refused, as 1559! does not print
+        lines = ["group,x", "1,1", "1,2"] + [f"2,{1 + i % 2}" for i in range(n2)]
+        path = _write(tmp_path / "t.csv", "\n".join(lines) + "\n")
+        result = runner.invoke(main, ["twosample", "--input", path, "--exact"])
+        assert result.exit_code == exit_code, result.output
+        if exit_code == 0:
+            assert 0 < json.loads(result.output)["p_value"] <= 1
+        else:
+            assert "at most 1558 points" in result.output
+
     def test_independence_hsic(self, runner, continuous_paired_csv):
         result = runner.invoke(
             main,

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -401,6 +402,16 @@ class TestSubsetEnumeration:
     def test_multiplicity_must_be_a_positive_integer(self, multiplicity):
         with pytest.raises(ValueError, match="multiplicity"):
             PermutationDistribution(0.0, np.zeros(3), PermutationPlan.exact(), multiplicity)
+
+    @pytest.mark.parametrize("n, k, alpha", [(23, 4, 0.2), (25, 2, 0.05), (171, 2, 0.2)])
+    def test_critical_value_far_past_float_precision(self, n, k, alpha):
+        # n! is far beyond 2^53 (171! beyond the float range) and C(n, k) (1 -
+        # alpha) is an integer: the rank must be the exact subset order
+        # statistic, every subset value being distinct
+        dist = permutation_distribution(_SubsetRows(k), None, n, PermutationPlan.exact())
+        assert dist.size == math.factorial(n)
+        rank = math.ceil(math.comb(n, k) * (1 - Fraction(str(alpha))))
+        assert critical_value(dist, alpha) == dist.replicates[rank - 1] > dist.replicates[rank - 2]
 
     def test_limit_counts_the_subsets(self):
         # C(14, 7) = 3432 rows stand for 14! relabelings, far past the 10! limit

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -792,14 +793,22 @@ class TestSubsetEnumeration:
             assert None not in declared
             assert _decision_fields(fast) == _decision_fields(slow), t
 
-    def test_exact_reach_past_the_permutation_limit(self):
-        # 7 + 7 points: 14! relabelings, enumerated as C(14, 7) = 3432 subsets
+    @pytest.mark.parametrize(
+        "n1, n2, alpha",
+        [(7, 7, 0.05), (2, 169, 0.2), (4, 20, 0.5), (12, 12, 0.05)],
+        ids=["7+7", "2+169", "4+20", "12+12"],
+    )
+    def test_exact_reach_past_the_permutation_limit(self, n1, n2, alpha):
+        # 7 + 7 points: 14! relabelings, enumerated as C(14, 7) = 3432 subsets;
+        # n = 24 and 171 have n! beyond 2^53 (171! beyond the float range),
+        # with C(n, n1) (1 - alpha) an integer
         rng = np.random.default_rng(4)
-        n1 = n2 = 7
         y, z = rng.integers(0, 4, n1), rng.integers(0, 2, n2)
         out = multinomial_l2_two_sample(
-            TwoSamplePooled(y=y, z=z, domain=Categorical(4)), 0.05, EXACT)
-        assert out.replicate_count == math.factorial(14)
+            TwoSamplePooled(y=y, z=z, domain=Categorical(4)), alpha, EXACT)
+        assert out.replicate_count == math.factorial(n1 + n2)
+        if (n1, n2) == (12, 12):  # C(24, 12) subsets: too many for the integer count below
+            return
         # the statistic times n1(n1-1)n2(n2-1), in integers, on every subset
         x = np.concatenate([y, z])
         subsets = np.array(list(itertools.combinations(range(n1 + n2), n1)))
@@ -809,9 +818,11 @@ class TestSubsetEnumeration:
              - 2 * c1 * c2 * (n1 - 1) * (n2 - 1)).sum(axis=1)
         assert out.p_value == int((t >= t[0]).sum()) / len(subsets)
         assert 0 < out.p_value < 1
-        k = math.ceil(len(subsets) * 0.95)  # the 95% order statistic of the subsets
+        # the smallest k with k / C >= 1 - alpha, alpha read as the decimal it is written as
+        k = math.ceil(len(subsets) * (1 - Fraction(str(alpha))))
         scale = n1 * (n1 - 1) * n2 * (n2 - 1)
         assert out.critical_value == pytest.approx(np.sort(t)[k - 1] / scale, rel=1e-12)
+        assert out.reject == (t[0] > np.sort(t)[k - 1])
 
     def test_exact_independence_still_enumerates_all_permutations(self):
         rng = np.random.default_rng(5)
@@ -824,6 +835,14 @@ class TestSubsetEnumeration:
                 PairedSample(y=rng.random(11), z=rng.random(11),
                              y_domain=Continuous(1), z_domain=Continuous(1)),
                 0.1, EXACT)
+
+    def test_exact_plan_stops_where_n_factorial_still_prints(self):
+        # replicate_count is n!; above 4300 digits Python refuses to print it
+        assert math.factorial(1558) < 10**4300 <= math.factorial(1559)
+        assert perm_core._enumeration_size(1558, 1) == 1558
+        data = TwoSamplePooled(y=np.zeros(2, int), z=np.arange(1557) % 2, domain=Categorical(2))
+        with pytest.raises(ValueError, match=r"on 1559 points .* \(at most 1558 points\)"):
+            multinomial_l2_two_sample(data, 0.05, EXACT)
 
     def test_exact_adaptive_memory_is_bounded(self):
         # 5 + 5 points, K = 7 kappas: all 10! rows would hold K * 10! floats (about 200 MB)
