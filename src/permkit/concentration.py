@@ -148,7 +148,7 @@ def exponential_tail_shape(t: float, sigma: float, c: float) -> float:
     return math.exp(-c * min(ratio * ratio, ratio))
 
 
-def _centered_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+def _paired_arrays(a, b) -> tuple[np.ndarray, np.ndarray]:
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if a_arr.ndim != 1 or a_arr.shape != b_arr.shape:
@@ -167,7 +167,7 @@ def hoeffding_linear_bound(t: float, a, b) -> float:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    a_arr, b_arr = _centered_pair(a, b)
+    a_arr, b_arr = _paired_arrays(a, b)
     n = a_arr.size
     a_range = float(a_arr.max() - a_arr.min())
     b_range = float(b_arr.max() - b_arr.min())
@@ -189,7 +189,7 @@ def bernstein_linear_bound(t: float, a, b) -> float:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    a_arr, b_arr = _centered_pair(a, b)
+    a_arr, b_arr = _paired_arrays(a, b)
     n = a_arr.size
     sum_a2 = float((a_arr * a_arr).sum())
     sum_b2 = float((b_arr * b_arr).sum())

@@ -34,13 +34,13 @@ Conventions
   enumerated, C(n, k) or n!, so exact two-sample tests reach n = 24 with
   equal groups (12 + 12) and further with unequal ones (C(171, 2) = 14535
   rows for 2 + 169 points), up to 1558 points, the most whose n! still
-  prints as an outcome's ``replicate_count``.  Rows of both modes are generated and evaluated one chunk at a time,
-  a whole number of blocks holding about ``CHUNK_ENTRIES`` (2^20) index
-  entries.
-  The batch evaluators of ``ustats`` and ``testing`` slice each chunk by the
-  same budget, so their temporaries (count tables, Gram gathers and
-  products) also hold about ``CHUNK_ENTRIES`` entries: peak memory follows
-  the budget, not B * n or n! * n.
+  prints as an outcome's ``replicate_count``.  Rows of both modes are
+  generated and evaluated one chunk at a time, a whole number of blocks
+  holding about ``CHUNK_ENTRIES`` (2^20) index entries.  The batch forms of
+  ``ustats`` (``*_many``), which every evaluator of ``testing`` calls, slice
+  each chunk by the same budget, so their temporaries (count tables, Gram
+  gathers and products) also hold about ``CHUNK_ENTRIES`` entries: peak
+  memory follows the budget, not B * n or n! * n.
 * Evaluators have one protocol, ``evaluate_many(data, rows)`` on an (m, n)
   matrix of index rows; a plain callable ``stat(data, perm)`` is called once
   per row.  An evaluator may stack K statistics, returning (m, K) values;

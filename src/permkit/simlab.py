@@ -26,7 +26,7 @@ from .perm_core import PermutationPlan, permutation_distribution, replicate_rng,
 from .testing import (
     SmoothnessRule,
     _compress,
-    _CountTwoSampleStat,
+    _count_two_sample,
     hsic_test,
     mmd_test,
     multinomial_l2_independence,
@@ -37,7 +37,7 @@ from .ustats import (
     Continuous,
     PairedSample,
     TwoSamplePooled,
-    multinomial_two_sample_u,
+    multinomial_two_sample_u_many,
 )
 
 __all__ = [
@@ -440,9 +440,8 @@ def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
 
 def _count_stat_value(y: np.ndarray, z: np.ndarray) -> float:
     codes, _ = _compress(np.concatenate([y, z]))
-    c_all = np.bincount(codes)
-    c1 = np.bincount(codes[: y.size], minlength=c_all.size).astype(float)
-    return multinomial_two_sample_u(c1, c_all - c1)
+    identity = np.arange(codes.size)[None, :]
+    return float(multinomial_two_sample_u_many(codes, y.size, z.size, identity)[0])
 
 
 def _qq_task(task):
@@ -459,7 +458,7 @@ def _qq_task(task):
     y = _sample_categorical(py, cfg.n1, rng)
     z = _sample_categorical(pz, cfg.n2, rng)
     codes, _ = _compress(np.concatenate([y, z]))
-    stat = _CountTwoSampleStat(cfg.n1, cfg.n2)
+    stat = _count_two_sample(cfg.n1, cfg.n2)
     plan = PermutationPlan.monte_carlo(cfg.replicates, split_seed(task_seed, 1))
     dist = permutation_distribution(stat, codes, cfg.n1 + cfg.n2, plan)
     null_rng = replicate_rng(task_seed, 2)

@@ -2,10 +2,13 @@
 
 Each procedure wires a statistic (count-based or Gram-based), optional
 binning or sample splitting, and a :class:`~permkit.perm_core.PermutationPlan`
-into a finished decision.  Statistic evaluators have one method,
-``evaluate_many(data, rows)``, a pure function of the reduced data and a
-matrix of index rows, so Monte Carlo and exact enumeration both run on index
-arrays, never re-touching kernels.  Two-sample evaluators also declare
+into a finished decision.  This module reduces the data (binning,
+compressing codes, Gram matrices) and wires it to a statistic; every
+statistic formula lives in ``ustats``.  An evaluator is one record,
+``_Evaluator``, whose ``evaluate_many(data, rows)`` is a closure over a
+``ustats`` batch form: a pure function of the reduced data and a matrix of
+index rows, so Monte Carlo and exact enumeration both run on index arrays,
+never re-touching kernels.  Two-sample evaluators also declare
 ``subset_size``, the first group's size: their values depend only on which
 points land in that group, so an exact plan enumerates subsets, not all n!
 permutations (see ``perm_core``).
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -37,11 +41,10 @@ from .ustats import (
     PairedSample,
     PoissonCounts,
     TwoSamplePooled,
-    _by_row_slices,
-    _chisq_from_delta,
-    _indep_from_sums,
-    _two_sample_from_counts,
     independence_u_many,
+    multinomial_independence_u_many,
+    multinomial_two_sample_u_many,
+    poisson_chisq_many,
     two_sample_u_many,
 )
 
@@ -226,103 +229,23 @@ def _compress(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return compressed.astype(np.intp), values
 
 
-def _row_counts(codes: np.ndarray, width: int) -> np.ndarray:
-    """Float counts of the codes ``0 .. width - 1`` in each row of ``codes``."""
-    rows = codes.shape[0]
-    offsets = (np.arange(rows, dtype=np.int64) * width)[:, None]
-    flat = np.bincount((codes + offsets).ravel(), minlength=rows * width)
-    return flat.reshape(rows, width).astype(float)
+@dataclass(frozen=True)
+class _Evaluator:
+    """A statistic as ``perm_core`` calls it; two-sample ones declare ``subset_size``."""
+
+    evaluate_many: Callable[[Any, np.ndarray], np.ndarray]
+    subset_size: int | None = None
 
 
-class _CountTwoSampleStat:
-    """Two-sample U-statistic on compressed category codes.
-
-    ``data`` is the pooled code array; the permutation assigns the first
-    ``n1`` relabeled positions to group one.  ``inv_weights``, when given,
-    has one entry per code.
-    """
-
-    def __init__(self, n1: int, n2: int, inv_weights: np.ndarray | None = None):
-        self.n1 = n1
-        self.n2 = n2
-        self.inv_weights = inv_weights
-        self.subset_size = n1  # values depend on the set perm[:n1] only
-
-    def evaluate_many(self, codes: np.ndarray, perms: np.ndarray) -> np.ndarray:
-        c_all = np.bincount(codes).astype(float)
-        u = c_all.size
-
-        def block_values(block: np.ndarray) -> np.ndarray:
-            c1 = _row_counts(codes[block[:, : self.n1]], u)
-            return _two_sample_from_counts(c1, c_all - c1, self.n1, self.n2, self.inv_weights)
-
-        return _by_row_slices(perms, u, block_values)
+def _count_two_sample(n1: int, n2: int, inv_weights: np.ndarray | None = None) -> _Evaluator:
+    """The multinomial two-sample U-statistic on pooled compressed codes."""
+    return _Evaluator(
+        lambda codes, rows: multinomial_two_sample_u_many(codes, n1, n2, rows, inv_weights), n1
+    )
 
 
-class _CountIndependenceStat:
-    """Independence U-statistic with indicator kernels on category codes.
-
-    ``data`` is ``(y_codes, z_codes)``; the permutation relabels z only.
-    Uses the O(n) count reduction of the closed form (pair-match counts,
-    row-sum dot products and invariant totals).
-    """
-
-    def evaluate_many(self, data, perms: np.ndarray) -> np.ndarray:
-        y, z = data
-        n = y.size
-        cy = np.bincount(y).astype(float)
-        cz = np.bincount(z).astype(float)
-        u2 = cz.size
-        ncell = cy.size * u2
-        ty = float((cy * cy).sum()) - n
-        tz = float((cz * cz).sum()) - n
-        ay = cy[y] - 1.0
-        bz = cz[z] - 1.0
-
-        def block_values(block: np.ndarray) -> np.ndarray:
-            joint = _row_counts(y[None, :] * u2 + z[block], ncell)
-            s1 = (joint * joint).sum(axis=1) - n
-            r = bz[block] @ ay
-            return _indep_from_sums(n, s1, r, ty, tz)
-
-        return _by_row_slices(perms, ncell, block_values)
-
-
-class _GramTwoSampleStat:
-    """Two-sample U-statistic on a cached pooled Gram matrix."""
-
-    def __init__(self, n1: int, n2: int):
-        self.n1 = n1
-        self.n2 = n2
-        self.subset_size = n1
-
-    def evaluate_many(self, gram_matrix, perms: np.ndarray) -> np.ndarray:
-        return two_sample_u_many(gram_matrix, self.n1, self.n2, perms)
-
-
-class _GramIndependenceStat:
-    """Independence U-statistic on two cached Gram matrices."""
-
-    def evaluate_many(self, grams, perms: np.ndarray) -> np.ndarray:
-        gy, gz = grams
-        return independence_u_many(gy, gz, perms)
-
-
-class _PoissonChisqStat:
-    """Centered chi-square statistic under relabeling of 2n individuals."""
-
-    def __init__(self, group_size: int):
-        self.group_size = group_size
-        self.subset_size = group_size
-
-    def evaluate_many(self, pooled: np.ndarray, perms: np.ndarray) -> np.ndarray:
-        totals = pooled.sum(axis=0).astype(float)
-
-        def block_values(block: np.ndarray) -> np.ndarray:
-            first = pooled[block[:, : self.group_size]].sum(axis=1).astype(float)
-            return _chisq_from_delta(2.0 * first - totals, totals)
-
-        return _by_row_slices(perms, self.group_size * pooled.shape[1], block_values)
+# the indicator-kernel independence U-statistic on compressed (y, z) codes, z relabeled
+_COUNT_INDEPENDENCE = _Evaluator(lambda codes, rows: multinomial_independence_u_many(*codes, rows))
 
 
 def _require_categorical(domain, name: str) -> int:
@@ -343,7 +266,7 @@ def multinomial_l2_two_sample(
     """Permutation test on the unweighted multinomial two-sample U-statistic."""
     _require_categorical(data.domain, "two-sample data")
     codes, _ = _compress(data.pooled())
-    return perm_core.run_test(_CountTwoSampleStat(data.n1, data.n2), codes, data.n, plan, alpha)
+    return perm_core.run_test(_count_two_sample(data.n1, data.n2), codes, data.n, plan, alpha)
 
 
 def multinomial_l2_independence(
@@ -354,7 +277,7 @@ def multinomial_l2_independence(
     _require_categorical(data.z_domain, "z")
     y_codes, _ = _compress(np.asarray(data.y, dtype=np.int64))
     z_codes, _ = _compress(np.asarray(data.z, dtype=np.int64))
-    return perm_core.run_test(_CountIndependenceStat(), (y_codes, z_codes), data.n, plan, alpha)
+    return perm_core.run_test(_COUNT_INDEPENDENCE, (y_codes, z_codes), data.n, plan, alpha)
 
 
 def _binned_two_sample_codes(data: TwoSamplePooled, kappa: int) -> np.ndarray:
@@ -378,7 +301,7 @@ def binned_two_sample(
 ) -> TestOutcome:
     _require_continuous(data.domain, "two-sample data")
     codes = _binned_two_sample_codes(data, kappa)
-    return perm_core.run_test(_CountTwoSampleStat(data.n1, data.n2), codes, data.n, plan, alpha)
+    return perm_core.run_test(_count_two_sample(data.n1, data.n2), codes, data.n, plan, alpha)
 
 
 def holder_two_sample(
@@ -395,7 +318,7 @@ def binned_independence(
     _require_continuous(data.y_domain, "y")
     _require_continuous(data.z_domain, "z")
     codes = _binned_independence_codes(data, kappa)
-    return perm_core.run_test(_CountIndependenceStat(), codes, data.n, plan, alpha)
+    return perm_core.run_test(_COUNT_INDEPENDENCE, codes, data.n, plan, alpha)
 
 
 def holder_independence(
@@ -432,26 +355,16 @@ class AdaptiveOutcome:
         return min(1.0, self.gamma_max * min(o.p_value for _, o in self.components))
 
 
-@dataclass(frozen=True)
-class _StackedStat:
-    """One evaluator on several datasets, same index rows: column j is ``stat`` on ``data[j]``."""
-
-    stat: object
-
-    @property
-    def subset_size(self) -> int | None:
-        """The inner evaluator's, so exact two-sample grids enumerate subsets."""
-        return getattr(self.stat, "subset_size", None)
-
-    def evaluate_many(self, data: tuple, perms: np.ndarray) -> np.ndarray:
-        return np.stack([self.stat.evaluate_many(d, perms) for d in data], axis=1)
-
-
 def _adaptive(data, grid: AdaptiveGrid, alpha: float, plan: PermutationPlan, stat, binned_codes):
     """Union of the binned tests over ``grid``, each at alpha / gamma_max on ``plan``'s rows."""
     level = grid.per_test_alpha(alpha)  # refuses alpha outside (0, 1), which run_test cannot see
     reduced = tuple(binned_codes(data, kappa) for kappa in grid.kappas)
-    outcomes = perm_core.run_test(_StackedStat(stat), reduced, data.n, plan, level)
+    # column j of the stacked values is ``stat`` on ``reduced[j]``, all on the same rows
+    stacked = _Evaluator(
+        lambda codes, rows: np.stack([stat.evaluate_many(c, rows) for c in codes], axis=1),
+        stat.subset_size,
+    )
+    outcomes = perm_core.run_test(stacked, reduced, data.n, plan, level)
     return AdaptiveOutcome(alpha, grid.gamma_max, tuple(zip(grid.kappas, outcomes)))
 
 
@@ -460,7 +373,7 @@ def adaptive_two_sample(
 ) -> AdaptiveOutcome:
     """Union of binned two-sample tests over a dyadic kappa grid."""
     grid = adaptive_grid_two_sample(data.n1, _require_continuous(data.domain, "two-sample data"))
-    stat = _CountTwoSampleStat(data.n1, data.n2)
+    stat = _count_two_sample(data.n1, data.n2)
     return _adaptive(data, grid, alpha, plan, stat, _binned_two_sample_codes)
 
 
@@ -471,7 +384,7 @@ def adaptive_independence(
     d1 = _require_continuous(data.y_domain, "y")
     d2 = _require_continuous(data.z_domain, "z")
     grid = adaptive_grid_independence(data.n, d1, d2)
-    return _adaptive(data, grid, alpha, plan, _CountIndependenceStat(), _binned_independence_codes)
+    return _adaptive(data, grid, alpha, plan, _COUNT_INDEPENDENCE, _binned_independence_codes)
 
 
 def l1_split_two_sample(
@@ -503,7 +416,7 @@ def l1_split_two_sample(
     weights = split_weights(holdout, d)
     pooled = np.concatenate([y[:n1], z[:n1]])
     codes, kept = _compress(pooled)
-    stat = _CountTwoSampleStat(n1, n1, inv_weights=1.0 / weights[kept])
+    stat = _count_two_sample(n1, n1, inv_weights=1.0 / weights[kept])
     return perm_core.run_test(stat, codes, 2 * n1, plan, alpha)
 
 
@@ -542,7 +455,7 @@ def l1_split_independence(
     )
     codes, kept = _compress(pair_codes)
     inv_w = 1.0 / (pw.row_weights[kept // d2] * pw.col_weights[kept % d2])
-    stat = _CountTwoSampleStat(half, half, inv_weights=inv_w)
+    stat = _count_two_sample(half, half, inv_weights=inv_w)
     return perm_core.run_test(stat, codes, n, plan, alpha)
 
 
@@ -576,7 +489,8 @@ def mmd_test(
         bandwidths, dim, lambda s: mmd_bandwidths(data.n1, data.n2, s, dim)
     )
     g = gram(Gaussian(lam), data.pooled(), zero_diagonal=True)
-    stat = _GramTwoSampleStat(data.n1, data.n2)
+    # two_sample_u_many is looked up when the test runs, so it can be wrapped
+    stat = _Evaluator(lambda gm, rows: two_sample_u_many(gm, data.n1, data.n2, rows), data.n1)
     return perm_core.run_test(stat, g, data.n, plan, alpha)
 
 
@@ -602,7 +516,7 @@ def hsic_test(
     lam_z = _resolve_bandwidths(bandwidths_z, d2, lambda s: rule(s)[1])
     gy = gram(Gaussian(lam_y), data.y, zero_diagonal=True)
     gz = gram(Gaussian(lam_z), data.z, zero_diagonal=True)
-    stat = _GramIndependenceStat()
+    stat = _Evaluator(lambda grams, rows: independence_u_many(*grams, rows))
     return perm_core.run_test(stat, (gy, gz), data.n, plan, alpha)
 
 
@@ -614,6 +528,7 @@ def poisson_chisq_test(
     Relabels the 2n per-individual count rows; :class:`PoissonCounts`
     enforces equal group sizes.
     """
+    n = counts.group_size
     pooled = np.vstack([counts.y_individual, counts.z_individual])
-    stat = _PoissonChisqStat(counts.group_size)
-    return perm_core.run_test(stat, pooled, 2 * counts.group_size, plan, alpha)
+    stat = _Evaluator(lambda pooled, rows: poisson_chisq_many(pooled, n, rows), n)
+    return perm_core.run_test(stat, pooled, 2 * n, plan, alpha)

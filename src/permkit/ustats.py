@@ -1,9 +1,13 @@
 """Degenerate U-statistics and companion statistics, fast forms plus oracles.
 
-Every fast evaluator here reduces a quadruple-sum U-statistic to O(n^2) (or
-O(d) / O(n) for count data) arithmetic on cached Gram matrices or category
-counts, and each one is certified in the test suite against a literal
-brute-force enumeration (`two_sample_u_naive`, `independence_u_naive`).
+Every statistic has one batch form, ``*_many(reduced data, rows)``, that
+evaluates it on each row of an (m, n) matrix of index rows, and a scalar form
+that is its batch form on one row (`multinomial_two_sample_u` reads the two
+count vectors instead, through the batch form's count formula).  The batch
+forms reduce a quadruple-sum U-statistic to O(n^2) (or O(d) / O(n) for count
+data) arithmetic on cached Gram matrices or category counts, and each one is
+certified in the test suite against a literal brute-force enumeration
+(`two_sample_u_naive`, `independence_u_naive`).
 
 Permutations act by index relabeling on cached values; kernels are never
 re-evaluated per relabeling.
@@ -32,11 +36,14 @@ __all__ = [
     "two_sample_u_many",
     "two_sample_u_naive",
     "multinomial_two_sample_u",
+    "multinomial_two_sample_u_many",
     "independence_u",
     "independence_u_many",
     "independence_u_naive",
     "multinomial_independence_u",
+    "multinomial_independence_u_many",
     "poisson_chisq",
+    "poisson_chisq_many",
     "linear_stat",
     "linear_stat_many",
 ]
@@ -198,12 +205,21 @@ def _count_rows(rows, name: str) -> np.ndarray:
 
 
 def _identity_if_none(labeling, n: int) -> np.ndarray:
+    """``labeling`` as an index array, refused unless a permutation of ``range(n)``."""
     if labeling is None:
         return np.arange(n, dtype=np.intp)
     perm = np.asarray(labeling, dtype=np.intp)
-    if perm.shape != (n,):
-        raise ValueError(f"labeling must have length {n}")
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError(f"labeling must be a permutation of range({n})")
     return perm
+
+
+def _index_rows(rows, n: int, name: str) -> np.ndarray:
+    """``rows`` as an (m, n) index matrix."""
+    arr = np.asarray(rows, dtype=np.intp)
+    if arr.ndim != 2 or arr.shape[1] != n:
+        raise ValueError(f"{name} must be (m, {n})")
+    return arr
 
 
 def _by_row_slices(rows: np.ndarray, per_row: int, block_values) -> np.ndarray:
@@ -220,6 +236,14 @@ def _by_row_slices(rows: np.ndarray, per_row: int, block_values) -> np.ndarray:
     return out
 
 
+def _row_counts(codes: np.ndarray, width: int) -> np.ndarray:
+    """Float counts of the codes ``0 .. width - 1`` in each row of ``codes``."""
+    rows = codes.shape[0]
+    offsets = (np.arange(rows, dtype=np.int64) * width)[:, None]
+    flat = np.bincount((codes + offsets).ravel(), minlength=rows * width)
+    return flat.reshape(rows, width).astype(float)
+
+
 def two_sample_u(
     gram: GramMatrix, n1: int, n2: int, labeling: np.ndarray | None = None
 ) -> float:
@@ -228,40 +252,19 @@ def two_sample_u(
     Equals the quadruple sum over the four-term kernel by expansion:
     within-group ordered-pair averages minus twice the cross-group average.
     """
-    if n1 < 2 or n2 < 2:
-        raise ValueError("two_sample_u requires n1 >= 2 and n2 >= 2")
-    n = n1 + n2
-    if gram.n != n:
-        raise ValueError(f"gram covers {gram.n} points, expected {n}")
-    if not gram.diagonal_zeroed:
-        raise ValueError("two_sample_u requires a zero-diagonal Gram matrix")
-    perm = _identity_if_none(labeling, n)
-    g = gram.values
-    idx1 = perm[:n1]
-    idx2 = perm[n1:]
-    within1 = float(g[np.ix_(idx1, idx1)].sum())
-    within2 = float(g[np.ix_(idx2, idx2)].sum())
-    total = float(g.sum())
-    cross = 0.5 * (total - within1 - within2)
-    return (
-        within1 / (n1 * (n1 - 1))
-        + within2 / (n2 * (n2 - 1))
-        - 2.0 * cross / (n1 * n2)
-    )
+    return float(two_sample_u_many(gram, n1, n2, _identity_if_none(labeling, n1 + n2)[None])[0])
 
 
 def two_sample_u_many(
     gram: GramMatrix, n1: int, n2: int, labelings: np.ndarray
 ) -> np.ndarray:
-    """Vectorized `two_sample_u` over a stack of labelings (rows)."""
+    """`two_sample_u` over a stack of labelings (rows)."""
     if n1 < 2 or n2 < 2:
         raise ValueError("two_sample_u requires n1 >= 2 and n2 >= 2")
     n = n1 + n2
     if gram.n != n or not gram.diagonal_zeroed:
         raise ValueError("gram must be zero-diagonal over n1 + n2 points")
-    perms = np.asarray(labelings, dtype=np.intp)
-    if perms.ndim != 2 or perms.shape[1] != n:
-        raise ValueError("labelings must be (m, n)")
+    perms = _index_rows(labelings, n, "labelings")
     g = gram.values
     total = float(g.sum())
 
@@ -341,6 +344,30 @@ def multinomial_two_sample_u(
     return float(_two_sample_from_counts(cy, cz, n1, n2, inv_w))
 
 
+def multinomial_two_sample_u_many(
+    codes: np.ndarray, n1: int, n2: int, rows: np.ndarray, inv_weights: np.ndarray | None = None
+) -> np.ndarray:
+    """`multinomial_two_sample_u` over a stack of labelings of the n1 + n2 pooled codes.
+
+    Each row's first ``n1`` positions pick group one; ``inv_weights``, when
+    given, has one entry per code ``0 .. u - 1``.
+    """
+    if n1 < 2 or n2 < 2:
+        raise ValueError("multinomial_two_sample_u requires n1 >= 2 and n2 >= 2")
+    codes = np.asarray(codes)
+    if codes.shape != (n1 + n2,):
+        raise ValueError(f"codes must hold n1 + n2 = {n1 + n2} values")
+    perms = _index_rows(rows, n1 + n2, "rows")
+    c_all = np.bincount(codes).astype(float)
+    u = c_all.size
+
+    def block_values(block: np.ndarray) -> np.ndarray:
+        c1 = _row_counts(codes[block[:, :n1]], u)
+        return _two_sample_from_counts(c1, c_all - c1, n1, n2, inv_weights)
+
+    return _by_row_slices(perms, u, block_values)
+
+
 def _two_sample_from_counts(c1, c2, n1, n2, inv_weights=None):
     """Two-sample U-statistic from group counts along the last axis (one row per labeling)."""
     per_cat = (
@@ -351,21 +378,6 @@ def _two_sample_from_counts(c1, c2, n1, n2, inv_weights=None):
     if inv_weights is not None:
         per_cat = per_cat * inv_weights
     return per_cat.sum(axis=-1)
-
-
-def _indep_pieces(gram_y: GramMatrix, gram_z: GramMatrix) -> tuple:
-    if gram_y.n != gram_z.n:
-        raise ValueError("gram matrices must cover the same n points")
-    if not (gram_y.diagonal_zeroed and gram_z.diagonal_zeroed):
-        raise ValueError("independence_u requires zero-diagonal Gram matrices")
-    n = gram_y.n
-    if n < 4:
-        raise ValueError("independence_u requires n >= 4")
-    ky = gram_y.values
-    kz = gram_z.values
-    row_y = ky.sum(axis=1)
-    row_z = kz.sum(axis=1)
-    return n, ky, kz, row_y, row_z, float(row_y.sum()), float(row_z.sum())
 
 
 def _indep_from_sums(n: int, s1, r, ty: float, tz: float):
@@ -387,22 +399,25 @@ def independence_u(
     ``z_relabeling`` pairs y_i with z_{perm[i]}.  Certified against
     `independence_u_naive` in the test suite.
     """
-    n, ky, kz, row_y, row_z, ty, tz = _indep_pieces(gram_y, gram_z)
-    perm = _identity_if_none(z_relabeling, n)
-    kz_p = kz[np.ix_(perm, perm)]
-    s1 = float((ky * kz_p).sum())
-    r = float(row_y @ row_z[perm])
-    return _indep_from_sums(n, s1, r, ty, tz)
+    perm = _identity_if_none(z_relabeling, gram_y.n)
+    return float(independence_u_many(gram_y, gram_z, perm[None])[0])
 
 
 def independence_u_many(
     gram_y: GramMatrix, gram_z: GramMatrix, z_relabelings: np.ndarray
 ) -> np.ndarray:
-    """Vectorized `independence_u` over a stack of z-relabelings (rows)."""
-    n, ky, kz, row_y, row_z, ty, tz = _indep_pieces(gram_y, gram_z)
-    perms = np.asarray(z_relabelings, dtype=np.intp)
-    if perms.ndim != 2 or perms.shape[1] != n:
-        raise ValueError("z_relabelings must be (m, n)")
+    """`independence_u` over a stack of z-relabelings (rows)."""
+    if gram_y.n != gram_z.n:
+        raise ValueError("gram matrices must cover the same n points")
+    if not (gram_y.diagonal_zeroed and gram_z.diagonal_zeroed):
+        raise ValueError("independence_u requires zero-diagonal Gram matrices")
+    n = gram_y.n
+    if n < 4:
+        raise ValueError("independence_u requires n >= 4")
+    perms = _index_rows(z_relabelings, n, "z_relabelings")
+    ky, kz = gram_y.values, gram_z.values
+    row_y, row_z = ky.sum(axis=1), kz.sum(axis=1)
+    ty, tz = float(row_y.sum()), float(row_z.sum())
 
     def block_values(block: np.ndarray) -> np.ndarray:
         kz_p = kz[block[:, :, None], block[:, None, :]]
@@ -450,24 +465,48 @@ def independence_u_naive(
 def multinomial_independence_u(
     y, z, d1: int, d2: int, z_relabeling: np.ndarray | None = None
 ) -> float:
-    """Count-based O(n + d1*d2) form of `independence_u` for indicator kernels."""
-    y_arr = np.asarray(y, dtype=np.intp)
-    z_arr = np.asarray(z, dtype=np.intp)
-    n = y_arr.size
-    if z_arr.size != n:
+    """Count-based O(n + d1*d2) form of `independence_u` for indicator kernels.
+
+    ``y`` holds codes in ``0 .. d1 - 1`` and ``z`` codes in ``0 .. d2 - 1``.
+    """
+    y_arr = _validate_domain(y, Categorical(d1), "y")
+    z_arr = _validate_domain(z, Categorical(d2), "z")
+    perm = _identity_if_none(z_relabeling, y_arr.size)
+    return float(multinomial_independence_u_many(y_arr, z_arr, perm[None])[0])
+
+
+def multinomial_independence_u_many(
+    y_codes: np.ndarray, z_codes: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """`multinomial_independence_u` over a stack of z-relabelings (rows).
+
+    The widths are read from the codes.  Uses the O(n) count reduction of the
+    closed form (pair-match counts, row-sum dot products, invariant totals).
+    """
+    y_codes = np.asarray(y_codes)
+    z_codes = np.asarray(z_codes)
+    n = y_codes.size
+    if z_codes.size != n:
         raise ValueError("paired data must have equal lengths")
     if n < 4:
         raise ValueError("independence U-statistic requires n >= 4")
-    perm = _identity_if_none(z_relabeling, n)
-    zp = z_arr[perm]
-    cy = np.bincount(y_arr, minlength=d1).astype(float)
-    cz = np.bincount(z_arr, minlength=d2).astype(float)
-    joint = np.bincount(y_arr * d2 + zp, minlength=d1 * d2).astype(float)
-    s1 = float((joint * joint).sum()) - n
-    r = float(((cy[y_arr] - 1.0) * (cz[zp] - 1.0)).sum())
+    perms = _index_rows(rows, n, "rows")
+    cy = np.bincount(y_codes).astype(float)
+    cz = np.bincount(z_codes).astype(float)
+    u2 = cz.size
+    ncell = cy.size * u2
     ty = float((cy * cy).sum()) - n
     tz = float((cz * cz).sum()) - n
-    return _indep_from_sums(n, s1, r, ty, tz)
+    ay = cy[y_codes] - 1.0
+    bz = cz[z_codes] - 1.0
+
+    def block_values(block: np.ndarray) -> np.ndarray:
+        joint = _row_counts(y_codes[None, :] * u2 + z_codes[block], ncell)
+        s1 = (joint * joint).sum(axis=1) - n
+        r = bz[block] @ ay
+        return _indep_from_sums(n, s1, r, ty, tz)
+
+    return _by_row_slices(perms, ncell, block_values)
 
 
 def poisson_chisq(
@@ -481,34 +520,40 @@ def poisson_chisq(
     are relabeling-invariant.
     """
     n = counts.group_size
-    perm = _identity_if_none(relabeling, 2 * n)
     pooled = np.vstack([counts.y_individual, counts.z_individual])
+    return float(poisson_chisq_many(pooled, n, _identity_if_none(relabeling, 2 * n)[None])[0])
+
+
+def poisson_chisq_many(pooled: np.ndarray, group_size: int, rows: np.ndarray) -> np.ndarray:
+    """`poisson_chisq` over a stack of relabelings of the 2n pooled count rows.
+
+    Each row's first ``group_size`` positions pick group one.
+    """
+    if pooled.ndim != 2 or pooled.shape[0] != 2 * group_size:
+        raise ValueError(f"pooled must hold 2 * {group_size} count rows")
+    perms = _index_rows(rows, 2 * group_size, "rows")
     totals = pooled.sum(axis=0).astype(float)
-    delta = 2.0 * pooled[perm[:n]].sum(axis=0) - totals
-    return float(_chisq_from_delta(delta, totals))
-
-
-def _chisq_from_delta(delta: np.ndarray, totals: np.ndarray):
-    """Centered chi-square along the last axis over categories with a positive total."""
     mask = totals > 0
     positive = totals[mask]
-    return ((delta[..., mask] ** 2 - positive) / positive).sum(axis=-1)
+
+    def block_values(block: np.ndarray) -> np.ndarray:
+        first = pooled[block[:, :group_size]].sum(axis=1).astype(float)
+        delta = 2.0 * first[:, mask] - positive
+        return ((delta**2 - positive) / positive).sum(axis=1)
+
+    return _by_row_slices(perms, group_size * pooled.shape[1], block_values)
 
 
 def linear_stat(y, z, relabeling: np.ndarray | None = None) -> float:
     """Permuted sample covariance (1/n) sum_i (y_i - ybar)(z_{perm_i} - zbar)."""
-    a, b = _centered_pair(y, z)
-    perm = _identity_if_none(relabeling, a.size)
-    return float(a @ b[perm]) / a.size
+    return float(linear_stat_many(y, z, _identity_if_none(relabeling, np.size(y))[None])[0])
 
 
 def linear_stat_many(y, z, relabelings: np.ndarray) -> np.ndarray:
-    """Vectorized `linear_stat` over a stack of relabelings (rows)."""
+    """`linear_stat` over a stack of relabelings (rows)."""
     a, b = _centered_pair(y, z)
     n = a.size
-    perms = np.asarray(relabelings, dtype=np.intp)
-    if perms.ndim != 2 or perms.shape[1] != n:
-        raise ValueError("relabelings must be (m, n)")
+    perms = _index_rows(relabelings, n, "relabelings")
     return (b[perms] @ a) / n
 
 

@@ -37,11 +37,6 @@ from permkit.testing import (
     multinomial_l2_two_sample,
     poisson_chisq_test,
     two_sample_bin_count,
-    _CountIndependenceStat,
-    _CountTwoSampleStat,
-    _GramIndependenceStat,
-    _GramTwoSampleStat,
-    _PoissonChisqStat,
 )
 from permkit.ustats import (
     Categorical,
@@ -859,24 +854,26 @@ class TestSubsetEnumeration:
 
 
 def _slicing_case(name):
-    """(evaluator, data, temporary entries per row) for each batch evaluator, n = 12."""
+    """(a ``ustats`` batch form as a function of the rows, its temporaries per row), n = 12."""
     rng = np.random.default_rng(11)
     if name == "count-two-sample":
-        return _CountTwoSampleStat(6, 6), rng.permutation(np.arange(12) % 5), 5
+        codes = rng.permutation(np.arange(12) % 5)
+        return lambda rows: ustats.multinomial_two_sample_u_many(codes, 6, 6, rows), 5
     if name == "count-independence":
-        data = (rng.permutation(np.arange(12) % 3), rng.permutation(np.arange(12) % 4))
-        return _CountIndependenceStat(), data, 3 * 4
+        y, z = rng.permutation(np.arange(12) % 3), rng.permutation(np.arange(12) % 4)
+        return lambda rows: ustats.multinomial_independence_u_many(y, z, rows), 3 * 4
     if name == "gram-two-sample":
         # BLAS may round a row of mask @ g differently by its place in the
         # block; entries in eighths keep every sum exact, so only the slicing
         # itself can change a value here
         upper = np.triu(rng.integers(0, 8, (12, 12)) / 8.0, 1)
-        return _GramTwoSampleStat(6, 6), GramMatrix(upper + upper.T, True), 2 * 12
+        g = GramMatrix(upper + upper.T, True)
+        return lambda rows: ustats.two_sample_u_many(g, 6, 6, rows), 2 * 12
     if name == "gram-independence":
-        grams = tuple(gram(Gaussian(np.array([1.0])), rng.normal(size=12)) for _ in "yz")
-        return _GramIndependenceStat(), grams, 2 * 12 * 12
+        gy, gz = (gram(Gaussian(np.array([1.0])), rng.normal(size=12)) for _ in "yz")
+        return lambda rows: ustats.independence_u_many(gy, gz, rows), 2 * 12 * 12
     pooled = rng.poisson(1.0, (12, 4))
-    return _PoissonChisqStat(6), pooled, 6 * 4
+    return lambda rows: ustats.poisson_chisq_many(pooled, 6, rows), 6 * 4
 
 
 class TestRowSlices:
@@ -891,14 +888,14 @@ class TestRowSlices:
         ],
     )
     def test_values_do_not_depend_on_the_slicing(self, name, monkeypatch):
-        stat, data, per_row = _slicing_case(name)
+        evaluate, per_row = _slicing_case(name)
         rng = np.random.default_rng(12)
         perms = np.array([np.arange(12)] + [rng.permutation(12) for _ in range(40)])
-        whole = stat.evaluate_many(data, perms)  # one slice under the default budget
+        whole = evaluate(perms)  # one slice under the default budget
         assert ustats.CHUNK_ENTRIES // per_row >= perms.shape[0]
         for budget in (7 * per_row, 1):  # slices of 7 rows, then of one row
             monkeypatch.setattr(ustats, "CHUNK_ENTRIES", budget)
-            assert stat.evaluate_many(data, perms).tobytes() == whole.tobytes()
+            assert evaluate(perms).tobytes() == whole.tobytes()
 
     def test_hsic_peak_memory_is_bounded_by_the_chunk(self):
         # 999 relabeled 150 x 150 Gram blocks at once would take 180 MB

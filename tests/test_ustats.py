@@ -1,10 +1,13 @@
+import ast
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from permkit import ustats
 from permkit.kernels import Gaussian, MultinomialIndicator, WeightedMultinomial, gram
 from permkit.ustats import (
     Categorical,
@@ -18,8 +21,11 @@ from permkit.ustats import (
     linear_stat,
     linear_stat_many,
     multinomial_independence_u,
+    multinomial_independence_u_many,
     multinomial_two_sample_u,
+    multinomial_two_sample_u_many,
     poisson_chisq,
+    poisson_chisq_many,
     two_sample_u,
     two_sample_u_many,
     two_sample_u_naive,
@@ -89,6 +95,7 @@ class TestMultinomialTwoSampleU:
 
     def test_matches_naive(self):
         rng = np.random.default_rng(12)
+        perm_rng = np.random.default_rng(112)
         for _ in range(50):
             d = int(rng.integers(2, 7))
             n1, n2 = int(rng.integers(2, 6)), int(rng.integers(2, 6))
@@ -99,6 +106,18 @@ class TestMultinomialTwoSampleU:
             fast = multinomial_two_sample_u(counts_y, counts_z)
             slow = two_sample_u_naive(y, z, MultinomialIndicator(d))
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
+            # the batch form on relabelings of the pooled codes, against the
+            # count form on each relabeling's group counts
+            pooled = np.concatenate([y, z])
+            rows = np.array([perm_rng.permutation(n1 + n2) for _ in range(6)])
+            rows[0] = np.arange(n1 + n2)
+            batch = multinomial_two_sample_u_many(pooled, n1, n2, rows)
+            for row, value in zip(rows, batch):
+                want = multinomial_two_sample_u(
+                    np.bincount(pooled[row[:n1]], minlength=d),
+                    np.bincount(pooled[row[n1:]], minlength=d),
+                )
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_weighted_matches_weighted_kernel_naive(self):
         rng = np.random.default_rng(13)
@@ -112,6 +131,10 @@ class TestMultinomialTwoSampleU:
             )
             slow = two_sample_u_naive(y, z, WeightedMultinomial(w))
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
+            batch = multinomial_two_sample_u_many(
+                np.concatenate([y, z]), 4, 5, np.arange(9)[None], inv_weights=1.0 / w
+            )
+            assert batch[0] == pytest.approx(slow, rel=1e-12, abs=1e-14)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -145,8 +168,28 @@ class TestIndependenceU:
             fast = independence_u(_indicator_gram(y, d1), _indicator_gram(z, d2), perm)
             slow = independence_u_naive(y, z, ky, kz, perm)
             counts = multinomial_independence_u(y, z, d1, d2, perm)
+            batch = multinomial_independence_u_many(y, z, np.stack([np.arange(n), perm]))
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
             assert counts == pytest.approx(slow, rel=1e-12, abs=1e-14)
+            assert batch[1] == pytest.approx(slow, rel=1e-12, abs=1e-14)
+            assert batch[0] == pytest.approx(
+                independence_u_naive(y, z, ky, kz), rel=1e-12, abs=1e-14
+            )
+
+    @pytest.mark.parametrize("d2", [2, 1])
+    def test_counts_out_of_range_refused(self, d2):
+        # at d2 = 2 the z code 2 used to land in the next y row's cell: 2.1333
+        y = [0, 1, 0, 1, 0, 1]
+        z = [2, 0, 1, 0, 2, 1]
+        with pytest.raises(ValueError, match="z: category out of range"):
+            multinomial_independence_u(y, z, 2, d2)
+        with pytest.raises(ValueError, match="y: category out of range"):
+            multinomial_independence_u(z, y, d2, 2)
+        with pytest.raises(ValueError, match="y: category out of range"):
+            multinomial_independence_u([-1, 0, 1, 0], [0, 1, 0, 1], 2, 2)
+        want = independence_u(_indicator_gram(y, 2), _indicator_gram(z, 3))
+        assert want == pytest.approx(0.35555555555555557, rel=1e-12)
+        assert multinomial_independence_u(y, z, 2, 3) == pytest.approx(want, rel=1e-12)
 
     def test_gaussian_matches_naive(self):
         rng = np.random.default_rng(15)
@@ -235,6 +278,25 @@ class TestPoissonChisq:
             perm = np.concatenate([rng.permutation(4), 4 + rng.permutation(4)])
             assert poisson_chisq(counts, relabeling=perm) == pytest.approx(base)
 
+    def test_batch_matches_literal_group_sums(self):
+        rng = np.random.default_rng(23)
+        for n, d in [(1, 1), (2, 3), (4, 5), (6, 2)]:
+            ym = rng.poisson(0.8, (n, d))
+            zm = rng.poisson(1.3, (n, d))
+            pooled = np.vstack([ym, zm])
+            rows = np.array([np.arange(2 * n)] + [rng.permutation(2 * n) for _ in range(8)])
+            batch = poisson_chisq_many(pooled, n, rows)
+            for row, value in zip(rows, batch):
+                v = pooled[row[:n]].sum(axis=0)
+                w = pooled[row[n:]].sum(axis=0)
+                want = math.fsum(
+                    ((int(v[k]) - int(w[k])) ** 2 - (v[k] + w[k])) / (v[k] + w[k])
+                    for k in range(d)
+                    if v[k] + w[k] > 0
+                )
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert poisson_chisq(PoissonCounts(ym, zm), row) == value
+
     def test_unequal_group_sizes_rejected(self):
         with pytest.raises(ValueError, match="equal group sizes"):
             PoissonCounts(np.zeros((3, 2), int), np.zeros((4, 2), int))
@@ -314,6 +376,57 @@ class TestLinearStat:
         batch = linear_stat_many(y, z, perms)
         single = np.array([linear_stat(y, z, p) for p in perms])
         np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+
+def _scalar_forms(n):
+    """Each scalar form and naive oracle of ``ustats`` on n points, as a function of a labeling."""
+    rng = np.random.default_rng(24)
+    y = rng.integers(0, 2, n)
+    z = rng.integers(0, 3, n)
+    gy, gz = _indicator_gram(y, 2), _indicator_gram(z, 3)
+    k2, k3 = MultinomialIndicator(2), MultinomialIndicator(3)
+    counts = PoissonCounts(rng.poisson(1.0, (n // 2, 3)), rng.poisson(1.0, (n // 2, 3)))
+    return {
+        "two_sample_u": lambda p: two_sample_u(gy, n // 2, n - n // 2, p),
+        "two_sample_u_naive": lambda p: two_sample_u_naive(y[: n // 2], y[n // 2 :], k2, p),
+        "independence_u": lambda p: independence_u(gy, gz, p),
+        "independence_u_naive": lambda p: independence_u_naive(y, z, k2, k3, p),
+        "multinomial_independence_u": lambda p: multinomial_independence_u(y, z, 2, 3, p),
+        "poisson_chisq": lambda p: poisson_chisq(counts, p),
+        "linear_stat": lambda p: linear_stat(y, z, p),
+    }
+
+
+class TestLabelingsMustBePermutations:
+    @pytest.mark.parametrize("form", list(_scalar_forms(6)))
+    @pytest.mark.parametrize(
+        "labeling",
+        [[0, 0, 0, 1, 1, 1], [1, 2, 3, 4, 5, 6], [-1, 0, 1, 2, 3, 4], [1, 1, 0, 0, 2, 3]],
+        ids=["repeats", "shifted", "negative", "one-repeat"],
+    )
+    def test_non_bijective_labeling_refused(self, form, labeling):
+        evaluate = _scalar_forms(6)[form]
+        value = evaluate(np.array([5, 3, 1, 0, 2, 4]))  # a permutation is accepted
+        assert np.isfinite(value)
+        with pytest.raises(ValueError, match=r"permutation of range\(6\)"):
+            evaluate(np.array(labeling))
+        with pytest.raises(ValueError, match=r"permutation of range\(6\)"):
+            evaluate(np.arange(5))
+
+
+class TestModuleBoundary:
+    @pytest.mark.parametrize("module", ["testing.py", "simlab.py"])
+    def test_imports_from_ustats_are_public(self, module):
+        # every evaluator formula lives in ustats behind its public names
+        source = Path(ustats.__file__).with_name(module).read_text()
+        imported = [
+            alias.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "ustats" and node.level == 1
+            for alias in node.names
+        ]
+        assert imported
+        assert [name for name in imported if name not in ustats.__all__] == []
 
 
 class TestDataTypes:
