@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from permkit import ustats
-from permkit.kernels import Gaussian, MultinomialIndicator, WeightedMultinomial, gram
+from permkit import perm_core, ustats
+from permkit.kernels import Gaussian, GramMatrix, MultinomialIndicator, WeightedMultinomial, gram
 from permkit.ustats import (
     Categorical,
     Continuous,
@@ -140,6 +140,30 @@ class TestMultinomialTwoSampleU:
         with pytest.raises(ValueError):
             multinomial_two_sample_u([1, 0], [0, 2])
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ([3, -1], "nonnegative"),  # returned 3.333
+            ([3.0, -1.0], "nonnegative"),
+            ([2.5, 0.5], "integers"),  # returned -0.083
+            ([math.nan, 4.0], "integers"),
+            ([math.inf, 4.0], "integers"),
+            ([1e30, 4.0], "below 2\\^63"),
+        ],
+    )
+    def test_bad_counts_refused_without_a_cast_warning(self, bad, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"counts_y: .*{match}"):
+                multinomial_two_sample_u(bad, [2, 2])
+            with pytest.raises(ValueError, match=f"counts_z: .*{match}"):
+                multinomial_two_sample_u([2, 2], bad)
+
+    def test_integral_float_counts_accepted(self):
+        want = multinomial_two_sample_u([3, 1, 0], [2, 2, 1])
+        got = multinomial_two_sample_u([3.0, 1.0, 0.0], np.array([2.0, 2.0, 1.0]))
+        assert got == want
+
 
 class TestIndependenceU:
     def test_zero_z_gram(self):
@@ -225,6 +249,55 @@ class TestIndependenceU:
         batch = independence_u_many(gy, gz, perms)
         single = np.array([independence_u(gy, gz, p) for p in perms])
         np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+
+def _hsic_gather_reference(gram_y, gram_z, rows):
+    """`independence_u_many` with the relabeled z Gram built by a 2-D fancy index."""
+    ky, kz = gram_y.values, gram_z.values
+    n = ky.shape[0]
+    row_y, row_z = ky.sum(axis=1), kz.sum(axis=1)
+    kz_p = kz[rows[:, :, None], rows[:, None, :]]
+    s1 = (ky * kz_p).sum(axis=(1, 2))
+    r = (row_y * row_z[rows]).sum(axis=1)
+    return ustats._indep_from_sums(n, s1, r, float(row_y.sum()), float(row_z.sum()))
+
+
+class TestHsicGather:
+    @staticmethod
+    def _asymmetric(rng, n):
+        values = rng.normal(size=(n, n))
+        np.fill_diagonal(values, 0.0)
+        return GramMatrix(values, True)
+
+    @pytest.mark.parametrize("n", [4, 7, 30, 150])
+    def test_bit_identical_to_the_fancy_index(self, n):
+        rng = np.random.default_rng(n)
+        y, z = rng.normal(size=n), rng.normal(size=n)
+        pairs = [
+            (gram(Gaussian([0.8]), y, zero_diagonal=True), gram(Gaussian([1.3]), z, zero_diagonal=True)),
+            # an asymmetric z Gram: the gather must not transpose a block
+            (gram(Gaussian([0.8]), y, zero_diagonal=True), self._asymmetric(rng, n)),
+            (self._asymmetric(rng, n), self._asymmetric(rng, n)),
+        ]
+        # the Monte Carlo plan's identity and replicate rows, as perm_core draws them
+        row_sets = [rows for _, rows in perm_core._monte_carlo_chunks(n, 60, 11, 64)]
+        if n == 4:  # the exact plan's rows: all 4! relabelings
+            row_sets += [rows for _, rows in perm_core._enumeration_chunks(4, 24)]
+        for gy, gz in pairs:
+            for rows in row_sets:
+                got = independence_u_many(gy, gz, rows)
+                want = _hsic_gather_reference(gy, gz, rows)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_out_of_range_rows_refused(self, bad):
+        # an all-ones Gram (zero diagonal) gave 0.0 for the row below with -1
+        ones = GramMatrix(np.ones((6, 6)) - np.eye(6), True)
+        rows = np.array([[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, bad]])
+        with pytest.raises(ValueError, match="index range\\(6\\)"):
+            independence_u_many(ones, ones, rows)
+        with pytest.raises(ValueError, match="index range\\(6\\)"):
+            independence_u_many(ones, ones, rows[1:])
 
 
 class TestDegeneracyUnderPermutation:
