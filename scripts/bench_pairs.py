@@ -2,18 +2,17 @@
 
 Usage, from the repository root::
 
-    python3 scripts/bench_pairs.py --before PARENT_DIR --after CHANGE_DIR \\
-        --seconds 15 --out BENCH_label.json [--pairs 10] [--workload kernel-gram=12 ...]
+    python3 scripts/bench_pairs.py --before PARENT_DIR --after CHANGE_DIR --out BENCH_label.json
 
 ``PARENT_DIR`` and ``CHANGE_DIR`` are two checkouts, each with its own
-``perfbench/run.py``; the file names them by directory name.  For every
-workload it runs ``--trace 0`` once in each checkout, alternating which side
-goes first, for ``--pairs`` pairs (seeds 1, 2, ...; ``--workload
-NAME=PAIRS`` overrides the count for one workload), then one ``--trace 1``
-run of each workload per side (seed 1).  The file holds the machine
-information of the first run, every run's metrics, the median and quartiles
-of the four end-to-end metrics per side, and per metric the number of pairs
-in which the after side was better.
+``perfbench/run.py``; the file names them by directory name.  The workloads,
+the run length and the end-to-end metrics with their direction come from
+this repository's ``BENCHMARK.json``.  For every workload it runs
+``--trace 0`` once in each checkout, alternating which side goes first, for
+10 pairs (seeds 1..10), then one ``--trace 1`` run of each workload per side
+(seed 1).  The file holds the machine information of the first run, every
+run's metrics, the median and quartiles of the end-to-end metrics per side,
+and per metric the number of pairs in which the after side was better.
 """
 
 from __future__ import annotations
@@ -25,15 +24,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("sim-small-n", "kernel-gram", "large-n-csv", "exact-enum")
-END_TO_END = {"op_cal_p50": "lower", "ops_per_cal": "higher", "peak_rss_mb": "lower", "setup_s": "lower"}
+PAIRS = 10
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+END_TO_END = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+SECONDS = BENCHMARK["run_seconds"]
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run: its ``# env`` object and its last-line JSON."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     env = next(json.loads(line[len("# env "):]) for line in out if line.startswith("# env "))
@@ -72,33 +74,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", required=True, type=Path)
     parser.add_argument("--after", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--workload", action="append", default=[], metavar="NAME=PAIRS")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    pairs = {w: args.pairs for w in WORKLOADS}
-    pairs.update((k, int(v)) for k, v in (w.split("=") for w in args.workload))
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
     report = {"checkouts": {side: path.name for side, path in sides.items()},
-              "seconds": args.seconds, "workloads": {}, "traced": {}}
-    for workload, count in pairs.items():
+              "seconds": SECONDS, "workloads": {}, "traced": {}}
+    for workload in WORKLOADS:
         runs = {"before": [], "after": []}
-        for seed in range(1, count + 1):
+        for seed in range(1, PAIRS + 1):
             order = ("before", "after") if seed % 2 else ("after", "before")
             for side in order:
-                runs[side].append(run(sides[side], workload, seed, args.seconds, 0))
+                runs[side].append(run(sides[side], workload, seed, 0))
         report.setdefault("machine", runs["before"][0]["env"])
         report["workloads"][workload] = {
-            "pairs": count,
+            "pairs": PAIRS,
             "after_better_pairs": wins(runs["before"], runs["after"]),
             **{side: {"summary": summary(r), "runs": [_without_env(x) for x in r]}
                for side, r in runs.items()},
         }
-    for workload in pairs:
+    for workload in WORKLOADS:
         report["traced"][workload] = {
-            side: _without_env(run(path, workload, 1, args.seconds, 1))
+            side: _without_env(run(path, workload, 1, 1))
             for side, path in sides.items()
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")

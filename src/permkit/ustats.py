@@ -199,8 +199,10 @@ def _count_rows(rows, name: str) -> np.ndarray:
 def _as_counts(arr: np.ndarray, name: str) -> np.ndarray:
     """``arr`` as int64, refused unless integral and in [0, 2^63)."""
     # test before casting: casting NaN, inf or 2^63 warns or wraps, and a
-    # fraction would truncate
-    if not np.issubdtype(arr.dtype, np.integer) and not (
+    # fraction would truncate; ints of 2^64 or more arrive as an object array
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name}: counts must be integers, nonnegative and below 2^63")
+    if arr.dtype.kind == "f" and not (
         np.isfinite(arr) & (arr == np.floor(arr))
     ).all():
         raise ValueError(f"{name}: counts must be integers")

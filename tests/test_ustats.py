@@ -149,6 +149,8 @@ class TestMultinomialTwoSampleU:
             ([math.nan, 4.0], "integers"),
             ([math.inf, 4.0], "integers"),
             ([1e30, 4.0], "below 2\\^63"),
+            ([2**64, 3], "below 2\\^63"),  # an object array
+            (["3", "1"], "integers"),
         ],
     )
     def test_bad_counts_refused_without_a_cast_warning(self, bad, match):
@@ -385,6 +387,7 @@ class TestPoissonChisq:
             (-math.inf, "integers"),
             (1e30, "below 2\\^63"),
             (np.uint64(2**63), "below 2\\^63"),  # would wrap to a negative int64
+            (2**64, "below 2\\^63"),  # an object array
         ],
     )
     def test_bad_counts_refused_without_a_cast_warning(self, bad, match):
