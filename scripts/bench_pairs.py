@@ -10,14 +10,22 @@ the run length and the end-to-end metrics with their direction come from
 this repository's ``BENCHMARK.json``.  For every workload it runs
 ``--trace 0`` once in each checkout, alternating which side goes first, for
 10 pairs (seeds 1..10), then one ``--trace 1`` run of each workload per side
-(seed 1).  The file holds the machine information of the first run, every
-run's metrics, the median and quartiles of the end-to-end metrics per side,
-and per metric the number of pairs in which the after side was better.
+(seed 1).  The file holds the machine information of the first run, the
+sha256 of the ``perfbench/`` tree both checkouts share, every run's metrics,
+the median and quartiles of the end-to-end metrics per side, and per metric
+the number of pairs in which the after side was better.
+
+Both checkouts must hold the same ``perfbench/`` tree, or the script stops
+before any run.  A run that exits non-zero or prints no result is recorded
+with ``correct: false`` and its exit code, and the script goes on; at the end
+it names every run that was not correct or had failed ops, and exits 1 if
+there was any.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -31,37 +39,71 @@ END_TO_END = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 
 
+def perfbench_sha256(checkout: Path) -> str:
+    """sha256 over the relative path and bytes of every file of ``perfbench/``, caches skipped."""
+    digest = hashlib.sha256()
+    root = checkout / "perfbench"
+    for path in sorted(p for p in root.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """One ``perfbench/run.py`` run: its ``# env`` object and its last-line JSON."""
-    out = subprocess.run(
+    """One ``perfbench/run.py`` run: its ``# env`` object and its last-line JSON.
+
+    A run that exits non-zero or whose last line is not its result is kept
+    as ``correct: false`` with the exit code and the end of its stderr.
+    """
+    done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    ).stdout.splitlines()
-    env = next(json.loads(line[len("# env "):]) for line in out if line.startswith("# env "))
-    result = json.loads(out[-1])
-    metrics = {k: m["value"] for k, m in result["metrics"].items()}
-    print(f"{checkout.name} {workload} seed={seed} trace={trace} correct={result['correct']} "
-          f"{json.dumps(metrics) if not trace else ''}", file=sys.stderr, flush=True)
-    return {"env": env, "seed": seed, "correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"], "metrics": metrics}
+        cwd=checkout, capture_output=True, text=True,
+    )
+    out = done.stdout.splitlines()
+    record = {"env": None, "seed": seed, "trace": trace, "returncode": done.returncode,
+              "correct": False, "attempted": None, "failed": None, "metrics": {}}
+    try:
+        record["env"] = next(json.loads(line[len("# env "):]) for line in out
+                             if line.startswith("# env "))
+        result = json.loads(out[-1])
+        record.update(correct=result["correct"] and done.returncode == 0,
+                      attempted=result["attempted"], failed=result["failed"],
+                      metrics={k: m["value"] for k, m in result["metrics"].items()})
+    except (StopIteration, IndexError, KeyError, TypeError, ValueError):
+        record["stderr_tail"] = done.stderr[-2000:]
+    print(f"{checkout.name} {workload} seed={seed} trace={trace} correct={record['correct']} "
+          f"{json.dumps(record['metrics']) if not trace else ''}", file=sys.stderr, flush=True)
+    return record
+
+
+def is_bad(record: dict) -> bool:
+    """A run that was not correct or had a failed op."""
+    return not record["correct"] or (record["failed"] or 0) > 0
 
 
 def summary(runs: list[dict]) -> dict:
-    """Median and quartiles of each end-to-end metric over ``runs``."""
+    """Median and quartiles of each end-to-end metric over the runs that report it."""
     out = {}
     for key in END_TO_END:
-        values = [r["metrics"][key] for r in runs]
+        values = [r["metrics"][key] for r in runs if key in r["metrics"]]
+        if len(values) < 2:
+            out[key] = None
+            continue
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        out[key] = {"median": median, "q1": q1, "q3": q3}
+        out[key] = {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
     return out
 
 
 def wins(before: list[dict], after: list[dict]) -> dict:
-    """Per end-to-end metric, the number of pairs in which the after run is better."""
+    """Per end-to-end metric, the number of pairs in which the after run is better.
+
+    A pair counts only if both runs report the metric.
+    """
     sign = {"lower": -1.0, "higher": 1.0}
     return {
-        key: sum(sign[better] * (a["metrics"][key] - b["metrics"][key]) > 0 for b, a in zip(before, after))
+        key: sum(sign[better] * (a["metrics"][key] - b["metrics"][key]) > 0
+                 for b, a in zip(before, after) if key in a["metrics"] and key in b["metrics"])
         for key, better in END_TO_END.items()
     }
 
@@ -77,16 +119,24 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
+    shas = {side: perfbench_sha256(path) for side, path in sides.items()}
+    if shas["before"] != shas["after"]:
+        parser.error(f"the checkouts' perfbench/ trees differ: {shas}")
 
     report = {"checkouts": {side: path.name for side, path in sides.items()},
-              "seconds": SECONDS, "workloads": {}, "traced": {}}
+              "perfbench_sha256": shas["after"], "seconds": SECONDS,
+              "workloads": {}, "traced": {}}
+    bad = []
     for workload in WORKLOADS:
         runs = {"before": [], "after": []}
         for seed in range(1, PAIRS + 1):
             order = ("before", "after") if seed % 2 else ("after", "before")
             for side in order:
                 runs[side].append(run(sides[side], workload, seed, 0))
-        report.setdefault("machine", runs["before"][0]["env"])
+                if is_bad(runs[side][-1]):
+                    bad.append(f"{side} {workload} seed={seed} trace=0")
+        if report.get("machine") is None:
+            report["machine"] = next((r["env"] for r in runs["before"] if r["env"]), None)
         report["workloads"][workload] = {
             "pairs": PAIRS,
             "after_better_pairs": wins(runs["before"], runs["after"]),
@@ -94,12 +144,17 @@ def main(argv=None) -> int:
                for side, r in runs.items()},
         }
     for workload in WORKLOADS:
-        report["traced"][workload] = {
-            side: _without_env(run(path, workload, 1, 1))
-            for side, path in sides.items()
-        }
+        report["traced"][workload] = {}
+        for side, path in sides.items():
+            record = run(path, workload, 1, 1)
+            if is_bad(record):
+                bad.append(f"{side} {workload} seed=1 trace=1")
+            report["traced"][workload][side] = _without_env(record)
+    report["bad_runs"] = bad
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    for label in bad:
+        print(f"bench_pairs: run not correct or with failed ops: {label}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

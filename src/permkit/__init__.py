@@ -24,6 +24,7 @@ from .kernels import (
     split_weights,
 )
 from .perm_core import (
+    GroupCounts,
     PermutationDistribution,
     PermutationPlan,
     TestOutcome,

@@ -22,11 +22,17 @@ from typing import ClassVar
 import numpy as np
 
 from .dataio import write_csv
-from .perm_core import PermutationPlan, permutation_distribution, replicate_rng, split_seed
+from .perm_core import (
+    GroupCounts,
+    PermutationPlan,
+    permutation_distribution,
+    replicate_rng,
+    split_seed,
+)
 from .testing import (
     SmoothnessRule,
     _compress,
-    _count_two_sample,
+    _group_count_two_sample,
     hsic_test,
     mmd_test,
     multinomial_l2_independence,
@@ -458,9 +464,10 @@ def _qq_task(task):
     y = _sample_categorical(py, cfg.n1, rng)
     z = _sample_categorical(pz, cfg.n2, rng)
     codes, _ = _compress(np.concatenate([y, z]))
-    stat = _count_two_sample(cfg.n1, cfg.n2)
     plan = PermutationPlan.monte_carlo(cfg.replicates, split_seed(task_seed, 1))
-    dist = permutation_distribution(stat, codes, cfg.n1 + cfg.n2, plan)
+    dist = permutation_distribution(
+        _group_count_two_sample(cfg.n1), GroupCounts(codes, cfg.n1), cfg.n1 + cfg.n2, plan
+    )
     null_rng = replicate_rng(task_seed, 2)
     null_values = np.array(
         [

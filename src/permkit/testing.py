@@ -11,7 +11,12 @@ index rows, so Monte Carlo and exact enumeration both run on index arrays,
 never re-touching kernels.  Two-sample evaluators also declare
 ``subset_size``, the first group's size: their values depend only on which
 points land in that group, so an exact plan enumerates subsets, not all n!
-permutations (see ``perm_core``).
+permutations (see ``perm_core``).  Under a Monte Carlo plan the
+multinomial two-sample test and both l1-split tests hand their compressed
+codes to ``perm_core`` as ``GroupCounts``, so their rows are first-group
+count vectors, drawn without building an index row.  Binned and holder
+tests keep index rows, so that each adaptive component (below) stays the
+binned test on the same rows.
 
 Binned procedures discretize ``[0, 1]^dim`` with equal cells, count of cells
 per axis chosen from the smoothness-driven rules ``two_sample_bin_count``
@@ -34,7 +39,7 @@ import numpy as np
 
 from . import perm_core
 from .kernels import Gaussian, gram, product_weights, split_weights
-from .perm_core import PermutationPlan, TestOutcome
+from .perm_core import GroupCounts, PermutationPlan, TestOutcome
 from .ustats import (
     Categorical,
     Continuous,
@@ -43,6 +48,7 @@ from .ustats import (
     TwoSamplePooled,
     independence_u_many,
     multinomial_independence_u_many,
+    multinomial_two_sample_u_counts,
     multinomial_two_sample_u_many,
     poisson_chisq_many,
     two_sample_u_many,
@@ -238,10 +244,36 @@ class _Evaluator:
 
 
 def _count_two_sample(n1: int, n2: int, inv_weights: np.ndarray | None = None) -> _Evaluator:
-    """The multinomial two-sample U-statistic on pooled compressed codes."""
+    """The multinomial two-sample U-statistic on index rows of pooled compressed codes."""
     return _Evaluator(
         lambda codes, rows: multinomial_two_sample_u_many(codes, n1, n2, rows, inv_weights), n1
     )
+
+
+def _group_count_two_sample(n1: int, inv_weights: np.ndarray | None = None) -> _Evaluator:
+    """The multinomial two-sample U-statistic on the count rows of a ``GroupCounts``."""
+    return _Evaluator(
+        lambda counts, rows: multinomial_two_sample_u_counts(counts.totals, n1, rows, inv_weights),
+        n1,
+    )
+
+
+def _group_count_test(
+    codes: np.ndarray, n1: int, alpha: float, plan: PermutationPlan, inv_weights=None
+) -> TestOutcome:
+    """The multinomial two-sample test on pooled compressed codes, the first ``n1`` in group one.
+
+    Under a Monte Carlo plan the codes reach ``perm_core`` as ``GroupCounts``,
+    so it draws count rows instead of index rows.  An exact plan enumerates
+    index rows: at the sizes it reaches (C(n, n1) at most 10! rows), turning
+    each subset into a count row and checking it costs more per test than
+    it saves.
+    """
+    if plan.mode == "exact":
+        stat = _count_two_sample(n1, codes.size - n1, inv_weights)
+        return perm_core.run_test(stat, codes, codes.size, plan, alpha)
+    stat = _group_count_two_sample(n1, inv_weights)
+    return perm_core.run_test(stat, GroupCounts(codes, n1), codes.size, plan, alpha)
 
 
 # the indicator-kernel independence U-statistic on compressed (y, z) codes, z relabeled
@@ -266,7 +298,7 @@ def multinomial_l2_two_sample(
     """Permutation test on the unweighted multinomial two-sample U-statistic."""
     _require_categorical(data.domain, "two-sample data")
     codes, _ = _compress(data.pooled())
-    return perm_core.run_test(_count_two_sample(data.n1, data.n2), codes, data.n, plan, alpha)
+    return _group_count_test(codes, data.n1, alpha, plan)
 
 
 def multinomial_l2_independence(
@@ -416,8 +448,7 @@ def l1_split_two_sample(
     weights = split_weights(holdout, d)
     pooled = np.concatenate([y[:n1], z[:n1]])
     codes, kept = _compress(pooled)
-    stat = _count_two_sample(n1, n1, inv_weights=1.0 / weights[kept])
-    return perm_core.run_test(stat, codes, 2 * n1, plan, alpha)
+    return _group_count_test(codes, n1, alpha, plan, inv_weights=1.0 / weights[kept])
 
 
 def l1_split_independence(
@@ -455,8 +486,7 @@ def l1_split_independence(
     )
     codes, kept = _compress(pair_codes)
     inv_w = 1.0 / (pw.row_weights[kept // d2] * pw.col_weights[kept % d2])
-    stat = _count_two_sample(half, half, inv_weights=inv_w)
-    return perm_core.run_test(stat, codes, n, plan, alpha)
+    return _group_count_test(codes, half, alpha, plan, inv_weights=inv_w)
 
 
 def _resolve_bandwidths(bandwidths, dim: int, resolver) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 Every statistic has one batch form, ``*_many(reduced data, rows)``, that
 evaluates it on each row of an (m, n) matrix of index rows, and a scalar form
-that is its batch form on one row (`multinomial_two_sample_u` reads the two
-count vectors instead, through the batch form's count formula).  The batch
+that is its batch form on one row.  The multinomial two-sample statistic
+reads only the first group's count vector, so it has a second batch form,
+`multinomial_two_sample_u_counts`, on (m, u) count rows (the rows
+``perm_core`` draws for ``GroupCounts`` data); its scalar form
+`multinomial_two_sample_u` is that form on one row.  The batch
 forms reduce a quadruple-sum U-statistic to O(n^2) (or O(d) / O(n) for count
 data) arithmetic on cached Gram matrices or category counts, and each one is
 certified in the test suite against a literal brute-force enumeration
@@ -37,6 +40,7 @@ __all__ = [
     "two_sample_u_naive",
     "multinomial_two_sample_u",
     "multinomial_two_sample_u_many",
+    "multinomial_two_sample_u_counts",
     "independence_u",
     "independence_u_many",
     "independence_u_naive",
@@ -222,10 +226,17 @@ def _identity_if_none(labeling, n: int) -> np.ndarray:
 
 
 def _index_rows(rows, n: int, name: str) -> np.ndarray:
-    """``rows`` as an (m, n) index matrix."""
+    """``rows`` as an (m, n) index matrix, refused unless every entry is in ``range(n)``.
+
+    A negative index would wrap in the gathers of the batch forms instead of
+    raising.
+    """
     arr = np.asarray(rows, dtype=np.intp)
     if arr.ndim != 2 or arr.shape[1] != n:
         raise ValueError(f"{name} must be (m, {n})")
+    # read as unsigned, a negative entry is at least 2^63: one pass checks both ends
+    if arr.size and arr.view(np.uintp).max() >= n:
+        raise ValueError(f"{name} must index range({n})")
     return arr
 
 
@@ -343,14 +354,10 @@ def multinomial_two_sample_u(
     cz = np.asarray(counts_z)
     if cy.shape != cz.shape or cy.ndim != 1:
         raise ValueError("count vectors must be 1-D with matching length")
-    cy = _as_counts(cy, "counts_y").astype(float)
-    cz = _as_counts(cz, "counts_z").astype(float)
-    n1 = float(cy.sum())
-    n2 = float(cz.sum())
-    if n1 < 2 or n2 < 2:
-        raise ValueError("multinomial_two_sample_u requires n1 >= 2 and n2 >= 2")
+    cy = _as_counts(cy, "counts_y")
+    cz = _as_counts(cz, "counts_z")
     inv_w = None if weights is None else 1.0 / np.asarray(weights, dtype=float)
-    return float(_two_sample_from_counts(cy, cz, n1, n2, inv_w))
+    return float(multinomial_two_sample_u_counts(cy + cz, int(cy.sum()), cy[None], inv_w)[0])
 
 
 def multinomial_two_sample_u_many(
@@ -375,6 +382,45 @@ def multinomial_two_sample_u_many(
         return _two_sample_from_counts(c1, c_all - c1, n1, n2, inv_weights)
 
     return _by_row_slices(perms, u, block_values)
+
+
+def multinomial_two_sample_u_counts(
+    totals: np.ndarray, n1: int, rows: np.ndarray, inv_weights: np.ndarray | None = None
+) -> np.ndarray:
+    """`multinomial_two_sample_u` over a stack of first-group count vectors.
+
+    ``totals`` holds the pooled count of each of u categories, and each row
+    of the (m, u) ``rows`` the counts the first group takes of them:
+    integers in [0, ``totals``] summing to ``n1``; the second group holds
+    the rest.  ``inv_weights``, when given, has one entry per category.
+    """
+    totals = np.asarray(totals)
+    if totals.ndim != 1:
+        raise ValueError("totals must be 1-D")
+    totals = _as_counts(totals, "totals")
+    n2 = int(totals.sum()) - n1
+    if n1 < 2 or n2 < 2:
+        raise ValueError("multinomial_two_sample_u requires n1 >= 2 and n2 >= 2")
+    c1_rows = np.asarray(rows)
+    if c1_rows.ndim != 2 or c1_rows.shape[1] != totals.size:
+        raise ValueError(f"rows must be (m, {totals.size})")
+    if c1_rows.dtype.kind in "iu":
+        c1_rows = c1_rows.astype(np.int64, copy=False)
+    else:
+        c1_rows = _as_counts(c1_rows, "rows")
+    # read as unsigned, a negative count exceeds every total: one pass checks both bounds
+    within = (c1_rows.view(np.uint64) <= totals.view(np.uint64)).all()
+    if not (within and (c1_rows.sum(axis=1) == n1).all()):
+        raise ValueError(
+            f"each count row must be nonnegative, stay within totals and sum to n1 = {n1}"
+        )
+    c_all = totals.astype(float)
+
+    def block_values(block: np.ndarray) -> np.ndarray:
+        c1 = block.astype(float)
+        return _two_sample_from_counts(c1, c_all - c1, n1, n2, inv_weights)
+
+    return _by_row_slices(c1_rows, totals.size, block_values)
 
 
 def _two_sample_from_counts(c1, c2, n1, n2, inv_weights=None):
@@ -424,9 +470,6 @@ def independence_u_many(
     if n < 4:
         raise ValueError("independence_u requires n >= 4")
     perms = _index_rows(z_relabelings, n, "z_relabelings")
-    # a negative index would wrap in the flat gather below instead of raising
-    if perms.size and (perms.min() < 0 or perms.max() >= n):
-        raise ValueError(f"z_relabelings must index range({n})")
     ky, kz = gram_y.values, gram_z.values
     kz_flat = kz.ravel()
     row_y, row_z = ky.sum(axis=1), kz.sum(axis=1)

@@ -17,6 +17,7 @@ from permkit.dataio import outcome_record, write_outcome_json
 from permkit.perm_core import (
     BLOCK_ROWS,
     CHUNK_ENTRIES,
+    GroupCounts,
     PermutationDistribution,
     PermutationPlan,
     StatisticEvaluationError,
@@ -260,6 +261,139 @@ class TestMonteCarloStream:
             permutation_distribution(bad, None, n, plan)
         assert err.value.replicate_index == target
         assert isinstance(err.value.__cause__, RuntimeError)
+
+
+def _count_rows(counts, replicates, seed):
+    """The identity row and the replicate rows a Monte Carlo plan hands over for ``counts``."""
+    stat = _RecordingStat()
+    plan = PermutationPlan.monte_carlo(replicates, seed)
+    permutation_distribution(stat, counts, counts.codes.size, plan)
+    identity, *stat.chunks = stat.chunks
+    return identity, stat.rows
+
+
+def _contract_count_rows(codes, n1, replicates, seed):
+    """Count rows straight from the documented block contract."""
+    present, first = np.unique(codes, return_index=True)
+    order = present[np.argsort(first)]  # categories by first appearance
+    totals = np.bincount(codes)
+    rows = np.zeros((replicates, totals.size), dtype=np.int64)
+    method = "marginals" if n1 >= 10 * order.size else "count"
+    blocks = [
+        replicate_rng(seed, k).multivariate_hypergeometric(
+            totals[order], n1, size=BLOCK_ROWS, method=method
+        )
+        for k in range(-(-replicates // BLOCK_ROWS))
+    ]
+    rows[:, order] = np.concatenate(blocks)[:replicates]
+    return rows
+
+
+# 40 codes over 6 categories, category 3 appearing first and 5 absent from the first group
+_CODES = np.array([3, 0, 1, 3, 2, 0, 4, 1, 1, 3] * 3 + [5, 5, 2, 0, 4, 4, 1, 2, 3, 0])
+
+
+class TestCountRows:
+    """``GroupCounts`` data: rows are the first group's count vectors, drawn directly."""
+
+    def test_identity_row_is_the_first_groups_counts(self):
+        identity, _ = _count_rows(GroupCounts(_CODES, 17), 10, seed=1)
+        assert identity.tolist() == [np.bincount(_CODES[:17], minlength=6).tolist()]
+
+    # 17 draws over 6 categories use "count", 27 over 2 use "marginals"
+    @pytest.mark.parametrize("codes, n1", [(_CODES, 17), (_CODES % 2, 27)], ids=["count", "marginals"])
+    def test_rows_follow_block_contract(self, codes, n1):
+        _, rows = _count_rows(GroupCounts(codes, n1), 2 * BLOCK_ROWS + 3, seed=5)
+        assert np.array_equal(rows, _contract_count_rows(codes, n1, 2 * BLOCK_ROWS + 3, 5))
+
+    def test_prefix_stable(self):
+        _, short = _count_rows(GroupCounts(_CODES, 17), 100, seed=21)
+        _, long = _count_rows(GroupCounts(_CODES, 17), 300, seed=21)
+        assert np.array_equal(short, long[:100])
+
+    @pytest.mark.parametrize("budget", [6 * BLOCK_ROWS, 1])
+    def test_chunk_size_changes_no_row(self, budget, monkeypatch):
+        counts = GroupCounts(_CODES, 17)
+        _, whole = _count_rows(counts, 1000, seed=9)
+        monkeypatch.setattr(perm_core, "CHUNK_ENTRIES", budget)  # one block per chunk
+        stat = _RecordingStat()
+        permutation_distribution(stat, counts, _CODES.size, PermutationPlan.monte_carlo(1000, 9))
+        assert len(stat.chunks) == 1 + -(-1000 // BLOCK_ROWS)
+        assert np.array_equal(np.concatenate(stat.chunks[1:]), whole)
+
+    def test_rows_sum_to_n1_within_the_totals(self):
+        _, rows = _count_rows(GroupCounts(_CODES, 17), 500, seed=3)
+        assert rows.shape == (500, 6)
+        assert (rows.sum(axis=1) == 17).all()
+        assert ((rows >= 0) & (rows <= np.bincount(_CODES))).all()
+
+    def test_renaming_categories_renames_the_counts(self):
+        rename = np.array([4, 2, 5, 0, 1, 3])
+        _, rows = _count_rows(GroupCounts(_CODES, 17), 200, seed=6)
+        _, renamed = _count_rows(GroupCounts(rename[_CODES], 17), 200, seed=6)
+        assert np.array_equal(renamed[:, rename], rows)
+
+    # 4 draws over 3 categories use "count"; 20 over 2 (24 points) use "marginals"
+    @pytest.mark.parametrize(
+        "codes, n1",
+        [(np.array([0, 1, 2, 0, 1, 2, 0, 1, 0]), 4), (np.arange(24) % 3 % 2, 20)],
+        ids=["count", "marginals"],
+    )
+    def test_law_matches_subset_enumeration(self, codes, n1):
+        # chi-square goodness of fit of the drawn c1 against the law of c1
+        # over all C(n, n1) subsets, the rows an exact plan enumerates
+        exact = GroupCounts(codes, n1).of_rows(
+            np.array(list(itertools.combinations(range(codes.size), n1)))
+        )
+        support, want = np.unique(exact, axis=0, return_counts=True)
+        replicates = 20000
+        _, rows = _count_rows(GroupCounts(codes, n1), replicates, seed=17)
+        index = {tuple(c): i for i, c in enumerate(support.tolist())}
+        got = np.bincount([index[tuple(r)] for r in rows.tolist()], minlength=len(support))
+        expected = replicates * want / want.sum()
+        chi2 = float(((got - expected) ** 2 / expected).sum())
+        assert chi2 < sps.chi2.ppf(0.999, df=len(support) - 1)
+
+    @pytest.mark.parametrize("data", [None, _CODES], ids=["None", "codes"])
+    def test_other_data_gets_index_rows(self, data):
+        stat = _RecordingStat()
+        permutation_distribution(stat, data, 40, PermutationPlan.monte_carlo(70, 4))
+        rows = stat.rows
+        assert rows.shape == (71, 40)
+        assert np.array_equal(rows[1:], _contract_rows(40, 70, 4))
+
+    @pytest.mark.parametrize("k, rows", [(None, 5040), (3, 35)], ids=["n!", "subsets"])
+    def test_exact_rows_are_the_enumerated_rows_counted(self, k, rows):
+        codes = np.array([2, 0, 1, 1, 0, 2, 2])
+        stat = _RecordingStat()
+        stat.subset_size = k
+        permutation_distribution(stat, GroupCounts(codes, 3), 7, PermutationPlan.exact())
+        ((_, enumerated),) = perm_core._enumeration_chunks(7, 5040, k)
+        assert stat.rows.shape == (rows, 3)
+        assert np.array_equal(stat.rows, GroupCounts(codes, 3).of_rows(enumerated))
+
+    @pytest.mark.parametrize(
+        "codes, n1, match",
+        [
+            (np.array([0.0, 1.0, 1.0]), 1, "integer"),
+            (np.array([[0, 1], [1, 0]]), 1, "1-D"),
+            (np.array([0, -1, 1]), 1, "negative"),
+            (np.array([0, 1, 1]), 0, "n1"),
+            (np.array([0, 1, 1]), 4, "n1"),
+            (np.array([0, 1, 1]), 1.0, "n1"),
+        ],
+    )
+    def test_bad_record_refused(self, codes, n1, match):
+        with pytest.raises(ValueError, match=match):
+            GroupCounts(codes, n1)
+
+    def test_mismatched_n_or_subset_size_refused(self):
+        counts = GroupCounts(_CODES, 17)
+        with pytest.raises(ValueError, match="not n = 39"):
+            permutation_distribution(_RecordingStat(), counts, 39, PermutationPlan.exact())
+        with pytest.raises(ValueError, match="subset_size 3"):
+            permutation_distribution(_SubsetRows(3), GroupCounts(_CODES[:8], 4), 8,
+                                     PermutationPlan.exact())
 
 
 class _EncodingStat:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from permkit import perm_core, ustats
-from permkit.perm_core import PermutationPlan, replicate_rng
+from permkit.perm_core import GroupCounts, PermutationPlan, replicate_rng
 from permkit.testing import (
     AdaptiveOutcome,
     BinGrid,
@@ -851,6 +851,44 @@ class TestSubsetEnumeration:
         assert len(out.components) == 7
         assert all(c.replicate_count == math.factorial(10) for _, c in out.components)
         assert peak < 5 * 2**20
+
+
+class _ForwardOnly:
+    """Forwards only ``evaluate_many`` and ``__call__``, as a tracing wrapper does."""
+
+    def __init__(self, stat):
+        self._stat = stat
+        if hasattr(stat, "evaluate_many"):
+            self.evaluate_many = stat.evaluate_many
+
+    def __call__(self, data, perm):
+        return self._stat(data, perm)
+
+
+# the procedures whose data reach perm_core as GroupCounts under a Monte Carlo plan
+COUNT_SOURCE = ("multinomial", "l1-split", "l1-split-independence")
+
+
+class TestCountSourceUnderAWrapper:
+    """The count-row declaration rides on the data, so a wrapped evaluator keeps it."""
+
+    @pytest.mark.parametrize("plan", [MC(199, seed=3), EXACT], ids=["monte-carlo", "exact"])
+    @pytest.mark.parametrize("name", list(SUBSET_PROCEDURES))
+    def test_same_outcome_as_the_bare_evaluator(self, name, plan, monkeypatch):
+        procedure, make, designs = SUBSET_PROCEDURES[name]
+        n1, n2 = designs[-1]
+        data = make(np.random.default_rng(21), n1, n2)
+        bare = procedure(data, plan)
+        counted = []
+        distribution = perm_core.permutation_distribution
+
+        def wrapped(stat, reduced, n, plan):
+            counted.append(isinstance(reduced, GroupCounts))
+            return distribution(_ForwardOnly(stat), reduced, n, plan)
+
+        monkeypatch.setattr(perm_core, "permutation_distribution", wrapped)
+        assert _decision_fields(procedure(data, plan)) == _decision_fields(bare)
+        assert counted == [name in COUNT_SOURCE and plan.mode == "monte_carlo"]
 
 
 def _slicing_case(name):

@@ -23,6 +23,7 @@ from permkit.ustats import (
     multinomial_independence_u,
     multinomial_independence_u_many,
     multinomial_two_sample_u,
+    multinomial_two_sample_u_counts,
     multinomial_two_sample_u_many,
     poisson_chisq,
     poisson_chisq_many,
@@ -166,6 +167,34 @@ class TestMultinomialTwoSampleU:
         got = multinomial_two_sample_u([3.0, 1.0, 0.0], np.array([2.0, 2.0, 1.0]))
         assert got == want
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_count_rows_match_the_index_rows(self, weighted):
+        # the count-row form on each relabeling's first-group counts gives the
+        # index-row form's values bit for bit
+        rng = np.random.default_rng(31)
+        codes = rng.permutation(np.arange(23) % 6)
+        inv_w = 1.0 / rng.uniform(0.1, 1.0, 6) if weighted else None
+        rows = np.array([np.arange(23)] + [rng.permutation(23) for _ in range(30)])
+        c1 = np.array([np.bincount(codes[r[:9]], minlength=6) for r in rows])
+        got = multinomial_two_sample_u_counts(np.bincount(codes), 9, c1, inv_w)
+        want = multinomial_two_sample_u_many(codes, 9, 14, rows, inv_w)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ([[1, 1, 2], [-1, 3, 2]], "nonnegative"),
+            ([[1, 1, 2], [1, 1, 1]], "sum to n1"),
+            ([[1, 1, 2], [4, 0, 0]], "within totals"),  # totals [3, 2, 4]
+            ([[1, 1, 2], [1.5, 1.5, 1.0]], "integers"),
+            ([[1, 3]], "\\(m, 3\\)"),
+            ([1, 1, 2], "\\(m, 3\\)"),
+        ],
+    )
+    def test_bad_count_rows_refused(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            multinomial_two_sample_u_counts([3, 2, 4], 4, rows)
+
 
 class TestIndependenceU:
     def test_zero_z_gram(self):
@@ -300,6 +329,34 @@ class TestHsicGather:
             independence_u_many(ones, ones, rows)
         with pytest.raises(ValueError, match="index range\\(6\\)"):
             independence_u_many(ones, ones, rows[1:])
+
+
+class TestIndexRowsRefused:
+    """Every index-row batch form refuses an entry outside ``range(n)``.
+
+    A -1 used to wrap: for the second row below, ``multinomial_two_sample_u_many``
+    returned -0.667, ``poisson_chisq_many`` 3.571 and ``linear_stat_many`` -6.25.
+    """
+
+    FORMS = {
+        "two-sample": lambda rows: two_sample_u_many(
+            GramMatrix(np.ones((6, 6)) - np.eye(6), True), 3, 3, rows),
+        "multinomial-two-sample": lambda rows: multinomial_two_sample_u_many(
+            np.array([0, 1, 0, 1, 2, 2]), 3, 3, rows),
+        "poisson": lambda rows: poisson_chisq_many(
+            np.array([[1, 0], [2, 1], [0, 3], [1, 1], [4, 0], [0, 2]]), 3, rows),
+        "multinomial-independence": lambda rows: multinomial_independence_u_many(
+            np.array([0, 1, 0, 1, 2, 2]), np.array([1, 0, 1, 1, 0, 0]), rows),
+        "linear": lambda rows: linear_stat_many(np.arange(6.0), np.arange(6.0) ** 2, rows),
+    }
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    @pytest.mark.parametrize("form", list(FORMS))
+    def test_out_of_range_rows_refused(self, form, bad):
+        rows = np.array([[0, 1, 2, 3, 4, 5], [bad, 1, 2, 3, 4, 0]])
+        self.FORMS[form](rows[:1])  # the identity alone is accepted
+        with pytest.raises(ValueError, match="index range\\(6\\)"):
+            self.FORMS[form](rows)
 
 
 class TestDegeneracyUnderPermutation:
