@@ -15,6 +15,11 @@ sha256 of the ``perfbench/`` tree both checkouts share, every run's metrics,
 the median and quartiles of the end-to-end metrics per side, and per metric
 the number of pairs in which the after side was better.
 
+Before the first run it byte-compiles ``src/`` of both checkouts
+(``python -m compileall -q src``) and records that it did: runs that
+inherit ``PYTHONDONTWRITEBYTECODE=1`` would otherwise compile every module
+again, and ``setup_s`` and ``peak_rss_mb`` would count that compilation.
+
 Both checkouts must hold the same ``perfbench/`` tree, or the script stops
 before any run.  A run that exits non-zero or prints no result is recorded
 with ``correct: false`` and its exit code, and the script goes on; at the end
@@ -47,6 +52,12 @@ def perfbench_sha256(checkout: Path) -> str:
         digest.update(path.relative_to(root).as_posix().encode() + b"\0")
         digest.update(hashlib.sha256(path.read_bytes()).digest())
     return digest.hexdigest()
+
+
+def compile_sources(checkout: Path) -> bool:
+    """Byte-compile the checkout's ``src/`` into its ``__pycache__`` directories."""
+    done = subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout)
+    return done.returncode == 0
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -123,9 +134,13 @@ def main(argv=None) -> int:
     if shas["before"] != shas["after"]:
         parser.error(f"the checkouts' perfbench/ trees differ: {shas}")
 
+    compiled = {side: compile_sources(path) for side, path in sides.items()}
+    if not all(compiled.values()):
+        parser.error(f"byte-compiling src/ failed: {compiled}")
+
     report = {"checkouts": {side: path.name for side, path in sides.items()},
               "perfbench_sha256": shas["after"], "seconds": SECONDS,
-              "workloads": {}, "traced": {}}
+              "src_byte_compiled": compiled, "workloads": {}, "traced": {}}
     bad = []
     for workload in WORKLOADS:
         runs = {"before": [], "after": []}

@@ -104,6 +104,7 @@ __all__ = [
     "PermutationPlan",
     "PermutationDistribution",
     "GroupCounts",
+    "bincount_rows",
     "TestOutcome",
     "StatisticEvaluationError",
     "split_seed",
@@ -244,10 +245,19 @@ class GroupCounts:
 
     def of_rows(self, rows: np.ndarray) -> np.ndarray:
         """The (m, u) count rows of the (m, n) index ``rows``: c1 of each relabeling."""
-        u = self.totals.size
-        first = self.codes[rows[:, : self.n1]]
-        offsets = (np.arange(first.shape[0], dtype=np.intp) * u)[:, None]
-        return np.bincount((first + offsets).ravel(), minlength=first.shape[0] * u).reshape(-1, u)
+        return bincount_rows(self.codes[rows[:, : self.n1]], self.totals.size)
+
+
+def bincount_rows(codes: np.ndarray, width: int) -> np.ndarray:
+    """The (m, ``width``) int64 counts of the values ``0 .. width - 1`` in each row of ``codes``.
+
+    One ``bincount`` over the whole (m, k) matrix, row i's codes shifted by
+    ``i * width``.  ``codes`` must lie in ``range(width)``: a code outside
+    it lands in a neighbouring row.
+    """
+    m = codes.shape[0]
+    offsets = (np.arange(m, dtype=np.intp) * width)[:, None]
+    return np.bincount((codes + offsets).ravel(), minlength=m * width).reshape(m, width)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .ustats import (
     Continuous,
     PairedSample,
     TwoSamplePooled,
-    multinomial_two_sample_u_many,
+    multinomial_two_sample_u,
 )
 
 __all__ = [
@@ -445,9 +445,10 @@ def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _count_stat_value(y: np.ndarray, z: np.ndarray) -> float:
-    codes, _ = _compress(np.concatenate([y, z]))
-    identity = np.arange(codes.size)[None, :]
-    return float(multinomial_two_sample_u_many(codes, y.size, z.size, identity)[0])
+    width = int(max(y.max(), z.max())) + 1
+    return multinomial_two_sample_u(
+        np.bincount(y, minlength=width), np.bincount(z, minlength=width)
+    )
 
 
 def _qq_task(task):

@@ -26,6 +26,10 @@ components are decided on one set of relabelings, the caller's plan: one
 stacked evaluator returns every kappa's statistic for each index row, so
 replicate i is the same permutation for every kappa, and each component
 equals the binned test at that kappa, the split level and the same plan.
+The adaptive two-sample evaluator counts each index row once, on the
+finest grid, whose cells it numbers in Morton (Z-)order: every cell of a
+coarser dyadic grid is then one run of fine cells, counted from the fine
+counts (``multinomial_two_sample_u_nested``).
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .ustats import (
     multinomial_independence_u_many,
     multinomial_two_sample_u_counts,
     multinomial_two_sample_u_many,
+    multinomial_two_sample_u_nested,
     poisson_chisq_many,
     two_sample_u_many,
 )
@@ -387,17 +392,39 @@ class AdaptiveOutcome:
         return min(1.0, self.gamma_max * min(o.p_value for _, o in self.components))
 
 
-def _adaptive(data, grid: AdaptiveGrid, alpha: float, plan: PermutationPlan, stat, binned_codes):
-    """Union of the binned tests over ``grid``, each at alpha / gamma_max on ``plan``'s rows."""
+def _adaptive(data, grid: AdaptiveGrid, alpha: float, plan: PermutationPlan, stacked, reduce):
+    """Union of the binned tests over ``grid``, each at alpha / gamma_max on ``plan``'s rows.
+
+    ``reduce(data, kappas)`` reduces the data for ``stacked``, whose column j
+    is the binned statistic at ``grid.kappas[j]`` on each row.
+    """
     level = grid.per_test_alpha(alpha)  # refuses alpha outside (0, 1), which run_test cannot see
-    reduced = tuple(binned_codes(data, kappa) for kappa in grid.kappas)
-    # column j of the stacked values is ``stat`` on ``reduced[j]``, all on the same rows
-    stacked = _Evaluator(
-        lambda codes, rows: np.stack([stat.evaluate_many(c, rows) for c in codes], axis=1),
-        stat.subset_size,
-    )
-    outcomes = perm_core.run_test(stacked, reduced, data.n, plan, level)
+    outcomes = perm_core.run_test(stacked, reduce(data, grid.kappas), data.n, plan, level)
     return AdaptiveOutcome(alpha, grid.gamma_max, tuple(zip(grid.kappas, outcomes)))
+
+
+def _nested_two_sample_codes(data: TwoSamplePooled, kappas) -> tuple:
+    """Compressed pooled codes on the finest dyadic grid in Morton order, and each grid's run ends.
+
+    Bit b of the bin index on axis i is bit ``b * dim + dim - 1 - i`` of a
+    cell's Morton key, so a cell at kappa = 2^j is the fine cells sharing
+    the top ``j * dim`` key bits: one run of the present keys, sorted.
+    """
+    dim = data.domain.dim
+    levels = kappas[-1].bit_length() - 1  # the finest kappa is 2^levels
+    axis_grid = BinGrid(kappa=kappas[-1], dim=1)
+    points = data.pooled()
+    bits = np.arange(levels)
+    key = np.zeros(data.n, dtype=np.int64)
+    for i in range(dim):
+        index = bin_data(points[:, i], axis_grid)
+        key += (((index[:, None] >> bits) & 1) << (bits * dim + dim - 1 - i)).sum(axis=1)
+    keys, codes = np.unique(key, return_inverse=True)
+    ends = []
+    for kappa in kappas:
+        cells = keys >> (dim * (levels - kappa.bit_length() + 1))
+        ends.append(np.append(np.flatnonzero(cells[1:] != cells[:-1]) + 1, keys.size))
+    return codes.astype(np.intp), ends
 
 
 def adaptive_two_sample(
@@ -405,8 +432,12 @@ def adaptive_two_sample(
 ) -> AdaptiveOutcome:
     """Union of binned two-sample tests over a dyadic kappa grid."""
     grid = adaptive_grid_two_sample(data.n1, _require_continuous(data.domain, "two-sample data"))
-    stat = _count_two_sample(data.n1, data.n2)
-    return _adaptive(data, grid, alpha, plan, stat, _binned_two_sample_codes)
+    n1, n2 = data.n1, data.n2
+    stacked = _Evaluator(
+        lambda nested, rows: multinomial_two_sample_u_nested(nested[0], n1, n2, rows, nested[1]),
+        n1,
+    )
+    return _adaptive(data, grid, alpha, plan, stacked, _nested_two_sample_codes)
 
 
 def adaptive_independence(
@@ -416,7 +447,13 @@ def adaptive_independence(
     d1 = _require_continuous(data.y_domain, "y")
     d2 = _require_continuous(data.z_domain, "z")
     grid = adaptive_grid_independence(data.n, d1, d2)
-    return _adaptive(data, grid, alpha, plan, _COUNT_INDEPENDENCE, _binned_independence_codes)
+    stacked = _Evaluator(
+        lambda codes, rows: np.stack([_COUNT_INDEPENDENCE.evaluate_many(c, rows) for c in codes], 1)
+    )
+    return _adaptive(
+        data, grid, alpha, plan, stacked,
+        lambda data, kappas: tuple(_binned_independence_codes(data, k) for k in kappas),
+    )
 
 
 def l1_split_two_sample(

@@ -2,15 +2,20 @@
 
 Every statistic has one batch form, ``*_many(reduced data, rows)``, that
 evaluates it on each row of an (m, n) matrix of index rows, and a scalar form
-that is its batch form on one row.  The multinomial two-sample statistic
-reads only the first group's count vector, so it has a second batch form,
-`multinomial_two_sample_u_counts`, on (m, u) count rows (the rows
-``perm_core`` draws for ``GroupCounts`` data); its scalar form
-`multinomial_two_sample_u` is that form on one row.  The batch
-forms reduce a quadruple-sum U-statistic to O(n^2) (or O(d) / O(n) for count
-data) arithmetic on cached Gram matrices or category counts, and each one is
-certified in the test suite against a literal brute-force enumeration
-(`two_sample_u_naive`, `independence_u_naive`).
+that is its batch form on one row.  The batch forms reduce a quadruple-sum
+U-statistic to O(n^2) (or O(u) / O(n) for count data) arithmetic on cached
+Gram matrices or category counts, and each one is certified in the test
+suite against a literal brute-force enumeration (`two_sample_u_naive`,
+`independence_u_naive`).
+
+The multinomial two-sample statistic reads only the first group's count
+vector c1.  Unweighted, it is one integer numerator in S2 = sum c1^2 and
+P = sum c1 t (t the pooled counts) over one integer denominator, so it is
+correctly rounded, a true zero is 0.0, and relabelings with equal (S2, P)
+tie exactly, without the tie tolerance of ``perm_core``.  Besides
+`multinomial_two_sample_u_many` it has a form on (m, u) count rows,
+`multinomial_two_sample_u_counts` (its scalar form is that form on one row),
+and one on K nested partitions at once, `multinomial_two_sample_u_nested`.
 
 Permutations act by index relabeling on cached values; kernels are never
 re-evaluated per relabeling.
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, eval as kernel_eval
-from .perm_core import CHUNK_ENTRIES
+from .perm_core import CHUNK_ENTRIES, bincount_rows
 
 __all__ = [
     "Categorical",
@@ -41,6 +46,7 @@ __all__ = [
     "multinomial_two_sample_u",
     "multinomial_two_sample_u_many",
     "multinomial_two_sample_u_counts",
+    "multinomial_two_sample_u_nested",
     "independence_u",
     "independence_u_many",
     "independence_u_naive",
@@ -240,26 +246,19 @@ def _index_rows(rows, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _by_row_slices(rows: np.ndarray, per_row: int, block_values) -> np.ndarray:
+def _by_row_slices(rows: np.ndarray, per_row: int, block_values, columns=()) -> np.ndarray:
     """``block_values`` over slices of ``rows``, concatenated into one float array.
 
     ``per_row`` is the number of temporary entries ``block_values`` holds per
     row; each slice has about ``CHUNK_ENTRIES`` of them (at least one row),
     so an evaluator's memory is bounded like the index chunk it is handed.
+    ``columns`` is the shape of one row's values, ``(K,)`` for K statistics.
     """
     step = max(1, CHUNK_ENTRIES // max(per_row, 1))
-    out = np.empty(rows.shape[0], dtype=float)
+    out = np.empty((rows.shape[0], *columns), dtype=float)
     for start in range(0, rows.shape[0], step):
         out[start : start + step] = block_values(rows[start : start + step])
     return out
-
-
-def _row_counts(codes: np.ndarray, width: int) -> np.ndarray:
-    """Float counts of the codes ``0 .. width - 1`` in each row of ``codes``."""
-    rows = codes.shape[0]
-    offsets = (np.arange(rows, dtype=np.int64) * width)[:, None]
-    flat = np.bincount((codes + offsets).ravel(), minlength=rows * width)
-    return flat.reshape(rows, width).astype(float)
 
 
 def two_sample_u(
@@ -368,20 +367,68 @@ def multinomial_two_sample_u_many(
     Each row's first ``n1`` positions pick group one; ``inv_weights``, when
     given, has one entry per code ``0 .. u - 1``.
     """
+    codes, perms = _pooled_codes(codes, n1, n2, rows)
+    totals = np.bincount(codes)
+    u = totals.size
+
+    def block_values(block: np.ndarray) -> np.ndarray:
+        c1 = bincount_rows(codes[block[:, :n1]], u)
+        return _two_sample_of_counts(c1, totals, n1, n2, inv_weights)
+
+    return _by_row_slices(perms, u, block_values)
+
+
+def multinomial_two_sample_u_nested(
+    codes: np.ndarray, n1: int, n2: int, rows: np.ndarray, ends
+) -> np.ndarray:
+    """`multinomial_two_sample_u_many` on K nested partitions of the codes at once, (m, K).
+
+    ``codes`` (``0 .. u - 1``) number the finest partition's cells so that
+    each cell of a coarser partition j is a run of codes; ``ends[j]`` lists
+    the runs' exclusive ends, increasing up to u.  Each row is counted once
+    on the codes, and a run's count is a difference of running counts.
+    """
+    codes, perms = _pooled_codes(codes, n1, n2, rows)
+    totals = np.bincount(codes)
+    u = totals.size
+    ends = [np.asarray(e, dtype=np.intp) for e in ends]
+    for e in ends:
+        if e.ndim != 1 or not e.size or e[0] < 1 or e[-1] != u or (e[1:] <= e[:-1]).any():
+            raise ValueError(f"each ends array must increase strictly up to u = {u}")
+    # a partition with u runs is the finest one: its counts are the fine counts
+    lasts = [None if e.size == u else e - 1 for e in ends]
+    cell_totals = [totals if c is None else _run_sums(np.cumsum(totals), c) for c in lasts]
+    tt = np.array([int(t @ (t - 1)) for t in cell_totals])
+
+    def block_values(block: np.ndarray) -> np.ndarray:
+        c1 = bincount_rows(codes[block[:, :n1]], u)
+        running = np.cumsum(c1, axis=1)
+        s2 = np.empty((block.shape[0], len(ends)), dtype=np.int64)
+        p = np.empty_like(s2)
+        for j, (c, t) in enumerate(zip(lasts, cell_totals)):
+            c1_j = c1 if c is None else _run_sums(running, c)
+            s2[:, j] = (c1_j * c1_j).sum(axis=1)
+            p[:, j] = c1_j @ t
+        return _two_sample_of_sums(s2, p, tt, n1, n2)
+
+    return _by_row_slices(perms, 2 * u, block_values, (len(ends),))  # c1 and its running count
+
+
+def _run_sums(running: np.ndarray, lasts: np.ndarray) -> np.ndarray:
+    """Sums of the runs ending at the increasing indices ``lasts``, from running sums."""
+    sums = running[..., lasts]
+    sums[..., 1:] -= running[..., lasts[:-1]]
+    return sums
+
+
+def _pooled_codes(codes, n1: int, n2: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """``codes`` and the index ``rows`` of a two-sample batch form, refused unless they fit."""
     if n1 < 2 or n2 < 2:
         raise ValueError("multinomial_two_sample_u requires n1 >= 2 and n2 >= 2")
     codes = np.asarray(codes)
     if codes.shape != (n1 + n2,):
         raise ValueError(f"codes must hold n1 + n2 = {n1 + n2} values")
-    perms = _index_rows(rows, n1 + n2, "rows")
-    c_all = np.bincount(codes).astype(float)
-    u = c_all.size
-
-    def block_values(block: np.ndarray) -> np.ndarray:
-        c1 = _row_counts(codes[block[:, :n1]], u)
-        return _two_sample_from_counts(c1, c_all - c1, n1, n2, inv_weights)
-
-    return _by_row_slices(perms, u, block_values)
+    return codes, _index_rows(rows, n1 + n2, "rows")
 
 
 def multinomial_two_sample_u_counts(
@@ -414,25 +461,55 @@ def multinomial_two_sample_u_counts(
         raise ValueError(
             f"each count row must be nonnegative, stay within totals and sum to n1 = {n1}"
         )
-    c_all = totals.astype(float)
-
-    def block_values(block: np.ndarray) -> np.ndarray:
-        c1 = block.astype(float)
-        return _two_sample_from_counts(c1, c_all - c1, n1, n2, inv_weights)
-
-    return _by_row_slices(c1_rows, totals.size, block_values)
-
-
-def _two_sample_from_counts(c1, c2, n1, n2, inv_weights=None):
-    """Two-sample U-statistic from group counts along the last axis (one row per labeling)."""
-    per_cat = (
-        c1 * (c1 - 1.0) / (n1 * (n1 - 1.0))
-        + c2 * (c2 - 1.0) / (n2 * (n2 - 1.0))
-        - 2.0 * c1 * c2 / (n1 * n2)
+    return _by_row_slices(
+        c1_rows, totals.size, lambda c1: _two_sample_of_counts(c1, totals, n1, n2, inv_weights)
     )
-    if inv_weights is not None:
-        per_cat = per_cat * inv_weights
-    return per_cat.sum(axis=-1)
+
+
+def _two_sample_of_counts(c1, totals, n1: int, n2: int, inv_weights=None) -> np.ndarray:
+    """The multinomial two-sample U-statistic of each int64 first-group count row.
+
+    The flattening weights of the l1-split tests scale each category's
+    integer term of D U (see `_two_sample_terms`): one float mat-vec.
+    """
+    if inv_weights is None:
+        s2 = (c1 * c1).sum(axis=1)
+        return _two_sample_of_sums(s2, c1 @ totals, int(totals @ (totals - 1)), n1, n2)
+    q, r, b_minus_a, b, den, fits = _two_sample_terms(n1, n2)
+    if not fits:
+        c1, totals = c1.astype(object), totals.astype(object)
+    per_category = (q * c1 - (r * totals - b_minus_a)) * c1 + b * totals * (totals - 1)
+    return per_category.astype(float) @ np.asarray(inv_weights, dtype=float) / den
+
+
+def _two_sample_of_sums(s2, p, tt, n1: int, n2: int) -> np.ndarray:
+    """The unweighted statistic from int64 S2 = sum c1^2, P = sum c1 t and tt = sum t(t-1).
+
+    D U = Q S2 - R P + (B - A) n1 + B tt, divided once, so U is correctly
+    rounded while D and the numerator are below 2^53.  ``tt`` broadcasts.
+    """
+    q, r, b_minus_a, b, den, fits = _two_sample_terms(n1, n2)
+    if not fits:
+        s2, p, tt = (np.asarray(x).astype(object) for x in (s2, p, tt))
+    num = q * s2 - r * p + (b_minus_a * n1 + b * tt)
+    return np.asarray(num / den, dtype=float)
+
+
+def _two_sample_terms(n1: int, n2: int) -> tuple:
+    """``(Q, R, B - A, B, D, fits)`` of the integer two-sample numerator D U.
+
+    With A = n2(n2-1), B = n1(n1-1), C = (n1-1)(n2-1) and D = AB, a category
+    with pooled count t adds A c1(c1-1) + B c2(c2-1) - 2C c1 c2 =
+    Q c1^2 - (R t + A - B) c1 + B t(t-1) to D U, Q = A + B + 2C and
+    R = 2(B + C).  ``fits`` says that S2 <= n1^2, P <= n1 n and
+    sum t(t-1) <= n^2 keep every partial sum in int64 (n = n1 + n2 up to
+    about 55,000); past that the callers use Python integers.
+    """
+    n = n1 + n2
+    a, b, c = n2 * (n2 - 1), n1 * (n1 - 1), (n1 - 1) * (n2 - 1)
+    q, r = a + b + 2 * c, 2 * (b + c)
+    fits = q * n1 * n1 + r * n1 * n + abs(b - a) * n1 + b * n * n < 2**63
+    return q, r, b - a, b, a * b, fits
 
 
 def _indep_from_sums(n: int, s1, r, ty: float, tz: float):
@@ -559,7 +636,7 @@ def multinomial_independence_u_many(
     bz = cz[z_codes] - 1.0
 
     def block_values(block: np.ndarray) -> np.ndarray:
-        joint = _row_counts(y_codes[None, :] * u2 + z_codes[block], ncell)
+        joint = bincount_rows(y_codes[None, :] * u2 + z_codes[block], ncell)
         s1 = (joint * joint).sum(axis=1) - n
         r = bz[block] @ ay
         return _indep_from_sums(n, s1, r, ty, tz)

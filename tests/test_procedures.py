@@ -327,6 +327,18 @@ class TestAdaptive:
         _assert_components_are_binned_tests(adaptive_two_sample(two, 0.2, plan), two, plan)
         _assert_components_are_binned_tests(adaptive_independence(pair, 0.2, plan), pair, plan)
 
+    @pytest.mark.parametrize("plan", [MC(199, seed=7), EXACT], ids=["monte-carlo", "exact"])
+    def test_components_are_the_binned_tests_in_two_dimensions(self, plan):
+        # at d = 2 the adaptive test numbers its cells in Morton order, the binned tests row-major
+        rng = np.random.default_rng(16)
+        n1, n2 = (30, 30) if plan.mode == "monte_carlo" else (4, 3)
+        two = TwoSamplePooled(
+            y=rng.random((n1, 2)), z=rng.random((n2, 2)) ** 2, domain=Continuous(2)
+        )
+        out = adaptive_two_sample(two, 0.2, plan)
+        assert len(out.components) >= 4
+        _assert_components_are_binned_tests(out, two, plan)
+
     def test_exact_components_are_the_binned_tests(self):
         rng = np.random.default_rng(14)
         two = TwoSamplePooled(y=rng.random(4), z=rng.random(3), domain=Continuous(1))
@@ -897,6 +909,10 @@ def _slicing_case(name):
     if name == "count-two-sample":
         codes = rng.permutation(np.arange(12) % 5)
         return lambda rows: ustats.multinomial_two_sample_u_many(codes, 6, 6, rows), 5
+    if name == "count-nested":
+        codes = rng.permutation(np.arange(12) % 5)
+        ends = [np.array([2, 5]), np.array([1, 2, 3, 4, 5])]
+        return lambda rows: ustats.multinomial_two_sample_u_nested(codes, 6, 6, rows, ends), 2 * 5
     if name == "count-independence":
         y, z = rng.permutation(np.arange(12) % 3), rng.permutation(np.arange(12) % 4)
         return lambda rows: ustats.multinomial_independence_u_many(y, z, rows), 3 * 4
@@ -919,6 +935,7 @@ class TestRowSlices:
         "name",
         [
             "count-two-sample",
+            "count-nested",
             "count-independence",
             "gram-two-sample",
             "gram-independence",

@@ -2,6 +2,8 @@ import ast
 import itertools
 import math
 import warnings
+from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from permkit.ustats import (
     multinomial_two_sample_u,
     multinomial_two_sample_u_counts,
     multinomial_two_sample_u_many,
+    multinomial_two_sample_u_nested,
     poisson_chisq,
     poisson_chisq_many,
     two_sample_u,
@@ -194,6 +197,128 @@ class TestMultinomialTwoSampleU:
     def test_bad_count_rows_refused(self, rows, match):
         with pytest.raises(ValueError, match=match):
             multinomial_two_sample_u_counts([3, 2, 4], 4, rows)
+
+
+def _exact_terms(c1, totals, n1) -> list[Fraction]:
+    """Each category's term of the multinomial two-sample U-statistic of one count row."""
+    n2 = sum(totals) - n1
+    return [
+        Fraction(x * (x - 1), n1 * (n1 - 1)) + Fraction((t - x) * (t - x - 1), n2 * (n2 - 1))
+        - Fraction(2 * x * (t - x), n1 * n2)
+        for x, t in zip(c1, totals)
+    ]
+
+
+def _exact_two_sample_u(c1, totals, n1, inv_weights=None) -> Fraction:
+    """The multinomial two-sample U-statistic of one count row, in fractions."""
+    weights = [1] * len(c1) if inv_weights is None else map(Fraction, inv_weights)
+    return sum((w * term for w, term in zip(weights, _exact_terms(c1, totals, n1))), Fraction(0))
+
+
+class TestCountIntegerForm:
+    """One integer numerator over one integer denominator for every count form."""
+
+    @pytest.mark.parametrize(
+        "totals, n1", [([1, 2, 3, 4, 5], 6), ([2, 2, 3, 3, 4, 6], 8), ([1, 1, 2, 5, 7, 9], 9)]
+    )
+    def test_equal_sums_give_bit_equal_statistics(self, totals, n1):
+        # every first-group count row of the totals: rows with equal S2 = sum c1^2 and
+        # P = sum c1 t are tied relabelings, and must not split by rounding
+        totals = np.array(totals)
+        rows = np.array([r for r in itertools.product(*(range(t + 1) for t in totals))
+                         if sum(r) == n1])
+        values = multinomial_two_sample_u_counts(totals, n1, rows)
+        by_sums = defaultdict(set)
+        for row, value in zip(rows, values):
+            by_sums[int(row @ row), int(row @ totals)].add(value)
+        assert sum(len(v) == 1 for v in by_sums.values()) == len(by_sums) < len(rows)
+
+    def test_swapping_two_points_of_one_category_keeps_the_statistic(self):
+        codes = np.array([0, 1, 2, 2, 1, 0, 2, 1])
+        row = np.arange(8)
+        swapped = row.copy()
+        swapped[[2, 6]] = swapped[[6, 2]]  # a category-2 point of group one for one of group two
+        swapped[[1, 4]] = swapped[[4, 1]]  # and a category-1 point likewise
+        values = multinomial_two_sample_u_many(codes, 4, 4, np.stack([row, swapped]))
+        assert values[0].tobytes() == values[1].tobytes()
+
+    def test_unweighted_is_the_correctly_rounded_value(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            totals = rng.integers(0, 40, int(rng.integers(2, 30)))
+            totals[0] += 2
+            n1 = int(rng.integers(2, totals.sum() - 1))
+            rows = rng.multivariate_hypergeometric(totals, n1, size=20)
+            got = multinomial_two_sample_u_counts(totals, n1, rows)
+            want = [float(_exact_two_sample_u(r.tolist(), totals.tolist(), n1)) for r in rows]
+            assert got.tolist() == want
+
+    def test_a_true_zero_is_zero(self):
+        # rows whose U is 0 in fractions come out as 0.0, not as rounding noise
+        rows = [[1, 1, 1, 2], [2, 0, 1, 2], [3, 1, 1, 0], [2, 2, 1, 0]]
+        assert all(_exact_two_sample_u(r, [4, 2, 2, 2], 5) == 0 for r in rows)
+        assert multinomial_two_sample_u_counts([4, 2, 2, 2], 5, rows).tolist() == [0.0] * 4
+
+    def test_weighted_matches_fractions(self):
+        # each category's term is an exact integer; only the weighted sum rounds, so
+        # the error is bounded by the summed magnitude of the weighted terms
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            totals = rng.integers(0, 40, int(rng.integers(2, 30)))
+            totals[0] += 2
+            n1 = int(rng.integers(2, totals.sum() - 1))
+            inv_w = 1.0 / rng.uniform(0.05, 1.0, totals.size)
+            rows = rng.multivariate_hypergeometric(totals, n1, size=20)
+            got = multinomial_two_sample_u_counts(totals, n1, rows, inv_w)
+            for row, value in zip(rows.tolist(), got):
+                want = _exact_two_sample_u(row, totals.tolist(), n1, inv_w.tolist())
+                terms = _exact_terms(row, totals.tolist(), n1)
+                scale = sum(abs(t) * Fraction(w) for t, w in zip(terms, inv_w.tolist()))
+                assert abs(Fraction(float(value)) - want) <= Fraction(1e-14) * scale
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_past_the_int64_numerator(self, weighted):
+        totals = np.array([30_000, 40_000, 20_000, 10_000])
+        inv_w = np.array([1.0, 2.5, 0.5, 3.0]) if weighted else None
+        rows = np.random.default_rng(43).multivariate_hypergeometric(totals, 50_000, size=20)
+        # n1 = n2 = 50,000: R P alone, R = 2(B + C), passes 2^63, so an int64 numerator wraps
+        assert 2 * (50_000 * 49_999 + 49_999**2) * int(rows[0] @ totals) >= 2**63
+        got = multinomial_two_sample_u_counts(totals, 50_000, rows, inv_w)
+        for row, value in zip(rows.tolist(), got):
+            want = _exact_two_sample_u(row, totals.tolist(), 50_000, inv_w)
+            assert abs(Fraction(float(value)) - want) <= Fraction(1e-15) * abs(want)
+
+
+class TestNestedCounts:
+    @staticmethod
+    def _case(rng, u, n1, n2):
+        codes = rng.permutation(np.arange(n1 + n2) % u)
+        ends = [np.append(np.sort(rng.choice(np.arange(1, u), k - 1, replace=False)), u)
+                for k in sorted({1, min(3, u), max(1, u // 2), u})]
+        rows = np.array([np.arange(n1 + n2)] + [rng.permutation(n1 + n2) for _ in range(30)])
+        return codes, ends, rows
+
+    def test_columns_are_the_partitions_tests(self):
+        # column j equals the index-row form on the codes that name partition j's runs
+        rng = np.random.default_rng(44)
+        for u, n1, n2 in ((7, 9, 6), (12, 5, 8), (2, 3, 3)):
+            codes, ends, rows = self._case(rng, u, n1, n2)
+            got = multinomial_two_sample_u_nested(codes, n1, n2, rows, ends)
+            assert got.shape == (rows.shape[0], len(ends))
+            for j, e in enumerate(ends):
+                coarse = np.searchsorted(e, codes, side="right")
+                want = multinomial_two_sample_u_many(coarse, n1, n2, rows)
+                assert got[:, j].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "ends",
+        [[[2, 4]], [[0, 3, 5]], [[3, 2, 5]], [[2, 2, 5]], [[1, 5], []], [[[5]]]],
+        ids=["short", "empty-run", "decreasing", "repeated", "no-runs", "2-d"],
+    )
+    def test_bad_ends_refused(self, ends):
+        codes = np.array([0, 1, 2, 3, 4, 0, 1, 2])
+        with pytest.raises(ValueError, match="increase strictly up to u = 5"):
+            multinomial_two_sample_u_nested(codes, 4, 4, np.arange(8)[None], ends)
 
 
 class TestIndependenceU:
