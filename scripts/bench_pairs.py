@@ -10,10 +10,13 @@ the run length and the end-to-end metrics with their direction come from
 this repository's ``BENCHMARK.json``.  For every workload it runs
 ``--trace 0`` once in each checkout, alternating which side goes first, for
 10 pairs (seeds 1..10), then one ``--trace 1`` run of each workload per side
-(seed 1).  The file holds the machine information of the first run, the
-sha256 of the ``perfbench/`` tree both checkouts share, every run's metrics,
-the median and quartiles of the end-to-end metrics per side, and per metric
-the number of pairs in which the after side was better.
+(seed 1).  The file holds the sha256 of the ``perfbench/`` tree both
+checkouts share, every run's metrics with its ``# env`` object (the machine
+as that run saw it) and the host's ``os.getloadavg()`` just before it
+started, the median and quartiles of the end-to-end metrics per side, and
+per metric the number of pairs in which the after side was better.  The
+load averages let a gain from using a second CPU be read against how busy
+the host was.
 
 Before the first run it byte-compiles ``src/`` of both checkouts
 (``python -m compileall -q src``) and records that it did: runs that
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -61,19 +65,21 @@ def compile_sources(checkout: Path) -> bool:
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """One ``perfbench/run.py`` run: its ``# env`` object and its last-line JSON.
+    """One ``perfbench/run.py`` run: the load average before it, its ``# env`` object
+    and its last-line JSON.
 
     A run that exits non-zero or whose last line is not its result is kept
     as ``correct: false`` with the exit code and the end of its stderr.
     """
+    loadavg = os.getloadavg()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     out = done.stdout.splitlines()
-    record = {"env": None, "seed": seed, "trace": trace, "returncode": done.returncode,
-              "correct": False, "attempted": None, "failed": None, "metrics": {}}
+    record = {"loadavg": loadavg, "env": None, "seed": seed, "trace": trace,
+              "returncode": done.returncode, "correct": False, "attempted": None, "failed": None, "metrics": {}}
     try:
         record["env"] = next(json.loads(line[len("# env "):]) for line in out
                              if line.startswith("# env "))
@@ -119,10 +125,6 @@ def wins(before: list[dict], after: list[dict]) -> dict:
     }
 
 
-def _without_env(result: dict) -> dict:
-    return {k: v for k, v in result.items() if k != "env"}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", required=True, type=Path)
@@ -150,12 +152,10 @@ def main(argv=None) -> int:
                 runs[side].append(run(sides[side], workload, seed, 0))
                 if is_bad(runs[side][-1]):
                     bad.append(f"{side} {workload} seed={seed} trace=0")
-        if report.get("machine") is None:
-            report["machine"] = next((r["env"] for r in runs["before"] if r["env"]), None)
         report["workloads"][workload] = {
             "pairs": PAIRS,
             "after_better_pairs": wins(runs["before"], runs["after"]),
-            **{side: {"summary": summary(r), "runs": [_without_env(x) for x in r]}
+            **{side: {"summary": summary(r), "runs": r}
                for side, r in runs.items()},
         }
     for workload in WORKLOADS:
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
             record = run(path, workload, 1, 1)
             if is_bad(record):
                 bad.append(f"{side} {workload} seed=1 trace=1")
-            report["traced"][workload][side] = _without_env(record)
+            report["traced"][workload][side] = record
     report["bad_runs"] = bad
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for label in bad:

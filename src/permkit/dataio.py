@@ -12,6 +12,11 @@ On-disk conventions (documented in the README):
   integer count columns ``c1..cd``, one individual per row with equal group
   sizes.
 
+Input is read with one ``csv.reader`` pass and then parsed one column at a
+time: a column is tested for integrality by one test of its joined text and
+converted by one ``int`` or ``float`` map.  The per-value sign rule runs only
+when that test fails, and a column is stripped only when it holds whitespace.
+
 Results serialize as one flat JSON record per test; experiment and report
 tables as versioned ``permkit-csv v1`` files.
 """
@@ -20,7 +25,8 @@ from __future__ import annotations
 
 import csv
 import json
-import re
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -38,68 +44,104 @@ __all__ = [
 ]
 
 
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
-    rows = []
+def _read_table(path) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The stripped header names and the data columns, each a tuple of raw field strings.
+
+    One ``csv.reader`` pass reads the file; blank rows and rows whose first
+    field starts with ``#`` (after leading whitespace) are skipped.  A row
+    whose field count differs from the header's is refused with its line
+    number, which a second pass finds only then.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
-                                 f"the header has {len(rows[0])}")
-            rows.append(row)
+        rows = list(filter(None, csv.reader(fh)))
+    # a comment row needs a "#" in its first field: filter row by row only if one holds it
+    if "#" in "".join(map(itemgetter(0), rows)):
+        rows = [row for row in rows if not _is_comment(row)]
+    if len(set(map(len, rows))) > 1:
+        _raise_ragged(path)
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header row and at least one data row")
     header = [h.strip() for h in rows[0]]
-    return header, rows[1:]
+    return header, list(zip(*rows[1:]))
 
 
-def _column(rows: list[list[str]], index: int) -> list[str]:
-    return [row[index].strip() for row in rows]
+def _is_comment(row: list[str]) -> bool:
+    return row[0].lstrip().startswith("#")
 
 
-def _is_integral(values: list[str]) -> bool:
-    return all(re.fullmatch(r"[+-]?\d+", v) for v in values)
+def _raise_ragged(path) -> None:
+    """Refuse the first data row whose field count differs from the header's."""
+    width = None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or _is_comment(row):
+                continue
+            if width is not None and len(row) != width:
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                 f"the header has {width}")
+            width = len(row)
 
 
-def _int64_column(path, header: list[str], rows: list[list[str]], index: int) -> np.ndarray:
+def _stripped(values: tuple[str, ...]) -> tuple[str, ...] | list[str]:
+    """``values`` with surrounding whitespace stripped; ``values`` itself when it holds none."""
+    joined = "".join(values)
+    return values if joined.split() == [joined] else [v.strip() for v in values]
+
+
+def _is_integral(values: tuple[str, ...]) -> bool:
+    """Every value, stripped, is a run of decimal digits with at most one leading sign.
+
+    A decimal digit is any Unicode digit ``str.isdecimal`` (and ``int``)
+    accepts.
+    """
+    if "".join(values).isdecimal() and all(values):
+        return True
+    return all((v[1:] if v[:1] in ("+", "-") else v).isdecimal() for v in map(str.strip, values))
+
+
+def _int64_column(path, header: list[str], columns: list[tuple[str, ...]], index: int) -> np.ndarray:
     """Column ``index`` as int64, refused if a value is outside the int64 range."""
-    values = [int(v) for v in _column(rows, index)]
-    if not all(-(2**63) <= v < 2**63 for v in values):
-        raise ValueError(f"{path}: column {header[index]!r} holds an integer outside int64")
-    return np.array(values, dtype=np.int64)
+    try:
+        return np.array(list(map(int, _stripped(columns[index]))), dtype=np.int64)
+    except OverflowError:
+        raise ValueError(
+            f"{path}: column {header[index]!r} holds an integer outside int64"
+        ) from None
 
 
-def _group_one(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
+def _group_one(path, header: list[str], columns: list[tuple[str, ...]]) -> np.ndarray:
     """Mask of the rows whose ``group`` column is 1 (the others are 2)."""
     if "group" not in header:
         raise ValueError(f"{path}: missing 'group' column")
-    groups = _column(rows, header.index("group"))
+    groups = _stripped(columns[header.index("group")])
     if not set(groups) <= {"1", "2"}:
         raise ValueError(f"{path}: group column must contain only 1 and 2")
-    return np.array([g == "1" for g in groups])
+    # every group is now one ASCII character, so the joined text holds one byte per row
+    return np.frombuffer("".join(groups).encode("ascii"), dtype=np.uint8) == ord("1")
 
 
-def _read_sides(path, header, rows, sides: list[list[int]], categories: tuple, kind: str | None) -> list:
+def _read_sides(path, header, columns, sides: list[list[int]], categories: tuple, kind: str | None) -> list:
     """``(values, domain)`` of each column group in ``sides``.
 
     ``categories`` has one entry per side.  By default the data is
     categorical when every side is a single all-integer column.
     """
     if kind is None:
-        single = all(len(cols) == 1 and _is_integral(_column(rows, cols[0])) for cols in sides)
+        single = all(len(cols) == 1 and _is_integral(columns[cols[0]]) for cols in sides)
         kind = "categorical" if single else "continuous"
     if kind != "categorical":
         if any(c is not None for c in categories):
             raise ValueError("categories apply only to categorical data")
-        return [(np.array([[float(row[i]) for i in cols] for row in rows]), Continuous(len(cols)))
+        # converted row by row, so a bad value is reported as a row-wise loop would meet it
+        return [(np.array(list(map(float, chain.from_iterable(zip(*(columns[i] for i in cols))))))
+                 .reshape(-1, len(cols)), Continuous(len(cols)))
                 for cols in sides]
     if any(len(cols) != 1 for cols in sides):
         raise ValueError(f"{path}: categorical data needs a single column per variable")
     out = []
     for cols, d in zip(sides, categories):
-        values = _int64_column(path, header, rows, cols[0])
+        values = _int64_column(path, header, columns, cols[0])
         if values.min() < 1:
             raise ValueError(f"{path}: categorical values must be positive integers (1-based)")
         # 1-based on disk, so the largest value is the inferred category count
@@ -114,12 +156,12 @@ def load_two_sample_csv(path, categories: int | None = None, kind: str | None = 
     all-integer feature column is treated as categorical.  ``categories``
     overrides the inferred category count; continuous data refuses it.
     """
-    header, rows = _read_table(path)
-    mask_y = _group_one(path, header, rows)
+    header, columns = _read_table(path)
+    mask_y = _group_one(path, header, columns)
     features = [i for i, h in enumerate(header) if h != "group"]
     if not features:
         raise ValueError(f"{path}: no feature columns")
-    [(values, domain)] = _read_sides(path, header, rows, [features], (categories,), kind)
+    [(values, domain)] = _read_sides(path, header, columns, [features], (categories,), kind)
     return TwoSamplePooled(y=values[mask_y], z=values[~mask_y], domain=domain)
 
 
@@ -142,23 +184,23 @@ def load_paired_csv(
     ``categories`` overrides the inferred (y, z) category counts; continuous
     data refuses it.
     """
-    header, rows = _read_table(path)
+    header, columns = _read_table(path)
     y_cols = _prefixed_columns(header, "y")
     z_cols = _prefixed_columns(header, "z")
     if not y_cols or not z_cols:
         raise ValueError(f"{path}: need y and z columns (y, y1.. / z, z1..)")
-    (y, y_domain), (z, z_domain) = _read_sides(path, header, rows, [y_cols, z_cols], categories, kind)
+    (y, y_domain), (z, z_domain) = _read_sides(path, header, columns, [y_cols, z_cols], categories, kind)
     return PairedSample(y=y, z=z, y_domain=y_domain, z_domain=z_domain)
 
 
 def load_poisson_csv(path) -> PoissonCounts:
     """Load per-individual count rows into a :class:`PoissonCounts`."""
-    header, rows = _read_table(path)
-    mask_y = _group_one(path, header, rows)
+    header, columns = _read_table(path)
+    mask_y = _group_one(path, header, columns)
     count_cols = _prefixed_columns(header, "c")
     if not count_cols:
         raise ValueError(f"{path}: need count columns c1..cd")
-    mat = np.stack([_int64_column(path, header, rows, i) for i in count_cols], axis=1)
+    mat = np.stack([_int64_column(path, header, columns, i) for i in count_cols], axis=1)
     return PoissonCounts(mat[mask_y], mat[~mask_y])
 
 

@@ -93,6 +93,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -128,6 +131,10 @@ TIE_REL = 1e-12
 BLOCK_ROWS = 64
 # index entries generated and evaluated at a time (rounded to whole blocks)
 CHUNK_ENTRIES = 1 << 20
+# entries a chunk must draw before a helper thread shares its blocks.  A
+# thread takes about 0.13 ms to start and join, an index entry about 20 ns to
+# shuffle; smaller draws, such as a simulation trial's, stay on one thread
+_THREAD_ENTRIES = 1 << 17
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -412,13 +419,16 @@ def _monte_carlo_chunks(
     """
     yield 0, np.arange(n, dtype=np.intp)[None, :]
     buffer = np.empty((min(chunk, replicates), n), dtype=np.intp)
+    identity = np.arange(n, dtype=np.intp)
     for start in range(0, replicates, chunk):
         rows = buffer[: min(chunk, replicates - start)]
-        rows[...] = np.arange(n, dtype=np.intp)
-        for first in range(0, rows.shape[0], BLOCK_ROWS):
-            block = rows[first : first + BLOCK_ROWS]
-            k = (start + first) // BLOCK_ROWS
-            replicate_rng(seed, k).permuted(block, axis=1, out=block)
+
+        def shuffle(j: int) -> None:
+            block = rows[j * BLOCK_ROWS : (j + 1) * BLOCK_ROWS]
+            block[...] = identity
+            replicate_rng(seed, start // BLOCK_ROWS + j).permuted(block, axis=1, out=block)
+
+        _draw_blocks(shuffle, -(-rows.shape[0] // BLOCK_ROWS), n)
         yield 1 + start, rows
 
 
@@ -440,16 +450,72 @@ def _count_chunks(
     method = _draw_method(counts.n1, order.size)
     yield 0, counts.of_rows(np.arange(n, dtype=np.intp)[None, :])
     for start in range(0, replicates, chunk):
-        stop = min(start + chunk, replicates)
-        blocks = [
-            replicate_rng(seed, k).multivariate_hypergeometric(
+        rows = np.zeros((min(chunk, replicates - start), counts.totals.size), dtype=np.int64)
+
+        def draw(j: int) -> None:
+            block = rows[j * BLOCK_ROWS : (j + 1) * BLOCK_ROWS]
+            drawn = replicate_rng(seed, start // BLOCK_ROWS + j).multivariate_hypergeometric(
                 colors, counts.n1, size=BLOCK_ROWS, method=method
             )
-            for k in range(start // BLOCK_ROWS, -(-stop // BLOCK_ROWS))
-        ]
-        rows = np.zeros((stop - start, counts.totals.size), dtype=np.int64)
-        rows[:, order] = np.concatenate(blocks)[: stop - start]
+            block[:, order] = drawn[: block.shape[0]]
+
+        _draw_blocks(draw, -(-rows.shape[0] // BLOCK_ROWS), order.size)
         yield 1 + start, rows
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_blocks(task: Callable[[int], None], count: int, width: int) -> None:
+    """Run ``task(j)`` for every block j in ``range(count)`` of ``width`` entries a row.
+
+    Each task draws one block from its own stream into its own rows, so
+    the order and the thread that runs it change nothing.  numpy
+    releases the interpreter lock while it draws, so when the blocks hold
+    at least ``_THREAD_ENTRIES`` entries and a second CPU is usable, the
+    calling thread and one helper thread take block numbers from one shared
+    iterator: a busy second CPU only leaves more blocks to the caller.  The
+    helper is joined before this returns.  Once either thread fails, neither
+    takes another block, and the failure is raised here.
+    """
+    if count < 2 or count * BLOCK_ROWS * width < _THREAD_ENTRIES or _usable_cpus() < 2:
+        for j in range(count):
+            task(j)
+        return
+    blocks = iter(range(count))
+    lock = threading.Lock()
+    stop = threading.Event()
+    failure: list[BaseException] = []
+
+    def take() -> None:
+        while not stop.is_set():
+            with lock:
+                j = next(blocks, None)
+            if j is None:
+                return
+            task(j)
+
+    def helper() -> None:
+        try:
+            take()
+        except BaseException as exc:  # noqa: BLE001 - raised again on the calling thread
+            failure.append(exc)
+            stop.set()
+
+    thread = threading.Thread(target=helper, name="permkit-draw")
+    thread.start()
+    try:
+        take()
+    finally:
+        stop.set()
+        thread.join()
+    if failure:
+        raise failure[0]
 
 
 def _draw_method(n1: int, u: int) -> str:
@@ -631,12 +697,23 @@ def run_test(
             "the smallest Monte Carlo p-value; the test can never reject. "
             "Increase the replicate count.",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=_outside_stacklevel(),
         )
     dist = permutation_distribution(stat, data, n, plan)
     if isinstance(dist, tuple):
         return tuple(outcome_from_distribution(d, alpha) for d in dist)
     return outcome_from_distribution(dist, alpha)
+
+
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning from this function's caller names
+    the first frame outside the permkit package (Python 3.11's
+    ``warnings.warn`` has no ``skip_file_prefixes``)."""
+    package = os.path.dirname(__file__)
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and os.path.dirname(frame.f_code.co_filename) == package:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def outcome_from_distribution(

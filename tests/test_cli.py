@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from permkit import cli, dataio, testing
 from permkit.cli import main
 from permkit.dataio import load_paired_csv, load_poisson_csv, load_two_sample_csv
 from permkit.perm_core import PermutationPlan
-from permkit.ustats import Categorical, Continuous
+from permkit.ustats import Categorical, Continuous, PairedSample, PoissonCounts, TwoSamplePooled
 
 
 @pytest.fixture
@@ -506,3 +509,190 @@ class TestRoutes:
         outcome = procedure(_LOADERS[command](path), *args, 0.1, plan)
         record = dataio.outcome_record(name, outcome, plan_seed=3)
         assert result.output == dataio.write_outcome_json(record) + "\n"
+
+
+# The loader as it was before columns were parsed whole: a per-row read and
+# per-value strip, regex and int(), kept as the reference the loaders must match.
+def _reference_read_table(path):
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                 f"the header has {len(rows[0])}")
+            rows.append(row)
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need a header row and at least one data row")
+    header = [h.strip() for h in rows[0]]
+    return header, rows[1:]
+
+
+def _reference_column(rows, index):
+    return [row[index].strip() for row in rows]
+
+
+def _reference_is_integral(values):
+    return all(re.fullmatch(r"[+-]?\d+", v) for v in values)
+
+
+def _reference_int64_column(path, header, rows, index):
+    values = [int(v) for v in _reference_column(rows, index)]
+    if not all(-(2**63) <= v < 2**63 for v in values):
+        raise ValueError(f"{path}: column {header[index]!r} holds an integer outside int64")
+    return np.array(values, dtype=np.int64)
+
+
+def _reference_group_one(path, header, rows):
+    if "group" not in header:
+        raise ValueError(f"{path}: missing 'group' column")
+    groups = _reference_column(rows, header.index("group"))
+    if not set(groups) <= {"1", "2"}:
+        raise ValueError(f"{path}: group column must contain only 1 and 2")
+    return np.array([g == "1" for g in groups])
+
+
+def _reference_read_sides(path, header, rows, sides, categories, kind):
+    if kind is None:
+        single = all(len(cols) == 1 and _reference_is_integral(_reference_column(rows, cols[0]))
+                     for cols in sides)
+        kind = "categorical" if single else "continuous"
+    if kind != "categorical":
+        if any(c is not None for c in categories):
+            raise ValueError("categories apply only to categorical data")
+        return [(np.array([[float(row[i]) for i in cols] for row in rows]), Continuous(len(cols)))
+                for cols in sides]
+    if any(len(cols) != 1 for cols in sides):
+        raise ValueError(f"{path}: categorical data needs a single column per variable")
+    out = []
+    for cols, d in zip(sides, categories):
+        values = _reference_int64_column(path, header, rows, cols[0])
+        if values.min() < 1:
+            raise ValueError(f"{path}: categorical values must be positive integers (1-based)")
+        out.append((values - 1, Categorical(d if d is not None else int(values.max()))))
+    return out
+
+
+def _reference_two_sample(path, kind=None):
+    header, rows = _reference_read_table(path)
+    mask_y = _reference_group_one(path, header, rows)
+    features = [i for i, h in enumerate(header) if h != "group"]
+    if not features:
+        raise ValueError(f"{path}: no feature columns")
+    [(values, domain)] = _reference_read_sides(path, header, rows, [features], (None,), kind)
+    return TwoSamplePooled(y=values[mask_y], z=values[~mask_y], domain=domain)
+
+
+def _reference_paired(path, kind=None):
+    header, rows = _reference_read_table(path)
+    y_cols = dataio._prefixed_columns(header, "y")
+    z_cols = dataio._prefixed_columns(header, "z")
+    if not y_cols or not z_cols:
+        raise ValueError(f"{path}: need y and z columns (y, y1.. / z, z1..)")
+    (y, y_domain), (z, z_domain) = _reference_read_sides(
+        path, header, rows, [y_cols, z_cols], (None, None), kind
+    )
+    return PairedSample(y=y, z=z, y_domain=y_domain, z_domain=z_domain)
+
+
+def _reference_poisson(path):
+    header, rows = _reference_read_table(path)
+    mask_y = _reference_group_one(path, header, rows)
+    count_cols = dataio._prefixed_columns(header, "c")
+    if not count_cols:
+        raise ValueError(f"{path}: need count columns c1..cd")
+    mat = np.stack([_reference_int64_column(path, header, rows, i) for i in count_cols], axis=1)
+    return PoissonCounts(mat[mask_y], mat[~mask_y])
+
+
+def _outcome(load, path, **kwargs):
+    """What a loader gives: each field of its record, or its exception's type and message."""
+    try:
+        loaded = load(path, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the failure itself is compared
+        return type(exc), str(exc)
+    return {f.name: getattr(loaded, f.name) for f in dataclasses.fields(loaded)}
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, tuple):
+        return got == want
+    if not isinstance(got, dict) or got.keys() != want.keys():
+        return False
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            other = got[key]
+            if not (isinstance(other, np.ndarray) and other.dtype == value.dtype
+                    and other.shape == value.shape and np.array_equal(other, value)):
+                return False
+        elif got[key] != value:
+            return False
+    return True
+
+
+# Every text has group, y, z and c1 columns, so each loader reads each of them.
+_LOADER_CORPUS = {
+    "plain": "group,y,z,c1\n1,1,2,0\n1,2,2,3\n2,3,1,1\n2,1,1,0\n",
+    "padded": "group, y ,z,c1\n 1 ,\t2 , 1.5 ,\t0\n1,1,\t2.5\t, 3 \n2 , 3\t,0.5, 1\n\t2,2,1,0\n",
+    "signs": "group,y,z,c1\n1,+7,+2,+1\n1,2,-0,-0\n2,-0,3,2\n2,1,1,0\n",
+    "double-sign": "group,y,z,c1\n1,+-7,2,1\n1,2,1,0\n2,1,2,0\n2,1,1,1\n",
+    "unicode-digits": "group,y,z,c1\n1,٣,２,١\n1,2,1,0\n2,1,٢,2\n2,3,1,0\n",
+    "point-and-underscore": "group,y,z,c1\n1,1.0,1_000,1\n1,2,3,0\n2,1,2,1\n2,4,1,0\n",
+    "quoted-commas": 'group,y,z,c1\n"1","1,5","2",1\n1,2,1,0\n2,1,1,1\n2,2,2,0\n',
+    "quoted-fields": '"group","y","z","c1"\n"1","1","2","1"\n1,2,"1",0\n2,"3",1,1\n2,2,2,0\n',
+    "crlf": "group,y,z,c1\r\n1,1,2,0\r\n1,2,1,1\r\n2,3,1,0\r\n2,1,2,1\r\n",
+    "ragged-after-comments": "group,y,z,c1\n# a note\n\n  # another\n1,1,2,0\n\n1,2\n2,3,1,0\n",
+    "comment-first": "# header follows\ngroup,y,z,c1\n1,1,2,0\n# mid\n1,2,1,1\n2,2,2,1\n2,1,1,0\n",
+    "int64-overflow": "group,y,z,c1\n1,9223372036854775808,2,9223372036854775808\n1,1,2,0\n"
+                      "2,1,1,0\n2,2,1,1\n",
+    "int64-edges": "group,y,z,c1\n1,9223372036854775807,2,9223372036854775807\n1,1,2,0\n"
+                   "2,1,1,0\n2,2,1,1\n",
+    "int64-negative-edges": "group,y,z,c1\n1,1,2,-9223372036854775808\n1,1,2,0\n"
+                            "2,1,1,-9223372036854775809\n2,2,1,1\n",
+    "groups-padded-and-3": "group,y,z,c1\n 1 ,1,2,0\n3,2,1,1\n2,1,1,0\n",
+    "groups-padded": "group,y,z,c1\n 1 ,1,2,0\n\t2,2,1,1\n1 ,1,1,0\n 2,3,3,3\n",
+    "header-only": "group,y,z,c1\n",
+    "blank-values": "group,y,z,c1\n1,,2,0\n2, ,1,1\n",
+    # a loop over rows meets b first, a loop over columns a
+    "bad-float-in-two-columns": "group,y,z,c1\n1,1,b,0\n2,a,1,1\n",
+    "superscript-digit": "group,y,z,c1\n1,\u00b2,1,0\n2,1,2,\u00b2\n",
+}
+
+
+def _first_two_fields(text: str) -> str:
+    """``text`` cut to the first two comma-separated fields of each line.
+
+    The cut ignores quoting, so a quoted comma gives another file, which
+    both loaders must still read alike.
+    """
+    return "\n".join(",".join(line.split(",")[:2]) for line in text.split("\n"))
+
+
+class TestLoaderReference:
+    @pytest.mark.parametrize("name", list(_LOADER_CORPUS))
+    @pytest.mark.parametrize("fields", ["all", "first-two"])
+    @pytest.mark.parametrize(
+        "load, reference, kwargs",
+        [
+            (load_two_sample_csv, _reference_two_sample, {}),
+            (load_two_sample_csv, _reference_two_sample, {"kind": "categorical"}),
+            (load_two_sample_csv, _reference_two_sample, {"kind": "continuous"}),
+            (load_paired_csv, _reference_paired, {}),
+            (load_paired_csv, _reference_paired, {"kind": "categorical"}),
+            (load_paired_csv, _reference_paired, {"kind": "continuous"}),
+            (load_poisson_csv, _reference_poisson, {}),
+        ],
+        ids=["two-sample", "two-sample-cat", "two-sample-cont", "paired", "paired-cat",
+             "paired-cont", "poisson"],
+    )
+    def test_loader_matches_the_per_value_reference(
+        self, tmp_path, name, fields, load, reference, kwargs
+    ):
+        # the first two fields are group and y: a single two-sample feature column
+        text = _LOADER_CORPUS[name] if fields == "all" else _first_two_fields(_LOADER_CORPUS[name])
+        path = _write(tmp_path / f"{name}.csv", text)
+        want = _outcome(reference, path, **kwargs)
+        got = _outcome(load, path, **kwargs)
+        assert _same(got, want), (got, want)

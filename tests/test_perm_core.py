@@ -2,9 +2,15 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,6 +400,125 @@ class TestCountRows:
         with pytest.raises(ValueError, match="subset_size 3"):
             permutation_distribution(_SubsetRows(3), GroupCounts(_CODES[:8], 4), 8,
                                      PermutationPlan.exact())
+
+
+class _CountingThread(threading.Thread):
+    """``threading.Thread`` that counts the threads started through it."""
+
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+def _all_rows(data, n, replicates, seed):
+    """Every row a Monte Carlo plan hands to ``evaluate_many``, the identity first."""
+    stat = _RecordingStat()
+    permutation_distribution(stat, data, n, PermutationPlan.monte_carlo(replicates, seed))
+    return stat.rows
+
+
+# 40 index entries or 40 count categories a row: 4095 replicates (64 blocks)
+# cross the real threshold, 1000 (16 blocks) do not
+_WIDTH = 40
+_THREAD_CASES = {
+    "index": (None, _WIDTH),
+    "counts": (GroupCounts(np.arange(800) % _WIDTH, 400), 800),
+}
+
+
+class TestThreadedDraws:
+    """A helper thread shares a chunk's blocks; the rows stay those of a serial draw."""
+
+    @pytest.mark.parametrize("threshold", ["real", "zero"])
+    @pytest.mark.parametrize("replicates", [1, 63, 64, 65, 1000, 4095])
+    @pytest.mark.parametrize("kind", list(_THREAD_CASES))
+    def test_threaded_rows_equal_serial_rows(self, kind, replicates, threshold, monkeypatch):
+        data, n = _THREAD_CASES[kind]
+        if threshold == "zero":
+            monkeypatch.setattr(perm_core, "_THREAD_ENTRIES", 0)
+        monkeypatch.setattr(threading, "Thread", _CountingThread)
+        monkeypatch.setattr(_CountingThread, "started", 0)
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 1)
+        serial = _all_rows(data, n, replicates, seed=13)
+        assert _CountingThread.started == 0
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
+        threaded = _all_rows(data, n, replicates, seed=13)
+        blocks = -(-replicates // BLOCK_ROWS)
+        entries = blocks * BLOCK_ROWS * _WIDTH
+        assert _CountingThread.started == (blocks > 1 and entries >= perm_core._THREAD_ENTRIES)
+        assert serial.dtype == threaded.dtype and np.array_equal(serial, threaded)
+
+    @pytest.mark.parametrize("kind", list(_THREAD_CASES))
+    def test_short_switch_interval_changes_no_row(self, kind, monkeypatch):
+        data, n = _THREAD_CASES[kind]
+        monkeypatch.setattr(perm_core, "_THREAD_ENTRIES", 0)
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 1)
+        serial = _all_rows(data, n, 4095, seed=14)
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [_all_rows(data, n, 4095, seed=14) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(serial, rows) for rows in threaded)
+
+    def test_helper_failure_propagates_and_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
+        caller = threading.current_thread()
+        helper_drew = threading.Event()
+        rng = perm_core.replicate_rng
+
+        def failing_in_helper(seed, k):
+            if threading.current_thread() is caller:
+                assert helper_drew.wait(10)  # the helper takes a block while the caller waits
+                return rng(seed, k)
+            helper_drew.set()
+            raise KeyError(k)
+
+        monkeypatch.setattr(perm_core, "replicate_rng", failing_in_helper)
+        before = threading.active_count()
+        for data, n in _THREAD_CASES.values():
+            helper_drew.clear()
+            with pytest.raises(KeyError):
+                permutation_distribution(_RecordingStat(), data, n, PermutationPlan.monte_carlo(4095, 2))
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_a_failure_stops_both_threads_taking_blocks(self, failing, monkeypatch):
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
+        caller = threading.current_thread()
+        both_drawing = threading.Event()
+        taken = []
+        count = 200
+
+        def task(j):
+            taken.append(j)
+            here = "caller" if threading.current_thread() is caller else "helper"
+            if here == "helper":
+                both_drawing.set()
+            else:
+                assert both_drawing.wait(10)
+            if here == failing:
+                raise KeyError(j)
+            time.sleep(0.001)  # all 200 blocks take 0.2 s if the failure is ignored
+
+        before = threading.active_count()
+        with pytest.raises(KeyError):
+            perm_core._draw_blocks(task, count, perm_core._THREAD_ENTRIES)
+        assert threading.active_count() == before
+        assert len(taken) < count
+
+    def test_importing_permkit_starts_no_thread(self):
+        code = ("import sys, threading; import permkit; "
+                "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+        src = str(Path(perm_core.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "False"]
 
 
 class _EncodingStat:

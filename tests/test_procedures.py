@@ -635,6 +635,26 @@ class TestMonteCarloLevel:
             assert (pvals <= u).mean() <= u + 3 * se
 
 
+class TestWarningLocation:
+    """The unreachable-level warning names the caller's line, not a line of permkit."""
+
+    def test_two_sample_warning_points_at_the_caller(self):
+        rng = np.random.default_rng(0)
+        data = TwoSamplePooled(y=rng.integers(0, 4, 10), z=rng.integers(0, 4, 10),
+                               domain=Categorical(4))
+        with pytest.warns(RuntimeWarning, match="never reject") as record:
+            multinomial_l2_two_sample(data, 0.01, MC(49, seed=0))
+        assert record[0].filename == __file__
+
+    def test_adaptive_warning_points_at_the_caller(self):
+        rng = np.random.default_rng(1)
+        data = PairedSample(y=rng.random((40, 1)), z=rng.random((40, 1)),
+                            y_domain=Continuous(1), z_domain=Continuous(1))
+        with pytest.warns(RuntimeWarning, match="never reject") as record:
+            adaptive_independence(data, 0.01, MC(49, seed=0))
+        assert record[0].filename == __file__
+
+
 class TestPoissonTest:
     def test_all_zero_counts_never_rejects(self):
         counts = PoissonCounts(np.zeros((5, 4), dtype=int), np.zeros((5, 4), dtype=int))
