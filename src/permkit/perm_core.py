@@ -59,9 +59,11 @@ Conventions
   generated and evaluated one chunk at a time, a whole number of blocks
   holding about ``CHUNK_ENTRIES`` (2^20) index or count entries.  The
   batch forms of ``ustats``, which every evaluator of ``testing`` calls,
-  slice each chunk by the same budget, so their temporaries (count tables,
-  Gram gathers and products) also hold about ``CHUNK_ENTRIES`` entries:
-  peak memory follows the budget, not B * n or n! * n.
+  cut each chunk into slices whose temporaries (count tables, Gram gathers
+  and products) hold about a quarter of that budget, and evaluate the
+  slices on up to two threads, so those temporaries hold at most about
+  half of it at a time: peak memory follows the budget, not B * n or
+  n! * n.
 * Evaluators have one protocol, ``evaluate_many(data, rows)`` on an (m, n)
   matrix of index rows, or an (m, u) matrix of count rows for
   :class:`GroupCounts` data; a plain callable ``stat(data, perm)`` is called
@@ -475,19 +477,33 @@ def _draw_blocks(task: Callable[[int], None], count: int, width: int) -> None:
     """Run ``task(j)`` for every block j in ``range(count)`` of ``width`` entries a row.
 
     Each task draws one block from its own stream into its own rows, so
-    the order and the thread that runs it change nothing.  numpy
-    releases the interpreter lock while it draws, so when the blocks hold
-    at least ``_THREAD_ENTRIES`` entries and a second CPU is usable, the
-    calling thread and one helper thread take block numbers from one shared
-    iterator: a busy second CPU only leaves more blocks to the caller.  The
-    helper is joined before this returns.  Once either thread fails, neither
-    takes another block, and the failure is raised here.
+    the order and the thread that runs it change nothing.  Blocks holding
+    fewer than ``_THREAD_ENTRIES`` entries in all are drawn on the calling
+    thread; larger draws go to `share_tasks`, as numpy releases the
+    interpreter lock while it draws.
     """
-    if count < 2 or count * BLOCK_ROWS * width < _THREAD_ENTRIES or _usable_cpus() < 2:
+    if count * BLOCK_ROWS * width < _THREAD_ENTRIES:
+        for j in range(count):
+            task(j)
+    else:
+        share_tasks(task, count)
+
+
+def share_tasks(task: Callable[[int], None], count: int) -> None:
+    """Run ``task(j)`` for every j in ``range(count)``, on up to two threads.
+
+    Each task must write only its own part of the result.  With at least
+    two tasks and a second usable CPU, the calling thread and one helper
+    thread take task numbers from one shared iterator: a busy second CPU
+    only leaves more tasks to the caller.  The helper is joined before this
+    returns.  Once either thread fails, neither takes another task, and the
+    failure is raised here.
+    """
+    if count < 2 or _usable_cpus() < 2:
         for j in range(count):
             task(j)
         return
-    blocks = iter(range(count))
+    tasks = iter(range(count))
     lock = threading.Lock()
     stop = threading.Event()
     failure: list[BaseException] = []
@@ -495,7 +511,7 @@ def _draw_blocks(task: Callable[[int], None], count: int, width: int) -> None:
     def take() -> None:
         while not stop.is_set():
             with lock:
-                j = next(blocks, None)
+                j = next(tasks, None)
             if j is None:
                 return
             task(j)
@@ -507,7 +523,7 @@ def _draw_blocks(task: Callable[[int], None], count: int, width: int) -> None:
             failure.append(exc)
             stop.set()
 
-    thread = threading.Thread(target=helper, name="permkit-draw")
+    thread = threading.Thread(target=helper, name="permkit-task")
     thread.start()
     try:
         take()

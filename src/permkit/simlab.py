@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -237,6 +236,9 @@ def _run_tasks(worker, tasks: list, workers: int) -> list:
     """Evaluate ``worker`` over ``tasks`` preserving order; fork when asked."""
     if workers <= 1:
         return [worker(t) for t in tasks]
+    # imported here: every CLI command imports this module, few start a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))

@@ -209,7 +209,7 @@ def _capped_kappas(gamma_max: int, dim: int) -> list[int]:
                 f"dropping kappa={kappa} from the adaptive grid: "
                 f"{kappa}^{dim} cells exceed the {GRID_CELL_CAP} cap",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=perm_core._outside_stacklevel(),
             )
             continue
         kappas.append(kappa)

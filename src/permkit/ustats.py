@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, eval as kernel_eval
-from .perm_core import CHUNK_ENTRIES, bincount_rows
+from .perm_core import CHUNK_ENTRIES, bincount_rows, share_tasks
 
 __all__ = [
     "Categorical",
@@ -250,14 +250,19 @@ def _by_row_slices(rows: np.ndarray, per_row: int, block_values, columns=()) -> 
     """``block_values`` over slices of ``rows``, concatenated into one float array.
 
     ``per_row`` is the number of temporary entries ``block_values`` holds per
-    row; each slice has about ``CHUNK_ENTRIES`` of them (at least one row),
-    so an evaluator's memory is bounded like the index chunk it is handed.
-    ``columns`` is the shape of one row's values, ``(K,)`` for K statistics.
+    row; each slice has about a quarter of ``CHUNK_ENTRIES`` of them (at
+    least one row).  The slices run on up to two threads (`share_tasks`),
+    each writing its own rows of the result, so an evaluator holds at most
+    about half the budget of the index chunk it is handed.  ``columns`` is
+    the shape of one row's values, ``(K,)`` for K statistics.
     """
-    step = max(1, CHUNK_ENTRIES // max(per_row, 1))
+    step = max(1, (CHUNK_ENTRIES // 4) // max(per_row, 1))
     out = np.empty((rows.shape[0], *columns), dtype=float)
-    for start in range(0, rows.shape[0], step):
-        out[start : start + step] = block_values(rows[start : start + step])
+
+    def evaluate_slice(j: int) -> None:
+        out[j * step : (j + 1) * step] = block_values(rows[j * step : (j + 1) * step])
+
+    share_tasks(evaluate_slice, -(-rows.shape[0] // step))
     return out
 
 

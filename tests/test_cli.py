@@ -1,7 +1,11 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,17 @@ from permkit.cli import main
 from permkit.dataio import load_paired_csv, load_poisson_csv, load_two_sample_csv
 from permkit.perm_core import PermutationPlan
 from permkit.ustats import Categorical, Continuous, PairedSample, PoissonCounts, TwoSamplePooled
+
+
+class TestImportCost:
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # simlab imports concurrent.futures.process only when it starts workers
+        code = "import sys, permkit.cli; print('concurrent.futures.process' in sys.modules)"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
 
 @pytest.fixture

@@ -654,6 +654,20 @@ class TestWarningLocation:
             adaptive_independence(data, 0.01, MC(49, seed=0))
         assert record[0].filename == __file__
 
+    @pytest.mark.parametrize("procedure", [adaptive_two_sample, adaptive_independence])
+    def test_grid_cap_warning_points_at_the_caller(self, procedure):
+        # 5 + 5 dimensions at 100 points: the grid's kappa = 4 has 4^10 > 10^6 cells
+        rng = np.random.default_rng(2)
+        if procedure is adaptive_two_sample:
+            data = TwoSamplePooled(y=rng.random((100, 10)), z=rng.random((100, 10)),
+                                   domain=Continuous(10))
+        else:
+            data = PairedSample(y=rng.random((100, 5)), z=rng.random((100, 5)),
+                                y_domain=Continuous(5), z_domain=Continuous(5))
+        with pytest.warns(RuntimeWarning, match="dropping kappa=4") as record:
+            procedure(data, 0.05, MC(99, seed=0))
+        assert [w.filename for w in record if "dropping" in str(w.message)] == [__file__]
+
 
 class TestPoissonTest:
     def test_all_zero_counts_never_rejects(self):

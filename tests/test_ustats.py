@@ -1,6 +1,9 @@
 import ast
 import itertools
 import math
+import sys
+import threading
+import time
 import warnings
 from collections import defaultdict
 from fractions import Fraction
@@ -670,6 +673,129 @@ class TestLabelingsMustBePermutations:
             evaluate(np.array(labeling))
         with pytest.raises(ValueError, match=r"permutation of range\(6\)"):
             evaluate(np.arange(5))
+
+
+def _sliced_case(name):
+    """``(evaluate, per_row)`` for one caller of ``ustats._by_row_slices`` on 12 points."""
+    rng = np.random.default_rng(31)
+    codes = np.arange(12) % 5
+    if name == "two_sample_u_many":
+        g = gram(Gaussian(np.array([0.7, 0.7])), rng.normal(size=(12, 2)))
+        return lambda rows: two_sample_u_many(g, 6, 6, rows), 2 * 12
+    if name == "independence_u_many":
+        gy, gz = (gram(Gaussian(np.array([1.0])), rng.normal(size=12)) for _ in "yz")
+        return lambda rows: independence_u_many(gy, gz, rows), 2 * 12 * 12
+    if name == "multinomial_two_sample_u_many":
+        weights = 1.0 / rng.integers(1, 4, 5)
+        return lambda rows: multinomial_two_sample_u_many(codes, 6, 6, rows, weights), 5
+    if name == "multinomial_two_sample_u_nested":
+        ends = ([2, 5], [1, 2, 3, 4, 5])
+        return lambda rows: multinomial_two_sample_u_nested(codes, 6, 6, rows, ends), 2 * 5
+    if name == "multinomial_two_sample_u_counts":
+        totals = np.bincount(codes)
+        return (
+            lambda rows: multinomial_two_sample_u_counts(
+                totals, 6, perm_core.bincount_rows(codes[rows[:, :6]], 5)
+            ),
+            5,
+        )
+    if name == "multinomial_independence_u_many":
+        y = np.arange(12) % 3
+        return lambda rows: multinomial_independence_u_many(y, codes, rows), 3 * 5
+    pooled = rng.poisson(1.0, (12, 4))
+    return lambda rows: poisson_chisq_many(pooled, 6, rows), 6 * 4
+
+
+_SLICED = [
+    "two_sample_u_many",
+    "independence_u_many",
+    "multinomial_two_sample_u_many",
+    "multinomial_two_sample_u_nested",
+    "multinomial_two_sample_u_counts",
+    "multinomial_independence_u_many",
+    "poisson_chisq_many",
+]
+
+
+class _CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+class TestThreadedSlices:
+    """A helper thread shares an evaluation's slices; the values stay those of one thread."""
+
+    @pytest.mark.parametrize("name", _SLICED)
+    def test_threaded_bytes_equal_serial_bytes(self, name, monkeypatch):
+        evaluate, per_row = _sliced_case(name)
+        rng = np.random.default_rng(32)
+        rows = np.array([np.arange(12)] + [rng.permutation(12) for _ in range(40)])
+        monkeypatch.setattr(ustats, "CHUNK_ENTRIES", 4 * 3 * per_row)  # 14 slices of <= 3 rows
+        monkeypatch.setattr(threading, "Thread", _CountingThread)
+        monkeypatch.setattr(_CountingThread, "started", 0)
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 1)
+        serial = evaluate(rows)
+        assert _CountingThread.started == 0
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
+        threaded = evaluate(rows)
+        assert _CountingThread.started == 1
+        assert serial.shape == threaded.shape and serial.tobytes() == threaded.tobytes()
+
+    @pytest.mark.parametrize("name", _SLICED)
+    def test_short_switch_interval_changes_no_value(self, name, monkeypatch):
+        evaluate, _ = _sliced_case(name)
+        rng = np.random.default_rng(34)
+        rows = np.array([rng.permutation(12) for _ in range(200)])
+        monkeypatch.setattr(ustats, "CHUNK_ENTRIES", 1)  # one slice a row
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 1)
+        serial = evaluate(rows)
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [evaluate(rows) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(values.tobytes() == serial.tobytes() for values in threaded)
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    @pytest.mark.parametrize("name", _SLICED)
+    def test_a_failure_propagates_and_stops_both_threads(self, name, failing, monkeypatch):
+        evaluate, _ = _sliced_case(name)
+        rng = np.random.default_rng(33)
+        count = 200
+        rows = np.array([rng.permutation(12) for _ in range(count)])
+        monkeypatch.setattr(ustats, "CHUNK_ENTRIES", 1)  # one slice a row
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
+        caller = threading.current_thread()
+        both_evaluating = threading.Event()
+        taken = []
+        by_row_slices = ustats._by_row_slices
+
+        def failing_slices(rows, per_row, block_values, columns=()):
+            def values(block):
+                taken.append(block)
+                here = "caller" if threading.current_thread() is caller else "helper"
+                if here == "helper":
+                    both_evaluating.set()
+                else:
+                    assert both_evaluating.wait(10)
+                if here == failing:
+                    raise KeyError(here)
+                time.sleep(0.001)  # all 200 slices take 0.2 s if the failure is ignored
+                return block_values(block)
+
+            return by_row_slices(rows, per_row, values, columns)
+
+        monkeypatch.setattr(ustats, "_by_row_slices", failing_slices)
+        before = threading.active_count()
+        with pytest.raises(KeyError, match=failing):
+            evaluate(rows)
+        assert threading.active_count() == before
+        assert len(taken) < count
 
 
 class TestModuleBoundary:
