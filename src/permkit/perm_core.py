@@ -59,11 +59,14 @@ Conventions
   generated and evaluated one chunk at a time, a whole number of blocks
   holding about ``CHUNK_ENTRIES`` (2^20) index or count entries.  The
   batch forms of ``ustats``, which every evaluator of ``testing`` calls,
-  cut each chunk into slices whose temporaries (count tables, Gram gathers
-  and products) hold about a quarter of that budget, and evaluate the
-  slices on up to two threads, so those temporaries hold at most about
-  half of it at a time: peak memory follows the budget, not B * n or
-  n! * n.
+  slice each chunk by the same budget, so their temporaries (count tables,
+  Gram gathers and products) also hold about ``CHUNK_ENTRIES`` entries:
+  peak memory follows the budget, not B * n or n! * n.  When a helper
+  thread evaluates part of a chunk, each slice is cut into up to four
+  pieces, so the two threads' temporaries hold about half the budget.
+  Forms built on a BLAS product of non-integral floats (the Gram
+  two-sample form, weighted count forms) keep whole slices on the calling
+  thread: a product's last bits change with where its rows are cut.
 * Evaluators have one protocol, ``evaluate_many(data, rows)`` on an (m, n)
   matrix of index rows, or an (m, u) matrix of count rows for
   :class:`GroupCounts` data; a plain callable ``stat(data, perm)`` is called
@@ -137,6 +140,9 @@ CHUNK_ENTRIES = 1 << 20
 # thread takes about 0.13 ms to start and join, an index entry about 20 ns to
 # shuffle; smaller draws, such as a simulation trial's, stay on one thread
 _THREAD_ENTRIES = 1 << 17
+
+# processes sharing this one's CPUs; set in a pool's workers by `share_cpus`
+_CPU_SHARERS = 1
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -466,11 +472,27 @@ def _count_chunks(
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, else the machine's count."""
+    """This process's share of the CPUs it may run on.
+
+    The CPUs are its affinity set, else the machine's count, divided among
+    the ``_CPU_SHARERS`` worker processes of a pool (`share_cpus`).
+    """
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _CPU_SHARERS)
+
+
+def share_cpus(processes: int) -> None:
+    """Count this process as one of ``processes`` pool workers sharing its CPUs."""
+    global _CPU_SHARERS
+    _CPU_SHARERS = max(1, processes)
+
+
+def helper_thread_usable() -> bool:
+    """Whether a helper thread would have a CPU of its own (`_usable_cpus`)."""
+    return _usable_cpus() >= 2
 
 
 def _draw_blocks(task: Callable[[int], None], count: int, width: int) -> None:
@@ -499,7 +521,7 @@ def share_tasks(task: Callable[[int], None], count: int) -> None:
     returns.  Once either thread fails, neither takes another task, and the
     failure is raised here.
     """
-    if count < 2 or _usable_cpus() < 2:
+    if count < 2 or not helper_thread_usable():
         for j in range(count):
             task(j)
         return

@@ -26,6 +26,7 @@ from .perm_core import (
     PermutationPlan,
     permutation_distribution,
     replicate_rng,
+    share_cpus,
     split_seed,
 )
 from .testing import (
@@ -240,7 +241,10 @@ def _run_tasks(worker, tasks: list, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # each worker starts helper threads only on its share of the CPUs
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=share_cpus, initargs=(workers,)
+    ) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, eval as kernel_eval
-from .perm_core import CHUNK_ENTRIES, bincount_rows, share_tasks
+from .perm_core import CHUNK_ENTRIES, bincount_rows, helper_thread_usable, share_tasks
 
 __all__ = [
     "Categorical",
@@ -246,24 +246,47 @@ def _index_rows(rows, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _by_row_slices(rows: np.ndarray, per_row: int, block_values, columns=()) -> np.ndarray:
+def _by_row_slices(
+    rows: np.ndarray, per_row: int, block_values, columns=(), blas: bool = False
+) -> np.ndarray:
     """``block_values`` over slices of ``rows``, concatenated into one float array.
 
     ``per_row`` is the number of temporary entries ``block_values`` holds per
-    row; each slice has about a quarter of ``CHUNK_ENTRIES`` of them (at
-    least one row).  The slices run on up to two threads (`share_tasks`),
-    each writing its own rows of the result, so an evaluator holds at most
-    about half the budget of the index chunk it is handed.  ``columns`` is
-    the shape of one row's values, ``(K,)`` for K statistics.
+    row; each slice has about ``CHUNK_ENTRIES`` of them (at least one row),
+    so an evaluator's memory is bounded like the index chunk it is handed.
+    ``columns`` is the shape of one row's values, ``(K,)`` for K statistics.
+
+    When all rows hold more than a quarter of the budget and a helper
+    thread is usable, each slice is cut into up to four pieces, and the
+    calling thread and the helper evaluate the pieces (`share_tasks`), each
+    writing its own rows of the result: the two threads hold about half the
+    budget.  Smaller evaluations, a simulation trial's say, cost less than
+    starting the helper.  Set ``blas`` when ``block_values`` takes a BLAS
+    product of non-integral floats: its slices stay whole and on the
+    calling thread, as BLAS spreads a product over the CPUs itself and the
+    last bits of a product's rows change with where the rows are cut.
     """
-    step = max(1, (CHUNK_ENTRIES // 4) // max(per_row, 1))
-    out = np.empty((rows.shape[0], *columns), dtype=float)
+    m = rows.shape[0]
+    step = max(1, CHUNK_ENTRIES // max(per_row, 1))
+    out = np.empty((m, *columns), dtype=float)
+    if blas or m * per_row <= CHUNK_ENTRIES // 4 or not helper_thread_usable():
+        for start in range(0, m, step):
+            out[start : start + step] = block_values(rows[start : start + step])
+        return out
+    bounds = [cut for start in range(0, m, step) for cut in _pieces(start, min(step, m - start))]
+    bounds.append(m)
 
-    def evaluate_slice(j: int) -> None:
-        out[j * step : (j + 1) * step] = block_values(rows[j * step : (j + 1) * step])
+    def evaluate_piece(j: int) -> None:
+        out[bounds[j] : bounds[j + 1]] = block_values(rows[bounds[j] : bounds[j + 1]])
 
-    share_tasks(evaluate_slice, -(-rows.shape[0] // step))
+    share_tasks(evaluate_piece, len(bounds) - 1)
     return out
+
+
+def _pieces(start: int, size: int) -> list[int]:
+    """Starts of up to four near-equal pieces of rows ``start .. start + size``."""
+    parts = min(4, size)
+    return [start + size * i // parts for i in range(parts)]
 
 
 def two_sample_u(
@@ -304,7 +327,7 @@ def two_sample_u_many(
             - 2.0 * cross / (n1 * n2)
         )
 
-    return _by_row_slices(perms, 2 * n, block_values)  # the mask and mask @ g
+    return _by_row_slices(perms, 2 * n, block_values, blas=True)  # the mask and mask @ g
 
 
 def two_sample_u_naive(
@@ -380,7 +403,7 @@ def multinomial_two_sample_u_many(
         c1 = bincount_rows(codes[block[:, :n1]], u)
         return _two_sample_of_counts(c1, totals, n1, n2, inv_weights)
 
-    return _by_row_slices(perms, u, block_values)
+    return _by_row_slices(perms, u, block_values, blas=inv_weights is not None)
 
 
 def multinomial_two_sample_u_nested(
@@ -467,7 +490,10 @@ def multinomial_two_sample_u_counts(
             f"each count row must be nonnegative, stay within totals and sum to n1 = {n1}"
         )
     return _by_row_slices(
-        c1_rows, totals.size, lambda c1: _two_sample_of_counts(c1, totals, n1, n2, inv_weights)
+        c1_rows,
+        totals.size,
+        lambda c1: _two_sample_of_counts(c1, totals, n1, n2, inv_weights),
+        blas=inv_weights is not None,
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from permkit import perm_core, simlab
 from permkit.simlab import (
     ContinuousUniform,
     GaussianLocation,
@@ -129,6 +130,18 @@ class TestEstimateErrorRates:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             estimate_error_rates(lambda seed: True, trials=0, seed=0)
+
+
+def _usable_cpus_of_worker(_task) -> int:
+    return perm_core._usable_cpus()
+
+
+class TestWorkerPool:
+    def test_workers_start_helper_threads_on_their_share_of_the_cpus(self):
+        cpus = perm_core._usable_cpus()
+        shares = simlab._run_tasks(_usable_cpus_of_worker, [0, 1, 2, 3], workers=2)
+        assert shares == [max(1, cpus // 2)] * 4
+        assert perm_core._usable_cpus() == cpus  # the calling process keeps its CPUs
 
 
 class TestThresholdExperiment:

@@ -685,17 +685,17 @@ def _sliced_case(name):
     if name == "independence_u_many":
         gy, gz = (gram(Gaussian(np.array([1.0])), rng.normal(size=12)) for _ in "yz")
         return lambda rows: independence_u_many(gy, gz, rows), 2 * 12 * 12
-    if name == "multinomial_two_sample_u_many":
-        weights = 1.0 / rng.integers(1, 4, 5)
+    weights = 1.0 / rng.integers(1, 4, 5) if name.endswith("weighted") else None
+    if name.startswith("multinomial_two_sample_u_many"):
         return lambda rows: multinomial_two_sample_u_many(codes, 6, 6, rows, weights), 5
     if name == "multinomial_two_sample_u_nested":
         ends = ([2, 5], [1, 2, 3, 4, 5])
         return lambda rows: multinomial_two_sample_u_nested(codes, 6, 6, rows, ends), 2 * 5
-    if name == "multinomial_two_sample_u_counts":
+    if name.startswith("multinomial_two_sample_u_counts"):
         totals = np.bincount(codes)
         return (
             lambda rows: multinomial_two_sample_u_counts(
-                totals, 6, perm_core.bincount_rows(codes[rows[:, :6]], 5)
+                totals, 6, perm_core.bincount_rows(codes[rows[:, :6]], 5), weights
             ),
             5,
         )
@@ -710,11 +710,20 @@ _SLICED = [
     "two_sample_u_many",
     "independence_u_many",
     "multinomial_two_sample_u_many",
+    "multinomial_two_sample_u_many-weighted",
     "multinomial_two_sample_u_nested",
     "multinomial_two_sample_u_counts",
+    "multinomial_two_sample_u_counts-weighted",
     "multinomial_independence_u_many",
     "poisson_chisq_many",
 ]
+# forms taking a BLAS product of non-integral floats: evaluated on the calling thread
+_ON_ONE_THREAD = [
+    "two_sample_u_many",
+    "multinomial_two_sample_u_many-weighted",
+    "multinomial_two_sample_u_counts-weighted",
+]
+_THREADED = [name for name in _SLICED if name not in _ON_ONE_THREAD]
 
 
 class _CountingThread(threading.Thread):
@@ -733,16 +742,55 @@ class TestThreadedSlices:
         evaluate, per_row = _sliced_case(name)
         rng = np.random.default_rng(32)
         rows = np.array([np.arange(12)] + [rng.permutation(12) for _ in range(40)])
-        monkeypatch.setattr(ustats, "CHUNK_ENTRIES", 4 * 3 * per_row)  # 14 slices of <= 3 rows
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 1)
+        whole = evaluate(rows)  # one slice under the default budget
+        assert ustats.CHUNK_ENTRIES // per_row >= rows.shape[0]
+        monkeypatch.setattr(ustats, "CHUNK_ENTRIES", 4 * 3 * per_row)  # 4 slices, 14 pieces
         monkeypatch.setattr(threading, "Thread", _CountingThread)
         monkeypatch.setattr(_CountingThread, "started", 0)
-        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 1)
         serial = evaluate(rows)
         assert _CountingThread.started == 0
         monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
         threaded = evaluate(rows)
-        assert _CountingThread.started == 1
-        assert serial.shape == threaded.shape and serial.tobytes() == threaded.tobytes()
+        assert _CountingThread.started == (name in _THREADED)
+        assert serial.shape == threaded.shape == whole.shape
+        assert serial.tobytes() == threaded.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("step", range(1, 10))
+    def test_pieces_split_each_slice_in_up_to_four(self, step, monkeypatch):
+        monkeypatch.setattr(ustats, "CHUNK_ENTRIES", step)  # slices of `step` rows
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
+        for m in range(41):
+            pieces = []
+
+            def values(block):
+                pieces.append((int(block[0, 0]), block.shape[0]))
+                return block[:, 0].astype(float)
+
+            out = ustats._by_row_slices(np.arange(m)[:, None], 1, values)
+            assert out.tobytes() == np.arange(m, dtype=float).tobytes()
+            pieces.sort()
+            covered = [r for start, size in pieces for r in range(start, start + size)]
+            assert covered == list(range(m))
+            for first in range(0, m, step):
+                sizes = [size for start, size in pieces if first <= start < first + step]
+                assert sum(sizes) == min(step, m - first)
+                assert max(sizes) - min(sizes) <= 1
+                # rows holding at most a quarter of the budget keep whole slices
+                assert len(sizes) == (min(4, sum(sizes)) if m > step // 4 else 1)
+
+    @pytest.mark.parametrize("m", [787, 1049])
+    def test_full_size_gram_products_keep_their_bits(self, m, monkeypatch):
+        # 500 points, slices of 1048 rows: the rows of one BLAS product change
+        # in their last bits when the product is cut into pieces
+        rng = np.random.default_rng(35)
+        g = gram(Gaussian(np.array([0.7, 0.7])), rng.normal(size=(500, 2)))
+        rows = rng.permuted(np.tile(np.arange(500), (m, 1)), axis=1)
+        assert ustats.CHUNK_ENTRIES // (2 * 500) == 1048
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 1)
+        serial = two_sample_u_many(g, 250, 250, rows)
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
+        assert two_sample_u_many(g, 250, 250, rows).tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("name", _SLICED)
     def test_short_switch_interval_changes_no_value(self, name, monkeypatch):
@@ -762,7 +810,7 @@ class TestThreadedSlices:
         assert all(values.tobytes() == serial.tobytes() for values in threaded)
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
-    @pytest.mark.parametrize("name", _SLICED)
+    @pytest.mark.parametrize("name", _THREADED)
     def test_a_failure_propagates_and_stops_both_threads(self, name, failing, monkeypatch):
         evaluate, _ = _sliced_case(name)
         rng = np.random.default_rng(33)
@@ -775,7 +823,7 @@ class TestThreadedSlices:
         taken = []
         by_row_slices = ustats._by_row_slices
 
-        def failing_slices(rows, per_row, block_values, columns=()):
+        def failing_slices(rows, per_row, block_values, columns=(), **options):
             def values(block):
                 taken.append(block)
                 here = "caller" if threading.current_thread() is caller else "helper"
@@ -788,7 +836,7 @@ class TestThreadedSlices:
                 time.sleep(0.001)  # all 200 slices take 0.2 s if the failure is ignored
                 return block_values(block)
 
-            return by_row_slices(rows, per_row, values, columns)
+            return by_row_slices(rows, per_row, values, columns, **options)
 
         monkeypatch.setattr(ustats, "_by_row_slices", failing_slices)
         before = threading.active_count()
