@@ -28,8 +28,10 @@ replicate i is the same permutation for every kappa, and each component
 equals the binned test at that kappa, the split level and the same plan.
 The adaptive two-sample evaluator counts each index row once, on the
 finest grid, whose cells it numbers in Morton (Z-)order: every cell of a
-coarser dyadic grid is then one run of fine cells, counted from the fine
-counts (``multinomial_two_sample_u_nested``).
+coarser dyadic grid is then one run of fine cells, and one pass over a
+table of running fine counts gives every grid's run counts, skipping runs
+of a single pooled point, which add nothing to the statistic
+(``multinomial_two_sample_u_nested``).
 """
 
 from __future__ import annotations

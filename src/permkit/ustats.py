@@ -16,6 +16,10 @@ tie exactly, without the tie tolerance of ``perm_core``.  Besides
 `multinomial_two_sample_u_many` it has a form on (m, u) count rows,
 `multinomial_two_sample_u_counts` (its scalar form is that form on one row),
 and one on K nested partitions at once, `multinomial_two_sample_u_nested`.
+That form counts each row once, into a code-major table of running counts,
+and sums every partition's runs in one pass; a run holding a single pooled
+point is skipped, as S2 - n1 and P - n1 are sums of c1(c1-1) and c1(t-1)
+over the runs, to which it adds 0.
 
 Permutations act by index relabeling on cached values; kernels are never
 re-evaluated per relabeling.
@@ -60,6 +64,10 @@ __all__ = [
 
 NAIVE_TWO_SAMPLE_LIMIT = 30
 NAIVE_INDEPENDENCE_LIMIT = 10
+# temporaries of one piece of the nested count form: 256 KB stay in cache,
+# and in heap pages the allocator keeps between calls, where a whole slice's
+# would be mapped afresh, page by page, on every call
+_PIECE_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -413,40 +421,73 @@ def multinomial_two_sample_u_nested(
 
     ``codes`` (``0 .. u - 1``) number the finest partition's cells so that
     each cell of a coarser partition j is a run of codes; ``ends[j]`` lists
-    the runs' exclusive ends, increasing up to u.  Each row is counted once
-    on the codes, and a run's count is a difference of running counts.
+    the runs' exclusive ends, increasing up to u.  One pass serves every
+    partition: each slice of rows is counted once into a code-major
+    (u + 1, m) table of running first-group counts, so a run's counts are
+    the difference of two contiguous table rows, and each partition's sums
+    are one add over its runs.  As the c1 sum to n1, S2 = n1 + sum c1(c1-1)
+    and P = n1 + sum c1(t-1): a run holding at most one pooled point adds
+    to neither, so only runs with t >= 2 are gathered.  A slice is counted
+    in pieces of about ``_PIECE_ENTRIES`` table and gather entries.
     """
     codes, perms = _pooled_codes(codes, n1, n2, rows)
     totals = np.bincount(codes)
     u = totals.size
-    ends = [np.asarray(e, dtype=np.intp) for e in ends]
-    for e in ends:
-        if e.ndim != 1 or not e.size or e[0] < 1 or e[-1] != u or (e[1:] <= e[:-1]).any():
-            raise ValueError(f"each ends array must increase strictly up to u = {u}")
-    # a partition with u runs is the finest one: its counts are the fine counts
-    lasts = [None if e.size == u else e - 1 for e in ends]
-    cell_totals = [totals if c is None else _run_sums(np.cumsum(totals), c) for c in lasts]
-    tt = np.array([int(t @ (t - 1)) for t in cell_totals])
+    refusal = f"each ends array must increase strictly up to u = {u}"
+    sizes = np.fromiter(map(np.size, ends), np.intp, len(ends))
+    try:
+        flat = np.concatenate(ends).astype(np.intp)
+    except ValueError:  # no arrays, or arrays of mixed dimensions
+        raise ValueError(refusal) from None
+    if flat.ndim != 1 or not sizes.all():
+        raise ValueError(refusal)
+    lasts = np.cumsum(sizes) - 1  # each partition's last run in ``flat``
+    firsts = lasts + 1 - sizes
+    starts = np.concatenate(([0], flat[:-1]))  # each run's start: the previous run's end
+    starts[firsts] = 0  # or 0 for a partition's first run
+    if (flat <= starts).any() or (flat[lasts] != u).any():
+        raise ValueError(refusal)
+    running_totals = np.concatenate(([0], np.cumsum(totals)))
+    t = running_totals[flat] - running_totals[starts]
+    kept = t >= 2
+    hi, lo, t = flat[kept], starts[kept], t[kept]
+    per_grid = np.add.reduceat(kept, firsts, dtype=np.intp)
+    has_runs = per_grid > 0
+    offsets = (np.cumsum(per_grid) - per_grid)[has_runs]
+
+    def grid_sums(terms: np.ndarray) -> np.ndarray:
+        """Each partition's sum of the kept runs' ``terms`` (rows), 0 where it keeps none."""
+        sums = np.zeros((sizes.size, *terms.shape[1:]), dtype=np.int64)
+        if offsets.size:
+            sums[has_runs] = np.add.reduceat(terms, offsets, axis=0)
+        return sums
+
+    tt = grid_sums(t * (t - 1))
+    shifted = codes.astype(np.intp) + 1
+    t_minus_1 = (t - 1)[:, None]
+    per_row = u + 1 + 2 * hi.size  # the running table, then the two gathers of the kept runs
+    piece = max(1, _PIECE_ENTRIES // per_row)
+
+    def piece_values(block: np.ndarray) -> np.ndarray:
+        m = block.shape[0]
+        keys = shifted[block[:, :n1]]
+        keys *= m
+        keys += np.arange(m)[:, None]
+        running = np.bincount(keys.ravel(), minlength=(u + 1) * m).reshape(u + 1, m)
+        np.cumsum(running, axis=0, out=running)
+        c1 = running.take(hi, axis=0)
+        terms = running.take(lo, axis=0)
+        c1 -= terms
+        p = grid_sums(np.multiply(c1, t_minus_1, out=terms))
+        s2 = grid_sums(np.multiply(np.subtract(c1, 1, out=terms), c1, out=terms))
+        return _two_sample_of_sums((s2 + n1).T, (p + n1).T, tt, n1, n2)
 
     def block_values(block: np.ndarray) -> np.ndarray:
-        c1 = bincount_rows(codes[block[:, :n1]], u)
-        running = np.cumsum(c1, axis=1)
-        s2 = np.empty((block.shape[0], len(ends)), dtype=np.int64)
-        p = np.empty_like(s2)
-        for j, (c, t) in enumerate(zip(lasts, cell_totals)):
-            c1_j = c1 if c is None else _run_sums(running, c)
-            s2[:, j] = (c1_j * c1_j).sum(axis=1)
-            p[:, j] = c1_j @ t
-        return _two_sample_of_sums(s2, p, tt, n1, n2)
+        return np.concatenate(
+            [piece_values(block[i : i + piece]) for i in range(0, block.shape[0], piece)]
+        )
 
-    return _by_row_slices(perms, 2 * u, block_values, (len(ends),))  # c1 and its running count
-
-
-def _run_sums(running: np.ndarray, lasts: np.ndarray) -> np.ndarray:
-    """Sums of the runs ending at the increasing indices ``lasts``, from running sums."""
-    sums = running[..., lasts]
-    sums[..., 1:] -= running[..., lasts[:-1]]
-    return sums
+    return _by_row_slices(perms, per_row, block_values, (sizes.size,))
 
 
 def _pooled_codes(codes, n1: int, n2: int, rows) -> tuple[np.ndarray, np.ndarray]:

@@ -946,7 +946,8 @@ def _slicing_case(name):
     if name == "count-nested":
         codes = rng.permutation(np.arange(12) % 5)
         ends = [np.array([2, 5]), np.array([1, 2, 3, 4, 5])]
-        return lambda rows: ustats.multinomial_two_sample_u_nested(codes, 6, 6, rows, ends), 2 * 5
+        # the (u + 1)-row running table and two gathers of the 7 runs, each of 2 or 3 points
+        return lambda rows: ustats.multinomial_two_sample_u_nested(codes, 6, 6, rows, ends), 6 + 2 * 7
     if name == "count-independence":
         y, z = rng.permutation(np.arange(12) % 3), rng.permutation(np.arange(12) % 4)
         return lambda rows: ustats.multinomial_independence_u_many(y, z, rows), 3 * 4
@@ -1000,3 +1001,17 @@ class TestRowSlices:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_adaptive_peak_memory_is_bounded_by_the_chunk(self):
+        # 1000 + 1000 points, K = 19 grids: 1000 rows' running tables and
+        # gathers of the 2865 runs of two or more points would take 59 MB at
+        # once; a chunk of index rows takes 8 MB
+        data = _continuous(np.random.default_rng(5), 1000, 1000, dim=1)
+        tracemalloc.start()
+        try:
+            out = adaptive_two_sample(data, 0.05, MC(999, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.components) == 19
+        assert peak < 16 * 2**20

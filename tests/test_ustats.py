@@ -294,29 +294,67 @@ class TestCountIntegerForm:
 
 class TestNestedCounts:
     @staticmethod
-    def _case(rng, u, n1, n2):
-        codes = rng.permutation(np.arange(n1 + n2) % u)
-        ends = [np.append(np.sort(rng.choice(np.arange(1, u), k - 1, replace=False)), u)
-                for k in sorted({1, min(3, u), max(1, u // 2), u})]
-        rows = np.array([np.arange(n1 + n2)] + [rng.permutation(n1 + n2) for _ in range(30)])
-        return codes, ends, rows
+    def _partitions(rng, u, ks):
+        """One increasing ``ends`` array of k runs up to u for each k in ``ks``."""
+        return [np.append(np.sort(rng.choice(np.arange(1, u), k - 1, replace=False)), u) for k in ks]
 
-    def test_columns_are_the_partitions_tests(self):
+    @staticmethod
+    def _assert_columns_are_the_partitions_tests(codes, n1, n2, rows, ends):
         # column j equals the index-row form on the codes that name partition j's runs
+        got = multinomial_two_sample_u_nested(codes, n1, n2, rows, ends)
+        assert got.shape == (rows.shape[0], len(ends))
+        for j, e in enumerate(ends):
+            coarse = np.searchsorted(e, codes, side="right")
+            want = multinomial_two_sample_u_many(coarse, n1, n2, rows)
+            assert got[:, j].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, u, n1, n2, ks, m",
+        [
+            ("cyclic", 7, 9, 6, (1, 3, 3, 7), 31),
+            ("cyclic", 12, 5, 8, (1, 3, 6, 12), 31),
+            ("cyclic", 2, 3, 3, (1, 1, 2, 2), 31),
+            ("cyclic", 11, 6, 5, (1, 3, 5, 11), 31),  # u = n1 + n2: every code holds one point
+            ("mixed", 15, 8, 11, (1, 4, 9, 15), 31),  # single points, empty codes and fuller runs
+            ("mixed", 15, 8, 11, (15,), 31),  # K = 1, the finest partition alone
+            ("mixed", 15, 11, 4, (1,), 31),  # K = 1, one run holding every point
+            ("cyclic", 11, 4, 7, (2, 11), 1),  # the identity row alone
+            ("mixed", 15, 5, 9, (1, 6, 15), 2),
+        ],
+    )
+    def test_columns_are_the_partitions_tests(self, kind, u, n1, n2, ks, m, monkeypatch):
         rng = np.random.default_rng(44)
-        for u, n1, n2 in ((7, 9, 6), (12, 5, 8), (2, 3, 3)):
-            codes, ends, rows = self._case(rng, u, n1, n2)
-            got = multinomial_two_sample_u_nested(codes, n1, n2, rows, ends)
-            assert got.shape == (rows.shape[0], len(ends))
-            for j, e in enumerate(ends):
-                coarse = np.searchsorted(e, codes, side="right")
-                want = multinomial_two_sample_u_many(coarse, n1, n2, rows)
-                assert got[:, j].tobytes() == want.tobytes()
+        n = n1 + n2
+        if kind == "mixed":
+            # codes 0..4 hold one point each, the others share the remaining points
+            codes = np.concatenate([np.arange(5), rng.integers(5, u, n - 5)])
+            codes[-1] = u - 1
+        else:
+            codes = np.arange(n) % u
+        codes = rng.permutation(codes)
+        ends = self._partitions(rng, u, ks)
+        rows = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(m - 1)])
+        self._assert_columns_are_the_partitions_tests(codes, n1, n2, rows, ends)
+        whole = multinomial_two_sample_u_nested(codes, n1, n2, rows, ends)
+        monkeypatch.setattr(ustats, "_PIECE_ENTRIES", 1)  # every row counted on its own
+        assert multinomial_two_sample_u_nested(codes, n1, n2, rows, ends).tobytes() == whole.tobytes()
+
+    def test_past_the_int64_numerator(self):
+        # 30,000 + 31,000 points: S2 and P reach the statistic as Python integers
+        rng = np.random.default_rng(45)
+        n1, n2 = 30_000, 31_000
+        assert not ustats._two_sample_terms(n1, n2)[-1]
+        codes = rng.permutation(np.concatenate([np.arange(8), rng.integers(8, 40, n1 + n2 - 8)]))
+        ends = [np.array([40]), np.array([4, 8, 20, 40]), np.array([8, 9, 10, 40]), np.arange(1, 41)]
+        rows = np.array([np.arange(n1 + n2), rng.permutation(n1 + n2)])
+        self._assert_columns_are_the_partitions_tests(codes, n1, n2, rows, ends)
 
     @pytest.mark.parametrize(
         "ends",
-        [[[2, 4]], [[0, 3, 5]], [[3, 2, 5]], [[2, 2, 5]], [[1, 5], []], [[[5]]]],
-        ids=["short", "empty-run", "decreasing", "repeated", "no-runs", "2-d"],
+        [[[2, 4]], [[0, 3, 5]], [[3, 2, 5]], [[2, 2, 5]], [[1, 5], []], [[[5]]],
+         [[2, 5], [2, 7, 5]], [[2, 5], 5], []],
+        ids=["short", "empty-run", "decreasing", "repeated", "no-runs", "2-d",
+             "past-u", "scalar", "no-partitions"],
     )
     def test_bad_ends_refused(self, ends):
         codes = np.array([0, 1, 2, 3, 4, 0, 1, 2])
@@ -690,7 +728,8 @@ def _sliced_case(name):
         return lambda rows: multinomial_two_sample_u_many(codes, 6, 6, rows, weights), 5
     if name == "multinomial_two_sample_u_nested":
         ends = ([2, 5], [1, 2, 3, 4, 5])
-        return lambda rows: multinomial_two_sample_u_nested(codes, 6, 6, rows, ends), 2 * 5
+        # the (u + 1)-row running table and two gathers of the 7 runs, each of 2 or 3 points
+        return lambda rows: multinomial_two_sample_u_nested(codes, 6, 6, rows, ends), 6 + 2 * 7
     if name.startswith("multinomial_two_sample_u_counts"):
         totals = np.bincount(codes)
         return (
