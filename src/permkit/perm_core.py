@@ -71,7 +71,8 @@ Conventions
   matrix of index rows, or an (m, u) matrix of count rows for
   :class:`GroupCounts` data; a plain callable ``stat(data, perm)`` is called
   once per row.  An evaluator may stack K statistics, returning (m, K) values;
-  each column becomes its own distribution over the same rows.
+  the distribution then holds a (pool, K) pool, each column sorted on its
+  own, and every decision function decides all K columns in one pass.
 * The replicate pool always holds the identity relabeling's value exactly
   once, at pool row 0: exact row 0, or, under a Monte Carlo plan, a one-row
   batch stored ahead of the B sampled rows.  The observed statistic is that
@@ -84,8 +85,8 @@ Conventions
   alpha exactly when the observed statistic exceeds the critical value by
   more than the tie tolerance.
 * Tie comparisons use a relative float tolerance: ``TIE_REL`` times the
-  largest absolute value in the pool, and plain equality when all of them
-  are 0.  Many statistics take exactly equal values on symmetric
+  largest absolute value in the pool's column, and plain equality when all
+  of them are 0.  Many statistics take exactly equal values on symmetric
   relabelings and the level guarantee counts those as ties; rounding noise
   from different summation orders must not split them, or the test turns
   anti-conservative.  The tolerance has no absolute floor, so the decision
@@ -279,46 +280,65 @@ def bincount_rows(codes: np.ndarray, width: int) -> np.ndarray:
 class PermutationDistribution:
     """Observed statistic plus the sorted replicate pool that holds it.
 
-    Each pool value stands for ``multiplicity`` relabelings: k! (n - k)! when
-    an exact plan enumerated the C(n, k) subsets, else 1.  ``size`` counts
-    relabelings, ``replicates.size`` pool values.
+    A scalar statistic has (pool,) ``replicates`` and a float ``observed``;
+    K statistics on the same rows have (pool, K) replicates, each column
+    sorted on its own, and a length-K ``observed`` row; all are finite.
+    Each pool value stands for ``multiplicity`` relabelings: k! (n - k)!
+    when an exact plan enumerated the C(n, k) subsets, else 1.
+    ``tie_tolerance`` is each column's slack under which a replicate ties
+    the observed value: ``TIE_REL`` times the larger absolute value of the
+    column's two ends, so it scales with the statistic (0 when both are 0).
     """
 
-    observed: float
-    replicates: np.ndarray  # sorted, non-decreasing; holds ``observed``
+    observed: float | np.ndarray
+    replicates: np.ndarray  # sorted down each column; holds ``observed``
     plan: PermutationPlan
     multiplicity: int = 1
+    tie_tolerance: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        reps = self.replicates
-        if reps.size < 1:
-            raise ValueError("replicate set must be non-empty")
+        reps, observed = np.asarray(self.replicates), np.asarray(self.observed)
+        if reps.dtype.kind not in "iuf" or observed.dtype.kind not in "iuf":
+            raise ValueError("replicates and observed must hold real numbers")
+        reps, observed = reps.astype(float, copy=False), observed.astype(float, copy=False)
+        if reps.ndim not in (1, 2) or reps.size < 1:
+            raise ValueError("replicate set must be a non-empty (pool,) or (pool, K) array")
+        if observed.shape != reps.shape[1:]:
+            raise ValueError(f"observed must have shape {reps.shape[1:]}, got {observed.shape}")
         if not _is_integer(self.multiplicity) or self.multiplicity < 1:
             raise ValueError(f"multiplicity must be an integer >= 1, got {self.multiplicity!r}")
-        # compare neighbours: np.diff would allocate a float copy of the replicates
-        if np.any(reps[1:] < reps[:-1]):
-            raise ValueError("replicates must be sorted non-decreasing")
+        # neighbours, not np.diff, which would copy the replicates; a NaN fails
+        # every comparison, and a sorted column between finite ends is finite
+        if not (reps[1:] >= reps[:-1]).all():
+            raise ValueError("replicates must be finite and sorted non-decreasing in each column")
+        if reps.ndim == 1:  # Python floats keep a scalar test's checks cheap
+            observed = float(observed)
+            tol = TIE_REL * max(abs(float(reps[0])), abs(float(reps[-1])))
+            finite = math.isfinite(tol)
+        else:
+            tol = TIE_REL * np.maximum(np.abs(reps[0]), np.abs(reps[-1]))
+            finite = np.isfinite(tol).all()
         # the identity's value ranks inside its own pool, or p could be 0
-        tol = self.tie_tolerance
-        i = int(np.searchsorted(reps, self.observed - tol, side="left"))
-        if i == reps.size or reps[i] > self.observed + tol:
-            raise ValueError("replicate pool must hold the observed statistic")
+        if not finite or np.count_nonzero(
+            _count_below(reps, observed - tol) >= _count_below(reps, observed + tol, "right")
+        ):
+            raise ValueError("replicate pool must hold the observed statistic and be finite")
+        object.__setattr__(self, "replicates", reps)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "tie_tolerance", tol)
 
     @property
     def size(self) -> int:
         """Relabelings the pool stands for: n! under an exact plan, B + 1 under Monte Carlo."""
-        return int(self.replicates.size) * int(self.multiplicity)
+        return len(self.replicates) * int(self.multiplicity)
 
-    @property
-    def tie_tolerance(self) -> float:
-        """Absolute slack under which a replicate ties the observed value.
 
-        Relative to the largest absolute value in the pool (one of its two
-        ends), so rescaling the statistic rescales the slack; 0 (plain
-        equality) when every value is 0.
-        """
-        reps = self.replicates
-        return TIE_REL * max(abs(float(reps[0])), abs(float(reps[-1])))
+def _count_below(reps: np.ndarray, bound, side: str = "left") -> int | np.ndarray:
+    """Values ``< bound`` (``<= bound`` for side "right") in each sorted column of ``reps``:
+    an int by binary search for a (pool,) pool, else a length-K array by one comparison pass."""
+    if reps.ndim == 1:
+        return int(reps.searchsorted(bound, side))
+    return np.count_nonzero(reps < bound if side == "left" else reps <= bound, axis=0)
 
 
 @dataclass(frozen=True)
@@ -618,7 +638,7 @@ def permutation_distribution(
     data: Any,
     n: int,
     plan: PermutationPlan,
-) -> PermutationDistribution | tuple[PermutationDistribution, ...]:
+) -> PermutationDistribution:
     """Observed statistic plus replicates of ``stat`` under relabelings.
 
     ``stat`` is evaluated through its ``evaluate_many(data, rows)``, which
@@ -635,8 +655,7 @@ def permutation_distribution(
     their multiplicity k! (n - k)!.  Raises
     :class:`StatisticEvaluationError` if ``stat`` raises or returns a value
     that is not finite.  An ``evaluate_many`` returning (m, K) values
-    stacks K statistics on the same rows and gives a tuple of K
-    distributions, one per column.
+    stacks K statistics on the same rows, one column of the pool each.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -669,11 +688,7 @@ def permutation_distribution(
         values[start : start + len(rows)] = batch
     observed = values[0].copy()
     values.sort(axis=0)
-    if values.ndim == 1:
-        return PermutationDistribution(float(observed), values, plan, multiplicity)
-    return tuple(
-        PermutationDistribution(float(o), v, plan, multiplicity) for o, v in zip(observed, values.T)
-    )
+    return PermutationDistribution(observed, values, plan, multiplicity)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -681,7 +696,7 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must be in (0, 1)")
 
 
-def critical_value(dist: PermutationDistribution, alpha: float) -> float:
+def critical_value(dist: PermutationDistribution, alpha: float) -> float | np.ndarray:
     """Smallest replicate ``t`` with ``#{replicates <= t} / size >= 1 - alpha``.
 
     This is the 1 - alpha quantile of the empirical permutation distribution,
@@ -689,29 +704,29 @@ def critical_value(dist: PermutationDistribution, alpha: float) -> float:
     It is ranked over the pool.  When each pool value stands for the same
     ``multiplicity`` m relabelings, the relabelings' rank K = ceil(M (1 -
     alpha)) falls on pool rank ceil(K / m) = ceil(M (1 - alpha) / m), so
-    ranking the pool picks the same value.
+    ranking the pool picks the same value.  A float, or a length-K row for a (pool, K) pool.
     """
     _check_alpha(alpha)
-    m = dist.replicates.size
+    m = len(dist.replicates)
     # k = smallest integer with k/m >= 1 - alpha; tiny slack guards against
     # float round-up on exact multiples like 0.8 * 5.
     k = math.ceil(m * (1.0 - alpha) - 1e-9)
     k = min(max(k, 1), m)
-    return float(dist.replicates[k - 1])
+    values = dist.replicates[k - 1]
+    return float(values) if dist.replicates.ndim == 1 else values.copy()
 
 
-def p_value(dist: PermutationDistribution) -> float:
+def p_value(dist: PermutationDistribution) -> float | np.ndarray:
     """Finite-sample valid permutation p-value, ``#{pool >= observed} / |pool|``.
 
     The pool holds the identity's value, so under a Monte Carlo plan this is
     ``(1 + #{sampled replicates >= observed}) / (B + 1)``.  Replicates within
     the tie tolerance of the observed value count as greater-or-equal.  A
     uniform multiplicity cancels: counting subsets gives the same float as
-    counting the relabelings they stand for.
+    counting the relabelings they stand for.  A float, or a length-K array for a (pool, K) pool.
     """
-    reps = dist.replicates
-    below = int(np.searchsorted(reps, dist.observed - dist.tie_tolerance, side="left"))
-    return (reps.size - below) / reps.size
+    pool = len(dist.replicates)
+    return (pool - _count_below(dist.replicates, dist.observed - dist.tie_tolerance)) / pool
 
 
 def run_test(
@@ -726,7 +741,7 @@ def run_test(
     Raises ``ValueError`` unless 0 < alpha < 1, before any replicate is
     computed.  Warns when a Monte Carlo plan cannot reach ``alpha``: the
     smallest attainable p-value is 1/(B+1), so below it the test never rejects.
-    A stacked ``stat`` gives one outcome per column, each at ``alpha``.
+    A stacked ``stat`` gives a tuple of one outcome per column, each at ``alpha``.
     """
     _check_alpha(alpha)
     if plan.mode == "monte_carlo" and alpha < 1.0 / (plan.replicates + 1):
@@ -737,10 +752,13 @@ def run_test(
             RuntimeWarning,
             stacklevel=_outside_stacklevel(),
         )
+    # looked up at call time, so a wrapper set on this module sees each call
     dist = permutation_distribution(stat, data, n, plan)
-    if isinstance(dist, tuple):
-        return tuple(outcome_from_distribution(d, alpha) for d in dist)
-    return outcome_from_distribution(dist, alpha)
+    columns = (dist.observed, critical_value(dist, alpha), p_value(dist))
+    if dist.replicates.ndim == 1:
+        return TestOutcome(*columns, alpha, dist.size, dist.plan)
+    rows = zip(*(column.tolist() for column in columns))
+    return tuple(TestOutcome(*row, alpha, dist.size, dist.plan) for row in rows)
 
 
 def _outside_stacklevel() -> int:
@@ -752,22 +770,3 @@ def _outside_stacklevel() -> int:
     while frame.f_back is not None and os.path.dirname(frame.f_code.co_filename) == package:
         frame, level = frame.f_back, level + 1
     return level
-
-
-def outcome_from_distribution(
-    dist: PermutationDistribution, alpha: float
-) -> TestOutcome:
-    """Decision at level ``alpha`` from an already-built distribution.
-
-    The outcome rejects iff ``p_value <= alpha``; the critical value it
-    reports is exceeded by the observed statistic, beyond the tie tolerance,
-    in exactly those cases.
-    """
-    return TestOutcome(
-        statistic=dist.observed,
-        critical_value=critical_value(dist, alpha),
-        p_value=p_value(dist),
-        alpha=alpha,
-        replicate_count=dist.size,
-        plan=dist.plan,
-    )

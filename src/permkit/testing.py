@@ -7,8 +7,8 @@ compressing codes, Gram matrices) and wires it to a statistic; every
 statistic formula lives in ``ustats``.  An evaluator is one record,
 ``_Evaluator``, whose ``evaluate_many(data, rows)`` is a closure over a
 ``ustats`` batch form: a pure function of the reduced data and a matrix of
-index rows, so Monte Carlo and exact enumeration both run on index arrays,
-never re-touching kernels.  Two-sample evaluators also declare
+rows (index rows, or count rows for ``GroupCounts`` data, below), so no
+replicate re-touches a kernel.  Two-sample evaluators also declare
 ``subset_size``, the first group's size: their values depend only on which
 points land in that group, so an exact plan enumerates subsets, not all n!
 permutations (see ``perm_core``).  Under a Monte Carlo plan the

@@ -89,10 +89,43 @@ class TestPermutationDistribution:
         assert dist.size == 11
         assert dist.observed == 0.0 and dist.observed in dist.replicates
 
-    @pytest.mark.parametrize("observed", [-1.0, 2.5, 1000.0, math.nan])
+    @pytest.mark.parametrize("observed", [-1.0, 2.5, 1000.0, math.nan, math.inf, -math.inf])
     def test_pool_without_observed_refused(self, observed):
         with pytest.raises(ValueError, match="must hold the observed"):
             _dist([0.0, 1.0, 2.0, 3.0], observed=observed)
+
+    @pytest.mark.parametrize(
+        "observed, replicates, match",
+        [
+            # an infinite end would make the tie tolerance infinite and p = 1
+            (1.0, [0.0, 1.0, np.inf], "finite"),
+            (1.0, [-np.inf, 0.0, 1.0], "finite"),
+            (0.0, [0.0, np.nan, 1.0], "finite"),
+            (0.0, [0.0, 1.0, np.nan], "finite"),
+            (np.nan, [np.nan], "finite"),
+            (0.0, ["0.0", "1.0"], "real numbers"),
+            (0.0, [0.0, None], "real numbers"),
+            ("0.0", [0.0, 1.0], "real numbers"),
+            (0.0, [[[0.0]]], r"\(pool,\) or \(pool, K\)"),
+            (0.0, np.zeros((0, 2)), "non-empty"),
+            (np.zeros(2), [0.0, 1.0], r"observed must have shape \(\)"),
+            # a stacked pool: one observed value per column, each column sorted and holding it
+            (np.zeros(3), np.zeros((4, 2)), r"observed must have shape \(2,\)"),
+            (0.0, np.zeros((4, 2)), r"observed must have shape \(2,\)"),
+            (np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]), "sorted"),
+            (np.array([0.0, 5.0]), np.array([[0.0, 0.0], [1.0, 1.0]]), "must hold the observed"),
+            (np.zeros(2), np.array([[0.0, 0.0], [1.0, np.inf]]), "finite"),
+            (np.zeros(2), np.array([[0.0, np.nan], [1.0, 1.0]]), "finite"),
+        ],
+    )
+    def test_bad_pool_refused(self, observed, replicates, match):
+        with pytest.raises(ValueError, match=match):
+            PermutationDistribution(observed, replicates, PermutationPlan.exact())
+
+    def test_array_likes_are_converted(self):
+        dist = PermutationDistribution(1, [0, 1, 2], PermutationPlan.exact())
+        assert dist.replicates.dtype == float and type(dist.observed) is float
+        assert p_value(dist) == 2 / 3 and critical_value(dist, 0.4) == 1.0
 
     def test_observed_within_tie_tolerance_accepted(self):
         dist = _dist([1.0, 2.0, 3.0], observed=2.0 * (1 + 1e-14))
@@ -694,10 +727,11 @@ class TestSubsetEnumeration:
         data = np.random.default_rng(2).integers(-50, 50, n).astype(float)
         stacked = _Stacked(_SumOf(k), _SumOf(k, power=2))
         stacked.subset_size = k
-        dists = permutation_distribution(stacked, data, n, PermutationPlan.exact())
-        for power, dist in zip((1, 2), dists):
+        dist = permutation_distribution(stacked, data, n, PermutationPlan.exact())
+        assert dist.replicates.shape == (math.comb(n, k), 2)
+        for j, power in enumerate((1, 2)):
             own = permutation_distribution(_SubsetSum(k, power), data, n, PermutationPlan.exact())
-            _assert_same_distribution(dist, own)
+            _assert_same_distribution(dist, own, column=j)
             assert dist.multiplicity == own.multiplicity == 3 * 2 * 5 * 4 * 3 * 2
 
 
@@ -755,12 +789,13 @@ class TestNonFiniteStatistic:
 class _SumOf:
     """Batch evaluator: sum of the data at the first ``k`` relabeled positions."""
 
-    def __init__(self, k, power=1):
+    def __init__(self, k, power=1, scale=1.0):
         self.k = k
         self.power = power
+        self.scale = scale
 
     def evaluate_many(self, data, perms):
-        return (data[perms[:, : self.k]] ** self.power).sum(axis=1)
+        return (data[perms[:, : self.k]] ** self.power).sum(axis=1) * self.scale
 
 
 class _SubsetSum(_SumOf):
@@ -783,10 +818,21 @@ class _Stacked:
         return np.stack([s.evaluate_many(data, perms) for s in self.stats], axis=1)
 
 
-def _assert_same_distribution(got, want):
-    assert got.observed.hex() == want.observed.hex()
-    assert got.replicates.tobytes() == want.replicates.tobytes()
-    assert got.plan == want.plan
+def _assert_same_distribution(got, want, column=None):
+    """``got`` is ``want`` bit for bit; with ``column`` j, stacked ``got``'s column j is."""
+    observed, replicates, tol = got.observed, got.replicates, got.tie_tolerance
+    if column is not None:
+        observed, replicates, tol = observed[column], replicates[:, column], tol[column]
+    assert float(observed).hex() == want.observed.hex()
+    assert replicates.tobytes() == want.replicates.tobytes()
+    assert float(tol).hex() == want.tie_tolerance.hex()
+    assert (got.plan, got.multiplicity, got.size) == (want.plan, want.multiplicity, want.size)
+
+
+def _outcome_bits(outcome):
+    """An outcome's fields, each float as its type and bits."""
+    fields = dataclasses.astuple(outcome)
+    return tuple((type(v), v.hex()) if isinstance(v, float) else v for v in fields)
 
 
 class TestStackedEvaluator:
@@ -800,28 +846,66 @@ class TestStackedEvaluator:
         plan = PermutationPlan.monte_carlo(2 * chunk_rows + tail, 8)
         data = np.random.default_rng(0).normal(size=n)
         stacked = _Stacked(*self.STATS)
-        dists = permutation_distribution(stacked, data, n, plan)
+        dist = permutation_distribution(stacked, data, n, plan)
         assert stacked.batches >= 1 + 3  # the identity row, then three chunks
-        assert len(dists) == len(self.STATS)
-        for stat, dist in zip(self.STATS, dists):
-            _assert_same_distribution(dist, permutation_distribution(stat, data, n, plan))
+        assert dist.replicates.shape == (plan.replicates + 1, len(self.STATS))
+        for j, stat in enumerate(self.STATS):
+            own = permutation_distribution(stat, data, n, plan)
+            _assert_same_distribution(dist, own, column=j)
 
     def test_exact_columns_equal_their_own_distributions(self, monkeypatch):
         n = 7
         monkeypatch.setattr(perm_core, "CHUNK_ENTRIES", math.factorial(n) * n // 3 - 1)
         data = np.random.default_rng(1).normal(size=n)
         stacked = _Stacked(*self.STATS)
-        dists = permutation_distribution(stacked, data, n, PermutationPlan.exact())
+        dist = permutation_distribution(stacked, data, n, PermutationPlan.exact())
         assert stacked.batches >= 3
-        for stat, dist in zip(self.STATS, dists):
+        assert dist.replicates.shape == (math.factorial(n), len(self.STATS))
+        for j, stat in enumerate(self.STATS):
             own = permutation_distribution(stat, data, n, PermutationPlan.exact())
-            _assert_same_distribution(dist, own)
+            _assert_same_distribution(dist, own, column=j)
 
     @pytest.mark.parametrize("plan", [PermutationPlan.monte_carlo(99, 3), PermutationPlan.exact()])
     def test_run_test_decides_each_column(self, plan):
+        rng = np.random.default_rng(2)
+        normal, binary = rng.normal(size=6), rng.integers(0, 2, 6).astype(float)
+        # sums cluster within 1e-6 of integers: distinct at their own scale,
+        # but ties under the tolerance of a column 10^9 times larger
+        near_ties = binary + 1e-7 * rng.normal(size=6)
+        cases = [
+            (self.STATS, normal, None),
+            # tie-heavy: sums of 0/1 data take a handful of values
+            ((_SumOf(3), _SumOf(2), _SumOf(4, power=2)), binary, None),
+            # an all-zero column (signed zeros), whose tolerance is 0, beside nonzero ones
+            ((_SumOf(3), _SumOf(3, scale=0.0), _SumOf(2, power=3)), normal, None),
+            # scales 10^9 apart, and each column's tolerance follows its own
+            ((_SumOf(3), _SumOf(3, scale=1e9), _SumOf(2, scale=1e9)), near_ties, None),
+            # subsets of 3 standing for 3! 3! relabelings each under an exact plan
+            ((_SubsetSum(3), _SubsetSum(3, power=2), _SubsetSum(3, scale=1e9)), binary, 3),
+        ]
+        for stats, data, subset_size in cases:
+            stacked = _Stacked(*stats)
+            if subset_size is not None:
+                stacked.subset_size = subset_size
+            outcomes = run_test(stacked, data, 6, plan, 0.1)
+            own = [run_test(s, data, 6, plan, 0.1) for s in stats]
+            assert [_outcome_bits(o) for o in outcomes] == [_outcome_bits(o) for o in own]
+        if plan.mode == "exact":  # the last case enumerated C(6, 3) subsets
+            assert permutation_distribution(stacked, data, 6, plan).multiplicity == 36
+
+    def test_run_test_decides_through_the_module_functions_once(self, monkeypatch):
+        # perfbench times the decision by wrapping these module globals
+        calls = []
+        for name in ("critical_value", "p_value"):
+            def counted(*args, _decide=getattr(perm_core, name), _name=name):
+                calls.append(_name)
+                return _decide(*args)
+
+            monkeypatch.setattr(perm_core, name, counted)
         data = np.random.default_rng(2).normal(size=6)
-        outcomes = run_test(_Stacked(*self.STATS), data, 6, plan, 0.1)
-        assert outcomes == tuple(run_test(s, data, 6, plan, 0.1) for s in self.STATS)
+        outcomes = run_test(_Stacked(*self.STATS), data, 6, PermutationPlan.monte_carlo(99, 3), 0.1)
+        assert len(outcomes) == len(self.STATS)
+        assert sorted(calls) == ["critical_value", "p_value"]
 
     @pytest.mark.parametrize(
         "plan, row, index",
