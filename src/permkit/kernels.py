@@ -36,7 +36,7 @@ WEIGHT_TOL = 1e-12
 DENSE_PRODUCT_LIMIT = 10**6  # above this, ProductWeighted never materializes d1*d2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Cached pairwise kernel values g(x_i, x_j).
 

@@ -276,7 +276,7 @@ def bincount_rows(codes: np.ndarray, width: int) -> np.ndarray:
     return np.bincount((codes + offsets).ravel(), minlength=m * width).reshape(m, width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationDistribution:
     """Observed statistic plus the sorted replicate pool that holds it.
 
@@ -294,7 +294,7 @@ class PermutationDistribution:
     replicates: np.ndarray  # sorted down each column; holds ``observed``
     plan: PermutationPlan
     multiplicity: int = 1
-    tie_tolerance: float | np.ndarray = field(init=False, repr=False, compare=False)
+    tie_tolerance: float | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         reps, observed = np.asarray(self.replicates), np.asarray(self.observed)
@@ -437,27 +437,14 @@ def _enumeration_chunks(
 def _monte_carlo_chunks(
     n: int, replicates: int, seed: int, chunk: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The identity, then replicates ``0 .. replicates - 1``, as ``(start, rows)``.
-
-    ``start`` is the pool row of ``rows[0]``: the identity comes alone as
-    pool row 0, and replicate i is pool row ``1 + i``.  A chunk is a whole
-    number of blocks, so every block is shuffled in one ``permuted`` call
-    from its own stream; rows past ``replicates`` in the last block are never
-    drawn.  The rows share one buffer, overwritten by the next chunk.
-    """
-    yield 0, np.arange(n, dtype=np.intp)[None, :]
-    buffer = np.empty((min(chunk, replicates), n), dtype=np.intp)
+    """`_sampled_chunks` of index rows: each block is shuffled in one ``permuted`` call."""
     identity = np.arange(n, dtype=np.intp)
-    for start in range(0, replicates, chunk):
-        rows = buffer[: min(chunk, replicates - start)]
 
-        def shuffle(j: int) -> None:
-            block = rows[j * BLOCK_ROWS : (j + 1) * BLOCK_ROWS]
-            block[...] = identity
-            replicate_rng(seed, start // BLOCK_ROWS + j).permuted(block, axis=1, out=block)
+    def shuffle(block: np.ndarray, rng: np.random.Generator) -> None:
+        block[...] = identity
+        rng.permuted(block, axis=1, out=block)
 
-        _draw_blocks(shuffle, -(-rows.shape[0] // BLOCK_ROWS), n)
-        yield 1 + start, rows
+    return _sampled_chunks(identity[None, :], replicates, seed, chunk, n, shuffle)
 
 
 def _count_chunks(
@@ -466,28 +453,49 @@ def _count_chunks(
     """`_monte_carlo_chunks` with count rows: the identity's c1, then replicates.
 
     Block ``k`` is 64 multivariate hypergeometric draws of n1 from
-    ``counts.totals``, from ``replicate_rng(seed, k)``, over the categories
-    present in order of first appearance in the codes; rows past
-    ``replicates`` in the last block are drawn and dropped, so every block
-    is the same draw whatever the plan's size.
+    ``counts.totals``, over the categories present in order of first
+    appearance in the codes; rows past ``replicates`` in the last block are
+    drawn and dropped, so every block is the same draw whatever the plan's
+    size.  The columns of absent categories are 0.
     """
-    n = counts.codes.size
     present, first = np.unique(counts.codes, return_index=True)
     order = present[np.argsort(first)]
     colors = counts.totals[order]
     method = _draw_method(counts.n1, order.size)
-    yield 0, counts.of_rows(np.arange(n, dtype=np.intp)[None, :])
+    absent = np.flatnonzero(counts.totals == 0)  # the shared buffer is not zeroed
+
+    def draw(block: np.ndarray, rng: np.random.Generator) -> None:
+        drawn = rng.multivariate_hypergeometric(colors, counts.n1, size=BLOCK_ROWS, method=method)
+        block[:, order] = drawn[: block.shape[0]]
+        if absent.size:
+            block[:, absent] = 0
+
+    identity = counts.of_rows(np.arange(counts.codes.size, dtype=np.intp)[None, :])
+    return _sampled_chunks(identity, replicates, seed, chunk, order.size, draw)
+
+
+def _sampled_chunks(
+    first: np.ndarray, replicates: int, seed: int, chunk: int, width: int, fill: Callable
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The one row ``first``, then ``replicates`` drawn rows, as ``(start, rows)``.
+
+    ``start`` is the pool row of ``rows[0]``: ``first`` comes alone as pool
+    row 0, and replicate i is pool row ``1 + i``.  A chunk is a whole number
+    of blocks; ``fill(block, replicate_rng(seed, k))`` writes every entry of
+    block k from ``width`` drawn entries a row (`_draw_blocks`), and the last
+    block holds only the rows up to ``replicates``.  The rows share one
+    buffer shaped like ``first``, overwritten by the next chunk.
+    """
+    yield 0, first
+    buffer = np.empty((min(chunk, replicates), first.shape[1]), dtype=first.dtype)
     for start in range(0, replicates, chunk):
-        rows = np.zeros((min(chunk, replicates - start), counts.totals.size), dtype=np.int64)
+        rows = buffer[: min(chunk, replicates - start)]
 
         def draw(j: int) -> None:
             block = rows[j * BLOCK_ROWS : (j + 1) * BLOCK_ROWS]
-            drawn = replicate_rng(seed, start // BLOCK_ROWS + j).multivariate_hypergeometric(
-                colors, counts.n1, size=BLOCK_ROWS, method=method
-            )
-            block[:, order] = drawn[: block.shape[0]]
+            fill(block, replicate_rng(seed, start // BLOCK_ROWS + j))
 
-        _draw_blocks(draw, -(-rows.shape[0] // BLOCK_ROWS), order.size)
+        _draw_blocks(draw, -(-rows.shape[0] // BLOCK_ROWS), width)
         yield 1 + start, rows
 
 

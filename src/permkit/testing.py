@@ -31,7 +31,9 @@ finest grid, whose cells it numbers in Morton (Z-)order: every cell of a
 coarser dyadic grid is then one run of fine cells, and one pass over a
 table of running fine counts gives every grid's run counts, skipping runs
 of a single pooled point, which add nothing to the statistic
-(``multinomial_two_sample_u_nested``).
+(``multinomial_two_sample_u_nested``).  The adaptive independence test
+hands its grids' codes as two (K, n) stacks to the evaluator of every count
+independence test: one ``multinomial_independence_u_many`` call for K grids.
 """
 
 from __future__ import annotations
@@ -283,7 +285,8 @@ def _group_count_test(
     return perm_core.run_test(stat, GroupCounts(codes, n1), codes.size, plan, alpha)
 
 
-# the indicator-kernel independence U-statistic on compressed (y, z) codes, z relabeled
+# the indicator-kernel independence U-statistic on compressed (y, z) codes, z relabeled:
+# one statistic for (n,) codes, one per grid for the (K, n) codes of K grids
 _COUNT_INDEPENDENCE = _Evaluator(lambda codes, rows: multinomial_independence_u_many(*codes, rows))
 
 
@@ -326,13 +329,12 @@ def _binned_two_sample_codes(data: TwoSamplePooled, kappa: int) -> np.ndarray:
     return codes
 
 
-def _binned_independence_codes(data: PairedSample, kappa: int) -> tuple:
-    """Compressed ``(y, z)`` codes of ``data`` binned at ``kappa``."""
-    gy = BinGrid(kappa=kappa, dim=data.y_domain.dim)
-    gz = BinGrid(kappa=kappa, dim=data.z_domain.dim)
-    y, _ = _compress(bin_data(data.y, gy))
-    z, _ = _compress(bin_data(data.z, gz))
-    return y, z
+def _binned_independence_codes(data: PairedSample, kappas) -> tuple:
+    """Compressed ``(y, z)`` codes of ``data`` binned at each of ``kappas``: two (K, n) stacks."""
+    return tuple(
+        np.array([_compress(bin_data(points, BinGrid(kappa, domain.dim)))[0] for kappa in kappas])
+        for points, domain in ((data.y, data.y_domain), (data.z, data.z_domain))
+    )
 
 
 def binned_two_sample(
@@ -356,8 +358,8 @@ def binned_independence(
 ) -> TestOutcome:
     _require_continuous(data.y_domain, "y")
     _require_continuous(data.z_domain, "z")
-    codes = _binned_independence_codes(data, kappa)
-    return perm_core.run_test(_COUNT_INDEPENDENCE, codes, data.n, plan, alpha)
+    y, z = _binned_independence_codes(data, (kappa,))
+    return perm_core.run_test(_COUNT_INDEPENDENCE, (y[0], z[0]), data.n, plan, alpha)
 
 
 def holder_independence(
@@ -449,13 +451,7 @@ def adaptive_independence(
     d1 = _require_continuous(data.y_domain, "y")
     d2 = _require_continuous(data.z_domain, "z")
     grid = adaptive_grid_independence(data.n, d1, d2)
-    stacked = _Evaluator(
-        lambda codes, rows: np.stack([_COUNT_INDEPENDENCE.evaluate_many(c, rows) for c in codes], 1)
-    )
-    return _adaptive(
-        data, grid, alpha, plan, stacked,
-        lambda data, kappas: tuple(_binned_independence_codes(data, k) for k in kappas),
-    )
+    return _adaptive(data, grid, alpha, plan, _COUNT_INDEPENDENCE, _binned_independence_codes)
 
 
 def l1_split_two_sample(

@@ -19,7 +19,8 @@ and one on K nested partitions at once, `multinomial_two_sample_u_nested`.
 That form counts each row once, into a code-major table of running counts,
 and sums every partition's runs in one pass; a run holding a single pooled
 point is skipped, as S2 - n1 and P - n1 are sums of c1(c1-1) and c1(t-1)
-over the runs, to which it adds 0.
+over the runs, to which it adds 0.  `multinomial_independence_u_many` takes
+one (y, z) code pair or the (K, n) code stacks of K grids, all counted at once.
 
 Permutations act by index relabeling on cached values; kernels are never
 re-evaluated per relabeling.
@@ -112,7 +113,7 @@ def _validate_domain(values: np.ndarray, domain: Categorical | Continuous, name:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoSamplePooled:
     """Labeled pooled two-sample data: n1 Y-observations then n2 Z-observations."""
 
@@ -144,7 +145,7 @@ class TwoSamplePooled:
         return np.concatenate([self.y, self.z])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedSample:
     """n paired observations (y_i, z_i) for independence testing."""
 
@@ -168,7 +169,7 @@ class PairedSample:
         return int(len(self.y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoissonCounts:
     """Per-individual Poisson count rows for two equal-size groups.
 
@@ -584,13 +585,13 @@ def _two_sample_terms(n1: int, n2: int) -> tuple:
     return q, r, b - a, b, a * b, fits
 
 
-def _indep_from_sums(n: int, s1, r, ty: float, tz: float):
-    # s1 and r are scalars or arrays with one value per relabeling.  Closed
-    # form for the fourth-order product-kernel U-statistic.  The 16
-    # expansion terms split by index overlap of the two kernel pairs:
-    # identical pair (4 terms, +, weight (n-2)(n-3)), one shared index
-    # (8 terms, -, weight (n-3), pair sum S2 = R - S1), disjoint (4 terms, +,
-    # pair sum S3 = Ty*Tz - 2*S1 - 4*S2), which collapses to the line below.
+def _indep_from_sums(n: int, s1, r, ty, tz):
+    # s1 and r are scalars or arrays of one value per relabeling (and per grid, with ty
+    # and tz one per grid).  Closed form for the fourth-order product-kernel U-statistic.
+    # The 16 expansion terms split by index overlap of the two kernel pairs: identical
+    # pair (4 terms, +, weight (n-2)(n-3)), one shared index (8 terms, -, weight (n-3),
+    # pair sum S2 = R - S1), disjoint (4 terms, +, pair sum S3 = Ty*Tz - 2*S1 - 4*S2),
+    # which collapses to the line below.
     n4 = n * (n - 1) * (n - 2) * (n - 3)
     return (4.0 * (n - 1) * (n - 2) * s1 - 8.0 * (n - 1) * r + 4.0 * ty * tz) / n4
 
@@ -687,33 +688,49 @@ def multinomial_independence_u_many(
 ) -> np.ndarray:
     """`multinomial_independence_u` over a stack of z-relabelings (rows).
 
-    The widths are read from the codes.  Uses the O(n) count reduction of the
-    closed form (pair-match counts, row-sum dot products, invariant totals).
+    ``(n,)`` codes give (m,) values; ``(K, n)`` codes, K pairs (grids, say)
+    relabeled by the same rows, give (m, K).  The widths are read from the
+    codes.  Uses the O(n) count reduction of the closed form (pair-match
+    counts, row-sum dot products, invariant totals): a slice's K joint
+    tables are one offset ``bincount``, pair k's cells after pair k - 1's,
+    and pair k's S1 and R are a row-wise sum of its squared cells and its
+    cells weighted by (cy - 1)(cz - 1).  Both are integers, exact in
+    floats, so column k is pair k's value alone.
     """
-    y_codes = np.asarray(y_codes)
-    z_codes = np.asarray(z_codes)
-    n = y_codes.size
-    if z_codes.size != n:
-        raise ValueError("paired data must have equal lengths")
+    y, z = np.asarray(y_codes), np.asarray(z_codes)
+    if y.shape != z.shape or y.ndim not in (1, 2) or not y.size:
+        raise ValueError("y and z codes must be paired (n,) or (K, n) arrays")
+    n = y.shape[-1]
     if n < 4:
         raise ValueError("independence U-statistic requires n >= 4")
     perms = _index_rows(rows, n, "rows")
-    cy = np.bincount(y_codes).astype(float)
-    cz = np.bincount(z_codes).astype(float)
-    u2 = cz.size
-    ncell = cy.size * u2
-    ty = float((cy * cy).sum()) - n
-    tz = float((cz * cz).sum()) - n
-    ay = cy[y_codes] - 1.0
-    bz = cz[z_codes] - 1.0
+    # narrow codes would overflow in the keys; float codes raise TypeError, as in np.bincount
+    ys, zs = (c.reshape(-1, n).astype(np.intp, copy=False, casting="same_kind") for c in (y, z))
+    pairs, ty, tz, y_keys, total = [], [], [], [], 0
+    for a, b in zip(ys, zs):
+        cy, cz = np.bincount(a), np.bincount(b)
+        ty.append(cy @ (cy - 1))
+        tz.append(cz @ (cz - 1))
+        y_keys.append(a * cz.size + total)
+        weight = np.multiply.outer(cy - 1, cz - 1).ravel()  # R's weight of each joint cell
+        pairs.append((slice(total, total + weight.size), weight))
+        total += weight.size
+    ty, tz, y_keys = np.array(ty), np.array(tz), np.array(y_keys)[:, None, :]
 
     def block_values(block: np.ndarray) -> np.ndarray:
-        joint = bincount_rows(y_codes[None, :] * u2 + z_codes[block], ncell)
-        s1 = (joint * joint).sum(axis=1) - n
-        r = bz[block] @ ay
-        return _indep_from_sums(n, s1, r, ty, tz)
+        keys = zs.take(block, axis=1)  # (K, m, n)
+        keys += y_keys
+        keys += (np.arange(len(block)) * total)[:, None]  # row i's cells after the rows before
+        joint = np.bincount(keys.ravel(), minlength=len(block) * total).reshape(-1, total)
+        s1, r = np.empty((2, len(block), len(pairs)), dtype=joint.dtype)
+        for k, (cells, weight) in enumerate(pairs):
+            np.einsum("ij,ij->i", joint[:, cells], joint[:, cells], out=s1[:, k])
+            np.matmul(joint[:, cells], weight, out=r[:, k])
+        return _indep_from_sums(n, s1 - n, r, ty, tz)
 
-    return _by_row_slices(perms, ncell, block_values)
+    # the gathered keys and the joint table
+    values = _by_row_slices(perms, total + len(pairs) * n, block_values, (len(pairs),))
+    return values if y.ndim == 2 else values[:, 0]
 
 
 def poisson_chisq(

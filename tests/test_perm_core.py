@@ -435,6 +435,18 @@ class TestCountRows:
                                      PermutationPlan.exact())
 
 
+def test_absent_categories_count_zero_in_every_chunk(monkeypatch):
+    # categories 1 and 6 never occur; the chunks of one block each share one buffer
+    codes = np.array([0, 2, 3, 4, 5, 7])[_CODES]
+    counts = GroupCounts(codes, 17)
+    assert np.flatnonzero(counts.totals == 0).tolist() == [1, 6]
+    monkeypatch.setattr(perm_core, "CHUNK_ENTRIES", 1)
+    stat = _RecordingStat()
+    permutation_distribution(stat, counts, codes.size, PermutationPlan.monte_carlo(300, 2))
+    assert len(stat.chunks) == 1 + -(-300 // BLOCK_ROWS)
+    assert np.array_equal(np.concatenate(stat.chunks[1:]), _contract_count_rows(codes, 17, 300, 2))
+
+
 class _CountingThread(threading.Thread):
     """``threading.Thread`` that counts the threads started through it."""
 

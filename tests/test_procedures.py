@@ -950,7 +950,13 @@ def _slicing_case(name):
         return lambda rows: ustats.multinomial_two_sample_u_nested(codes, 6, 6, rows, ends), 6 + 2 * 7
     if name == "count-independence":
         y, z = rng.permutation(np.arange(12) % 3), rng.permutation(np.arange(12) % 4)
-        return lambda rows: ustats.multinomial_independence_u_many(y, z, rows), 3 * 4
+        # the joint table of 3 x 4 cells and the gathered keys
+        return lambda rows: ustats.multinomial_independence_u_many(y, z, rows), 3 * 4 + 12
+    if name == "count-independence-stacked":
+        ys = np.array([rng.permutation(np.arange(12) % w) for w in (3, 2, 6)])
+        zs = np.array([rng.permutation(np.arange(12) % w) for w in (4, 5, 1)])
+        # 3 * 4 + 2 * 5 + 6 * 1 joint cells and the 3 grids' gathered keys
+        return lambda rows: ustats.multinomial_independence_u_many(ys, zs, rows), 28 + 3 * 12
     if name == "gram-two-sample":
         # BLAS may round a row of mask @ g differently by its place in the
         # block; entries in eighths keep every sum exact, so only the slicing
@@ -972,6 +978,7 @@ class TestRowSlices:
             "count-two-sample",
             "count-nested",
             "count-independence",
+            "count-independence-stacked",
             "gram-two-sample",
             "gram-independence",
             "poisson-chisq",
@@ -1014,4 +1021,20 @@ class TestRowSlices:
         finally:
             tracemalloc.stop()
         assert len(out.components) == 19
+        assert peak < 16 * 2**20
+
+    def test_adaptive_independence_peak_memory_is_bounded_by_the_chunk(self):
+        # 300 pairs, K = 8 grids of 41,154 joint cells in all: 1000 rows' joint
+        # tables would take 330 MB at once; a chunk of index rows takes 2.4 MB
+        rng = np.random.default_rng(5)
+        y = rng.random(300)
+        data = PairedSample(y=y, z=(y + rng.random(300)) / 2,
+                            y_domain=Continuous(1), z_domain=Continuous(1))
+        tracemalloc.start()
+        try:
+            out = adaptive_independence(data, 0.05, MC(999, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.components) == 8
         assert peak < 16 * 2**20

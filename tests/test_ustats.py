@@ -497,6 +497,82 @@ class TestHsicGather:
             independence_u_many(ones, ones, rows[1:])
 
 
+def _count_independence_reference(y, z, rows):
+    """`multinomial_independence_u_many` written for one code pair: its own table and mat-vec."""
+    n = y.size
+    cy, cz = np.bincount(y).astype(float), np.bincount(z).astype(float)
+    joint = perm_core.bincount_rows(y[None, :] * cz.size + z[rows], cy.size * cz.size)
+    s1 = (joint * joint).sum(axis=1) - n
+    r = (cz[z] - 1.0)[rows] @ (cy[y] - 1.0)
+    ty, tz = float((cy * cy).sum()) - n, float((cz * cz).sum()) - n
+    return ustats._indep_from_sums(n, s1, r, ty, tz)
+
+
+class TestStackedIndependence:
+    """(K, n) codes give column k the bytes the (n,) form gives pair k alone."""
+
+    @staticmethod
+    def _row_sets(n):
+        # the Monte Carlo identity, a full chunk and a short one (copied: they share a buffer)
+        sets = [rows.copy() for _, rows in perm_core._monte_carlo_chunks(n, 70, 5, 64)]
+        if n <= 5:  # and an exact plan's rows in chunks, all n! of them
+            sets += [rows for _, rows in perm_core._enumeration_chunks(n, 50)]
+        return sets + [np.random.default_rng(n).permutation(n)[None]]  # a one-row batch
+
+    @pytest.mark.parametrize(
+        "n, y_widths, z_widths",
+        [
+            (30, (2, 5, 13), (3, 9, 30)),  # grids of different widths
+            (24, (1, 4), (6, 1)),  # a single category on one side of each grid
+            (4, (2, 3, 4), (4, 1, 2)),
+            (5, (2,), (3,)),  # K = 1
+            (40, (2, 4, 8, 16, 32, 40), (2, 4, 8, 16, 32, 40)),
+        ],
+    )
+    def test_columns_are_the_pairs_alone(self, n, y_widths, z_widths):
+        rng = np.random.default_rng(n)
+        # every category present, in a shuffled order
+        ys = np.array([rng.permutation(np.arange(n) % w) for w in y_widths])
+        zs = np.array([rng.permutation(np.arange(n) % w) for w in z_widths])
+        for rows in self._row_sets(n):
+            got = multinomial_independence_u_many(ys, zs, rows)
+            assert got.shape == (rows.shape[0], len(y_widths))
+            for k, (y, z) in enumerate(zip(ys, zs)):
+                alone = multinomial_independence_u_many(y, z, rows)
+                assert alone.shape == (rows.shape[0],)
+                assert got[:, k].tobytes() == alone.tobytes()
+                assert alone.tobytes() == _count_independence_reference(y, z, rows).tobytes()
+
+    def test_narrow_codes_give_the_same_values(self):
+        # uint8 codes used to wrap in the joint cell numbers (30 x 200 cells)
+        rng = np.random.default_rng(6)
+        y, z = rng.integers(0, 30, 60), rng.integers(0, 200, 60)
+        rows = np.array([rng.permutation(60) for _ in range(5)])
+        want = multinomial_independence_u_many(y, z, rows)
+        got = multinomial_independence_u_many(y.astype(np.uint8), z.astype(np.uint8), rows)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "y, z, message",
+        [
+            (np.zeros((2, 6), int), np.zeros((3, 6), int), "paired"),
+            (np.zeros(6, int), np.zeros(5, int), "paired"),
+            (np.zeros(6, int), np.zeros((1, 6), int), "paired"),
+            (np.zeros((1, 1, 6), int), np.zeros((1, 1, 6), int), "paired"),
+            (np.zeros((0, 6), int), np.zeros((0, 6), int), "paired"),
+            (np.zeros(3, int), np.zeros(3, int), "n >= 4"),
+            (np.zeros((2, 3), int), np.zeros((2, 3), int), "n >= 4"),
+            (np.array([[0, 1, 0, 1], [0, 1, 0, 1]]), np.array([[0, 1, 1, 0], [1, 0, -1, 0]]),
+             "negative"),
+        ],
+        ids=["grids", "lengths", "dimensions", "3-d", "no-grids", "n-3", "stacked-n-3", "negative"],
+    )
+    def test_bad_codes_refused(self, y, z, message):
+        rows = np.arange(y.shape[-1])[None]
+        with pytest.raises(ValueError, match=message):
+            multinomial_independence_u_many(y, z, rows)
+
+
 class TestIndexRowsRefused:
     """Every index-row batch form refuses an entry outside ``range(n)``.
 
@@ -740,7 +816,13 @@ def _sliced_case(name):
         )
     if name == "multinomial_independence_u_many":
         y = np.arange(12) % 3
-        return lambda rows: multinomial_independence_u_many(y, codes, rows), 3 * 5
+        # the joint table of 3 x 5 cells and the gathered keys
+        return lambda rows: multinomial_independence_u_many(y, codes, rows), 3 * 5 + 12
+    if name == "multinomial_independence_u_many-stacked":
+        ys = np.array([np.arange(12) % 3, np.arange(12) % 2, np.arange(12) % 6])
+        zs = np.array([codes, np.arange(12) % 4, (np.arange(12) // 2) % 6])
+        # 3 * 5 + 2 * 4 + 6 * 6 joint cells and the 3 grids' gathered keys
+        return lambda rows: multinomial_independence_u_many(ys, zs, rows), 59 + 3 * 12
     pooled = rng.poisson(1.0, (12, 4))
     return lambda rows: poisson_chisq_many(pooled, 6, rows), 6 * 4
 
@@ -754,6 +836,7 @@ _SLICED = [
     "multinomial_two_sample_u_counts",
     "multinomial_two_sample_u_counts-weighted",
     "multinomial_independence_u_many",
+    "multinomial_independence_u_many-stacked",
     "poisson_chisq_many",
 ]
 # forms taking a BLAS product of non-integral floats: evaluated on the calling thread
@@ -900,7 +983,29 @@ class TestModuleBoundary:
         assert [name for name in imported if name not in ustats.__all__] == []
 
 
+_ARRAY_RECORDS = {
+    "TwoSamplePooled": lambda: TwoSamplePooled(
+        y=np.array([0, 1, 2]), z=np.array([1, 1, 0]), domain=Categorical(3)),
+    "PairedSample": lambda: PairedSample(
+        y=np.array([0, 1, 0, 1]), z=np.array([1, 1, 0, 0]),
+        y_domain=Categorical(2), z_domain=Categorical(2)),
+    "PoissonCounts": lambda: PoissonCounts(np.array([[1, 0], [2, 1]]), np.array([[0, 3], [1, 1]])),
+    "GramMatrix": lambda: GramMatrix(np.ones((3, 3)) - np.eye(3), True),
+    "PermutationDistribution": lambda: perm_core.PermutationDistribution(
+        0.0, np.array([0.0, 1.0]), perm_core.PermutationPlan.exact()),
+}
+
+
 class TestDataTypes:
+    @pytest.mark.parametrize("name", list(_ARRAY_RECORDS))
+    def test_array_records_compare_by_identity(self, name):
+        # with the default value equality, == compared arrays and raised
+        first, second = _ARRAY_RECORDS[name](), _ARRAY_RECORDS[name]()
+        assert not first == second
+        assert first != second
+        assert first == first
+        assert len({first, second, first}) == 2
+
     def test_two_sample_needs_two_each(self):
         with pytest.raises(ValueError):
             TwoSamplePooled(y=np.array([0]), z=np.array([0, 1]), domain=Categorical(2))
