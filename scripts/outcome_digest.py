@@ -5,10 +5,15 @@ Usage, with the checkout to digest on the path::
     PYTHONPATH=CHECKOUT/src python scripts/outcome_digest.py
 
 Run it on two checkouts and compare the lines: a change that should keep
-every outcome prints the same digests.  Each outcome contributes its
-``statistic.hex()``, ``p_value``, ``critical_value.hex()`` and ``reject``, and
-the type name of each of the four fields; an adaptive outcome contributes
-every component with its kappa, then its union ``p_value`` and ``reject``.
+every outcome prints the same digests.  Each procedure gets two lines.  The
+full digest (``full``) takes each outcome's ``statistic.hex()``,
+``p_value``, ``critical_value.hex()`` and ``reject``, and the type name of
+each of the four fields; an adaptive outcome contributes every component
+with its kappa, then its union ``p_value`` and ``reject``.  The decision
+digest (``decisions``) takes only ``p_value``, ``reject`` and
+``replicate_count`` with their type names, every component's and then the
+union's for an adaptive outcome, so a change that moves statistics in their
+last bits on purpose can show that no decision moved.
 
 The sweep runs all 14 procedures of ``tests/test_fixed_seed_outputs.py``
 under Monte Carlo and exact plans, on three datasets per design, at three
@@ -164,19 +169,29 @@ def _fields(outcome) -> list:
     ]
 
 
+def _decision_fields(outcome) -> list:
+    """The decision fields of a ``TestOutcome`` or an ``AdaptiveOutcome``, as strings."""
+    if isinstance(outcome, testing.AdaptiveOutcome):
+        parts = [f"{kappa}:{_decision_fields(c)}" for kappa, c in outcome.components]
+        return parts + [_typed(outcome.p_value), _typed(outcome.reject)]
+    return [_typed(outcome.p_value), _typed(outcome.reject), _typed(outcome.replicate_count)]
+
+
 def main() -> None:
     warnings.simplefilter("ignore")  # levels below 1/(B+1) warn; the outcome is what counts
     for name, (run, designs) in PROCEDURES.items():
-        digest = hashlib.sha256()
+        full, decisions = hashlib.sha256(), hashlib.sha256()
         count = 0
         for index, (make, plan) in enumerate(designs):
             for dataset in range(DATASETS):
                 for alpha in ALPHAS:
                     data = make(np.random.default_rng([index, dataset]))
                     outcome = run(data, alpha, plan)
-                    digest.update(repr((index, dataset, alpha, _fields(outcome))).encode())
+                    full.update(repr((index, dataset, alpha, _fields(outcome))).encode())
+                    decisions.update(repr((index, dataset, alpha, _decision_fields(outcome))).encode())
                     count += 1
-        print(f"{name:30s} {count:3d} {digest.hexdigest()}")
+        print(f"{name:30s} {count:3d} full      {full.hexdigest()}")
+        print(f"{name:30s} {count:3d} decisions {decisions.hexdigest()}")
 
 
 if __name__ == "__main__":

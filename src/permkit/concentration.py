@@ -223,7 +223,7 @@ def dependent_rademacher_chaos(a: np.ndarray, rng: np.random.Generator) -> float
     return float(signs @ mat @ signs) + n * abar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailReport:
     """Empirical exceedance probabilities versus a bound on a t-grid."""
 

@@ -112,7 +112,7 @@ def _validate_weights(weights: np.ndarray, d: int) -> None:
         raise ValueError(f"weights must respect the 1/(2d) floor, d={d}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedMultinomial:
     """Inverse-weighted category-match kernel: g(x, y) = 1(x == y) / w_x."""
 
@@ -136,7 +136,7 @@ class WeightedMultinomial:
         return (cats[:, None] == cats[None, :]) / self.weights[cats][:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductWeighted:
     """Product-weighted indicator kernel on pairs (k1, k2).
 
@@ -191,7 +191,7 @@ class ProductWeighted:
         return match * inv_w[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gaussian:
     """Gaussian density kernel with per-coordinate bandwidths.
 

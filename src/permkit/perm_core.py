@@ -64,9 +64,12 @@ Conventions
   peak memory follows the budget, not B * n or n! * n.  When a helper
   thread evaluates part of a chunk, each slice is cut into up to four
   pieces, so the two threads' temporaries hold about half the budget.
-  Forms built on a BLAS product of non-integral floats (the Gram
-  two-sample form, weighted count forms) keep whole slices on the calling
-  thread: a product's last bits change with where its rows are cut.
+  Forms built on a BLAS product of non-integral floats keep whole slices,
+  as a product's last bits change with where its rows are cut.  The
+  weighted count forms evaluate them on the calling thread.  The Gram
+  two-sample form evaluates a slice as tiles of the symmetric Gram matrix,
+  and when BLAS runs on one thread the helper shares the tiles: a tile's
+  product is the same on either thread, so no value changes.
 * Evaluators have one protocol, ``evaluate_many(data, rows)`` on an (m, n)
   matrix of index rows, or an (m, u) matrix of count rows for
   :class:`GroupCounts` data; a plain callable ``stat(data, perm)`` is called

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,9 @@ NAIVE_INDEPENDENCE_LIMIT = 10
 # and in heap pages the allocator keeps between calls, where a whole slice's
 # would be mapped afresh, page by page, on every call
 _PIECE_ENTRIES = 1 << 15
+# points in a band of the Gram two-sample form's tiles: n points make
+# ceil(n / 256) near-equal bands
+_BAND_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -265,20 +269,20 @@ def _by_row_slices(
     so an evaluator's memory is bounded like the index chunk it is handed.
     ``columns`` is the shape of one row's values, ``(K,)`` for K statistics.
 
-    When all rows hold more than a quarter of the budget and a helper
-    thread is usable, each slice is cut into up to four pieces, and the
-    calling thread and the helper evaluate the pieces (`share_tasks`), each
-    writing its own rows of the result: the two threads hold about half the
-    budget.  Smaller evaluations, a simulation trial's say, cost less than
-    starting the helper.  Set ``blas`` when ``block_values`` takes a BLAS
-    product of non-integral floats: its slices stay whole and on the
-    calling thread, as BLAS spreads a product over the CPUs itself and the
-    last bits of a product's rows change with where the rows are cut.
+    When all rows are worth a helper thread (`_worth_a_helper`), each slice
+    is cut into up to four pieces, and the calling thread and the helper
+    evaluate the pieces (`share_tasks`), each writing its own rows of the
+    result: the two threads hold about half the budget.  Set ``blas`` when
+    ``block_values`` takes a BLAS product of non-integral floats: its slices
+    stay whole and are handed to it on the calling thread, as the last bits
+    of a product's rows change with where the rows are cut.  Such a form
+    may share work of its own that cuts no rows, as the Gram two-sample
+    form shares its tiles.
     """
     m = rows.shape[0]
     step = max(1, CHUNK_ENTRIES // max(per_row, 1))
     out = np.empty((m, *columns), dtype=float)
-    if blas or m * per_row <= CHUNK_ENTRIES // 4 or not helper_thread_usable():
+    if blas or not _worth_a_helper(m, per_row):
         for start in range(0, m, step):
             out[start : start + step] = block_values(rows[start : start + step])
         return out
@@ -290,6 +294,29 @@ def _by_row_slices(
 
     share_tasks(evaluate_piece, len(bounds) - 1)
     return out
+
+
+def _worth_a_helper(m: int, per_row: int) -> bool:
+    """Whether ``m`` rows of ``per_row`` temporary entries are worth a helper thread.
+
+    They must hold more than a quarter of ``CHUNK_ENTRIES``, and a helper
+    thread must be usable: smaller evaluations, a simulation trial's say,
+    cost less than starting the helper.
+    """
+    return m * per_row > CHUNK_ENTRIES // 4 and helper_thread_usable()
+
+
+def _blas_on_one_thread() -> bool:
+    """Whether BLAS runs on one thread, as read from the variables BLAS reads.
+
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` and MKL ``MKL_NUM_THREADS``, each
+    falling back to ``OMP_NUM_THREADS`` when its own is unset or empty.
+    """
+    omp = os.environ.get("OMP_NUM_THREADS")
+    return any(
+        (os.environ.get(var) or omp or "").strip() == "1"
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    )
 
 
 def _pieces(start: int, size: int) -> list[int]:
@@ -312,7 +339,21 @@ def two_sample_u(
 def two_sample_u_many(
     gram: GramMatrix, n1: int, n2: int, labelings: np.ndarray
 ) -> np.ndarray:
-    """`two_sample_u` over a stack of labelings (rows)."""
+    """`two_sample_u` over a stack of labelings (rows).
+
+    A row's first ``n1`` entries pick group one, as the 0/1 mask row m; they
+    must be distinct.  The within-group sum m^T G m is read from the tiles
+    of the symmetric G on and above its diagonal, over ceil(n / 256)
+    near-equal bands of points: each diagonal tile once, each tile above it
+    twice (for its mirror), added in one fixed order; the cross-group sum is
+    m^T G 1 - m^T G m, with G 1 summed once.  That is 5/8 of the full
+    product's multiply-adds at four bands.  When a slice's rows are worth a
+    helper thread (`_worth_a_helper`) and BLAS runs on one thread
+    (`_blas_on_one_thread`), the calling thread and the helper share its
+    tiles (`share_tasks`); otherwise the calling thread runs them, in the
+    same order.  Each tile product's shape depends only on n and the slice,
+    so every value is the same bit for bit whichever thread ran its tiles.
+    """
     if n1 < 2 or n2 < 2:
         raise ValueError("two_sample_u requires n1 >= 2 and n2 >= 2")
     n = n1 + n2
@@ -321,14 +362,33 @@ def two_sample_u_many(
     perms = _index_rows(labelings, n, "labelings")
     g = gram.values
     total = float(g.sum())
+    row_sums = g.sum(axis=1)
+    bands = -(-n // _BAND_POINTS)
+    cuts = [slice(n * i // bands, n * (i + 1) // bands) for i in range(bands)]
+    tiles = [(cuts[a], cuts[b], 1.0 if a == b else 2.0)
+             for a in range(bands) for b in range(a, bands)]
+    per_row = 2 * n  # the mask and one tile product per thread
 
     def block_values(block: np.ndarray) -> np.ndarray:
-        # membership-mask quadratic forms
-        mask1 = np.zeros((block.shape[0], n), dtype=float)
+        m = block.shape[0]
+        mask1 = np.zeros((m, n), dtype=float)
         np.put_along_axis(mask1, block[:, :n1], 1.0, axis=1)
-        p = mask1 @ g
-        within1 = np.einsum("ij,ij->i", p, mask1)
-        cross = p.sum(axis=1) - within1
+        if (mask1.sum(axis=1) != n1).any():
+            raise ValueError(f"each labeling's first n1 = {n1} entries must be distinct")
+        within = np.empty((len(tiles), m))
+
+        def tile_sum(j: int) -> None:
+            rows, cols, factor = tiles[j]
+            p = mask1[:, rows] @ g[rows, cols]
+            within[j] = factor * np.einsum("ij,ij->i", p, mask1[:, cols])
+
+        if _worth_a_helper(m, per_row) and _blas_on_one_thread():
+            share_tasks(tile_sum, len(tiles))
+        else:
+            for j in range(len(tiles)):
+                tile_sum(j)
+        within1 = within.sum(axis=0)
+        cross = mask1 @ row_sums - within1
         within2 = total - 2.0 * cross - within1
         return (
             within1 / (n1 * (n1 - 1))
@@ -336,7 +396,7 @@ def two_sample_u_many(
             - 2.0 * cross / (n1 * n2)
         )
 
-    return _by_row_slices(perms, 2 * n, block_values, blas=True)  # the mask and mask @ g
+    return _by_row_slices(perms, per_row, block_values, blas=True)
 
 
 def two_sample_u_naive(
@@ -611,7 +671,7 @@ def independence_u(
 def independence_u_many(
     gram_y: GramMatrix, gram_z: GramMatrix, z_relabelings: np.ndarray
 ) -> np.ndarray:
-    """`independence_u` over a stack of z-relabelings (rows)."""
+    """`independence_u` over a stack of z-relabelings (rows), each a permutation."""
     if gram_y.n != gram_z.n:
         raise ValueError("gram matrices must cover the same n points")
     if not (gram_y.diagonal_zeroed and gram_z.diagonal_zeroed):
@@ -624,6 +684,14 @@ def independence_u_many(
     kz_flat = kz.ravel()
     row_y, row_z = ky.sum(axis=1), kz.sum(axis=1)
     ty, tz = float(row_y.sum()), float(row_z.sum())
+
+    # one check before slicing, in row blocks whose shifted codes and counts
+    # hold about CHUNK_ENTRIES entries: checked piece by piece, the many
+    # small pieces of a threaded evaluation made it about 8 times dearer
+    step = max(1, CHUNK_ENTRIES // (2 * n))
+    for start in range(0, perms.shape[0], step):
+        if (bincount_rows(perms[start : start + step], n) != 1).any():
+            raise ValueError(f"each z_relabeling must be a permutation of range({n})")
 
     def block_values(block: np.ndarray) -> np.ndarray:
         # kz[block[:, :, None], block[:, None, :]] as one 1-D gather on the

@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 from permkit import perm_core, ustats
-from permkit.kernels import Gaussian, GramMatrix, MultinomialIndicator, WeightedMultinomial, gram
+from permkit.concentration import TailReport
+from permkit.kernels import (
+    Gaussian,
+    GramMatrix,
+    MultinomialIndicator,
+    ProductWeighted,
+    WeightedMultinomial,
+    gram,
+)
 from permkit.ustats import (
     Categorical,
     Continuous,
@@ -76,6 +84,20 @@ class TestTwoSampleU:
             fast = two_sample_u(g, n1, n2, perm)
             slow = two_sample_u_naive(y, z, k, perm)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n1, n2, band", [(6, 6, 4), (5, 8, 4), (7, 7, 3), (9, 11, 2)])
+    def test_tiles_match_naive_on_random_gaussian(self, n1, n2, band, monkeypatch):
+        monkeypatch.setattr(ustats, "_BAND_POINTS", band)  # 3 to 10 bands
+        assert -(-(n1 + n2) // band) >= 3
+        rng = np.random.default_rng(n1 + n2)
+        y, z = rng.normal(size=(n1, 2)), rng.normal(size=(n2, 2))
+        k = Gaussian(np.array([0.6, 1.1]))
+        g = gram(k, np.concatenate([y, z]), zero_diagonal=True)
+        perms = np.array([np.arange(n1 + n2)] + [rng.permutation(n1 + n2) for _ in range(4)])
+        fast = two_sample_u_many(g, n1, n2, perms)
+        slow = [two_sample_u_naive(y, z, k, perm) for perm in perms]
+        scale = g.values.max() / n1  # the statistic's rounding noise sits near this scale
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-13 * scale)
 
     def test_naive_refuses_large_input(self):
         with pytest.raises(ValueError):
@@ -788,6 +810,24 @@ class TestLabelingsMustBePermutations:
         with pytest.raises(ValueError, match=r"permutation of range\(6\)"):
             evaluate(np.arange(5))
 
+    @pytest.mark.parametrize("form", ["two_sample_u_many", "independence_u_many"])
+    @pytest.mark.parametrize("bad", [[0, 0, 0, 1, 1, 1], [1, 1, 0, 0, 2, 3]], ids=["repeats", "one-repeat"])
+    def test_gram_batch_forms_refuse_a_repeating_row(self, form, bad):
+        rng = np.random.default_rng(24)
+        gy, gz = _indicator_gram(rng.integers(0, 2, 6), 2), _indicator_gram(rng.integers(0, 3, 6), 3)
+        evaluate = {
+            "two_sample_u_many": lambda rows: two_sample_u_many(gy, 3, 3, rows),
+            "independence_u_many": lambda rows: independence_u_many(gy, gz, rows),
+        }[form]
+        assert np.isfinite(evaluate(np.array([[5, 3, 1, 0, 2, 4], np.arange(6)]))).all()
+        with pytest.raises(ValueError, match="distinct|permutation"):
+            evaluate(np.array([np.arange(6), bad]))
+
+    def test_two_sample_batch_form_reads_only_the_first_group(self):
+        gy = _indicator_gram(np.random.default_rng(24).integers(0, 2, 6), 2)
+        values = two_sample_u_many(gy, 3, 3, [[0, 1, 2, 3, 4, 5], [0, 1, 2, 0, 0, 0]])
+        assert values[0] == values[1]
+
 
 def _sliced_case(name):
     """``(evaluate, per_row)`` for one caller of ``ustats._by_row_slices`` on 12 points."""
@@ -839,13 +879,15 @@ _SLICED = [
     "multinomial_independence_u_many-stacked",
     "poisson_chisq_many",
 ]
-# forms taking a BLAS product of non-integral floats: evaluated on the calling thread
-_ON_ONE_THREAD = [
+# forms taking a BLAS product of non-integral floats keep whole slices; the
+# weighted count forms evaluate them on the calling thread, the Gram
+# two-sample form shares each slice's tiles with the helper
+_WHOLE_SLICES = [
     "two_sample_u_many",
     "multinomial_two_sample_u_many-weighted",
     "multinomial_two_sample_u_counts-weighted",
 ]
-_THREADED = [name for name in _SLICED if name not in _ON_ONE_THREAD]
+_THREADED = [name for name in _SLICED if name not in _WHOLE_SLICES]  # pieces of slices
 
 
 class _CountingThread(threading.Thread):
@@ -864,6 +906,8 @@ class TestThreadedSlices:
         evaluate, per_row = _sliced_case(name)
         rng = np.random.default_rng(32)
         rows = np.array([np.arange(12)] + [rng.permutation(12) for _ in range(40)])
+        monkeypatch.setattr(ustats, "_BAND_POINTS", 4)  # 3 bands of the 12 points, 6 tiles
+        monkeypatch.setattr(ustats, "_blas_on_one_thread", lambda: True)
         monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 1)
         whole = evaluate(rows)  # one slice under the default budget
         assert ustats.CHUNK_ENTRIES // per_row >= rows.shape[0]
@@ -874,7 +918,8 @@ class TestThreadedSlices:
         assert _CountingThread.started == 0
         monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
         threaded = evaluate(rows)
-        assert _CountingThread.started == (name in _THREADED)
+        # one helper for all the pieces, or one for each slice's tiles
+        assert _CountingThread.started == {"two_sample_u_many": 4}.get(name, name in _THREADED)
         assert serial.shape == threaded.shape == whole.shape
         assert serial.tobytes() == threaded.tobytes() == whole.tobytes()
 
@@ -901,18 +946,57 @@ class TestThreadedSlices:
                 # rows holding at most a quarter of the budget keep whole slices
                 assert len(sizes) == (min(4, sum(sizes)) if m > step // 4 else 1)
 
-    @pytest.mark.parametrize("m", [787, 1049])
-    def test_full_size_gram_products_keep_their_bits(self, m, monkeypatch):
-        # 500 points, slices of 1048 rows: the rows of one BLAS product change
-        # in their last bits when the product is cut into pieces
+    @pytest.mark.parametrize("n", [300, 500, 1000, 1500])
+    def test_full_size_gram_products_keep_their_bits(self, n, monkeypatch):
+        # at n = 4 mod 8 (300, 500, 1500) the rows of one BLAS product change in
+        # their last bits where the product is cut; tiles cut no product
         rng = np.random.default_rng(35)
-        g = gram(Gaussian(np.array([0.7, 0.7])), rng.normal(size=(500, 2)))
-        rows = rng.permuted(np.tile(np.arange(500), (m, 1)), axis=1)
-        assert ustats.CHUNK_ENTRIES // (2 * 500) == 1048
+        g = gram(Gaussian(np.array([0.7, 0.7])), rng.normal(size=(n, 2)))
+        step = ustats.CHUNK_ENTRIES // (2 * n)
+        rows = rng.permuted(np.tile(np.arange(n), (step + step // 2, 1)), axis=1)  # two slices
+        monkeypatch.setattr(threading, "Thread", _CountingThread)
+        monkeypatch.setattr(_CountingThread, "started", 0)
         monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 1)
-        serial = two_sample_u_many(g, 250, 250, rows)
+        monkeypatch.setattr(ustats, "_blas_on_one_thread", lambda: True)
+        serial = two_sample_u_many(g, n // 2, n - n // 2, rows)
+        assert _CountingThread.started == 0
         monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
-        assert two_sample_u_many(g, 250, 250, rows).tobytes() == serial.tobytes()
+        monkeypatch.setattr(ustats, "_blas_on_one_thread", lambda: False)
+        assert two_sample_u_many(g, n // 2, n - n // 2, rows).tobytes() == serial.tobytes()
+        assert _CountingThread.started == 0
+        monkeypatch.setattr(ustats, "_blas_on_one_thread", lambda: True)
+        assert two_sample_u_many(g, n // 2, n - n // 2, rows).tobytes() == serial.tobytes()
+        assert _CountingThread.started == 2  # one helper for each slice's tiles
+
+    @pytest.mark.parametrize(
+        "env, one",
+        [
+            ({}, False),
+            ({"OPENBLAS_NUM_THREADS": "1"}, True),
+            ({"MKL_NUM_THREADS": "1"}, True),
+            ({"OMP_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "2"}, False),
+            ({"OMP_NUM_THREADS": "4"}, False),
+        ],
+    )
+    def test_blas_thread_count_read_from_its_variables(self, env, one, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert ustats._blas_on_one_thread() is one
+
+    def test_one_row_starts_no_thread(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        g = gram(Gaussian(np.array([0.7, 0.7])), rng.normal(size=(1000, 2)))
+        monkeypatch.setattr(threading, "Thread", _CountingThread)
+        monkeypatch.setattr(_CountingThread, "started", 0)
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(ustats, "_blas_on_one_thread", lambda: True)
+        assert np.isfinite(two_sample_u(g, 500, 500))  # the identity row
+        assert np.isfinite(two_sample_u_many(g, 500, 500, [rng.permutation(1000)])).all()
+        assert _CountingThread.started == 0
 
     @pytest.mark.parametrize("name", _SLICED)
     def test_short_switch_interval_changes_no_value(self, name, monkeypatch):
@@ -993,6 +1077,10 @@ _ARRAY_RECORDS = {
     "GramMatrix": lambda: GramMatrix(np.ones((3, 3)) - np.eye(3), True),
     "PermutationDistribution": lambda: perm_core.PermutationDistribution(
         0.0, np.array([0.0, 1.0]), perm_core.PermutationPlan.exact()),
+    "Gaussian": lambda: Gaussian(np.array([0.5, 0.7])),
+    "WeightedMultinomial": lambda: WeightedMultinomial(np.array([0.5, 0.5])),
+    "ProductWeighted": lambda: ProductWeighted(np.array([0.5, 0.5]), np.array([1.0])),
+    "TailReport": lambda: TailReport(*(np.array([0.1, 0.2]) for _ in range(4))),
 }
 
 
