@@ -13,10 +13,11 @@ this repository's ``BENCHMARK.json``.  For every workload it runs
 (seed 1).  The file holds the sha256 of the ``perfbench/`` tree both
 checkouts share, every run's metrics with its ``# env`` object (the machine
 as that run saw it) and the host's ``os.getloadavg()`` just before it
-started, the median and quartiles of the end-to-end metrics per side, and
-per metric the number of pairs in which the after side was better.  The
-load averages let a gain from using a second CPU be read against how busy
-the host was.
+started, the median, quartiles and range of the end-to-end metrics per
+side, per metric the number of pairs in which the after side was better,
+and per metric one verdict (see `verdict`), which the script also prints.
+The load averages let a gain from using a second CPU be read against how
+busy the host was.
 
 Before the first run it byte-compiles ``src/`` of both checkouts
 (``python -m compileall -q src``) and records that it did: runs that
@@ -45,6 +46,7 @@ PAIRS = 10
 BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 END_TO_END = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 
 
@@ -100,7 +102,7 @@ def is_bad(record: dict) -> bool:
 
 
 def summary(runs: list[dict]) -> dict:
-    """Median and quartiles of each end-to-end metric over the runs that report it."""
+    """Median, quartiles and range of each end-to-end metric over the runs that report it."""
     out = {}
     for key in END_TO_END:
         values = [r["metrics"][key] for r in runs if key in r["metrics"]]
@@ -108,7 +110,8 @@ def summary(runs: list[dict]) -> dict:
             out[key] = None
             continue
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        out[key] = {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+        out[key] = {"median": median, "q1": q1, "q3": q3,
+                    "min": min(values), "max": max(values), "runs": len(values)}
     return out
 
 
@@ -123,6 +126,35 @@ def wins(before: list[dict], after: list[dict]) -> dict:
                  for b, a in zip(before, after) if key in a["metrics"] and key in b["metrics"])
         for key, better in END_TO_END.items()
     }
+
+
+def verdict(before: dict | None, after: dict | None, better_pairs: int, better: str,
+            bound: float) -> str:
+    """One end-to-end metric of one workload, judged from the two sides' summaries.
+
+    ``worse`` when the after median is worse than the before median by more
+    than ``bound``, a share of the before median.  ``unresolved`` when the
+    before side's quartile distance is wider than that share, unless every
+    after run reads better than every before run, or when a side has no
+    summary.  ``gain`` when the after side is better in at least 9 in 10 of
+    the ``PAIRS`` pairs (``better_pairs``) and the medians differ by more
+    than the before side's quartile distance.  ``same`` otherwise.
+    """
+    if before is None or after is None:
+        return "unresolved"
+    sign = 1.0 if better == "lower" else -1.0  # sign * (after - before) > 0: after is worse
+    if sign * (after["median"] - before["median"]) > bound * abs(before["median"]):
+        return "worse"
+    spread = before["q3"] - before["q1"]
+    if better == "lower":
+        every_run_better = after["max"] < before["min"]
+    else:
+        every_run_better = after["min"] > before["max"]
+    if spread > bound * abs(before["median"]) and not every_run_better:
+        return "unresolved"
+    if 10 * better_pairs >= 9 * PAIRS and sign * (before["median"] - after["median"]) > spread:
+        return "gain"
+    return "same"
 
 
 def main(argv=None) -> int:
@@ -152,12 +184,21 @@ def main(argv=None) -> int:
                 runs[side].append(run(sides[side], workload, seed, 0))
                 if is_bad(runs[side][-1]):
                     bad.append(f"{side} {workload} seed={seed} trace=0")
+        better_pairs = wins(runs["before"], runs["after"])
+        summaries = {side: summary(r) for side, r in runs.items()}
+        verdicts = {key: verdict(summaries["before"][key], summaries["after"][key],
+                                 better_pairs[key], better, BOUNDS[key])
+                    for key, better in END_TO_END.items()}
         report["workloads"][workload] = {
             "pairs": PAIRS,
-            "after_better_pairs": wins(runs["before"], runs["after"]),
-            **{side: {"summary": summary(r), "runs": r}
-               for side, r in runs.items()},
+            "after_better_pairs": better_pairs,
+            "verdicts": verdicts,
+            **{side: {"summary": summaries[side], "runs": r} for side, r in runs.items()},
         }
+        for key, label in verdicts.items():
+            medians = [(summaries[side][key] or {}).get("median") for side in runs]
+            print(f"{workload} {key}: {label} (median before {medians[0]}, after {medians[1]}, "
+                  f"{better_pairs[key]} of {PAIRS} pairs better)", flush=True)
     for workload in WORKLOADS:
         report["traced"][workload] = {}
         for side, path in sides.items():

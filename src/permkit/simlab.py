@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
@@ -31,8 +32,6 @@ from .perm_core import (
 )
 from .testing import (
     SmoothnessRule,
-    _compress,
-    _group_count_two_sample,
     hsic_test,
     mmd_test,
     multinomial_l2_independence,
@@ -44,6 +43,7 @@ from .ustats import (
     PairedSample,
     TwoSamplePooled,
     multinomial_two_sample_u,
+    multinomial_two_sample_u_counts,
 )
 
 __all__ = [
@@ -470,11 +470,12 @@ def _qq_task(task):
     rng = replicate_rng(task_seed, 0)
     y = _sample_categorical(py, cfg.n1, rng)
     z = _sample_categorical(pz, cfg.n2, rng)
-    codes, _ = _compress(np.concatenate([y, z]))
+    _, codes = np.unique(np.concatenate([y, z]), return_inverse=True)
     plan = PermutationPlan.monte_carlo(cfg.replicates, split_seed(task_seed, 1))
-    dist = permutation_distribution(
-        _group_count_two_sample(cfg.n1), GroupCounts(codes, cfg.n1), cfg.n1 + cfg.n2, plan
+    stat = SimpleNamespace(  # evaluated on the count rows GroupCounts data are drawn as
+        evaluate_many=lambda data, rows: multinomial_two_sample_u_counts(data.totals, cfg.n1, rows)
     )
+    dist = permutation_distribution(stat, GroupCounts(codes, cfg.n1), cfg.n1 + cfg.n2, plan)
     null_rng = replicate_rng(task_seed, 2)
     null_values = np.array(
         [

@@ -259,14 +259,6 @@ def _count_two_sample(n1: int, n2: int, inv_weights: np.ndarray | None = None) -
     )
 
 
-def _group_count_two_sample(n1: int, inv_weights: np.ndarray | None = None) -> _Evaluator:
-    """The multinomial two-sample U-statistic on the count rows of a ``GroupCounts``."""
-    return _Evaluator(
-        lambda counts, rows: multinomial_two_sample_u_counts(counts.totals, n1, rows, inv_weights),
-        n1,
-    )
-
-
 def _group_count_test(
     codes: np.ndarray, n1: int, alpha: float, plan: PermutationPlan, inv_weights=None
 ) -> TestOutcome:
@@ -281,7 +273,10 @@ def _group_count_test(
     if plan.mode == "exact":
         stat = _count_two_sample(n1, codes.size - n1, inv_weights)
         return perm_core.run_test(stat, codes, codes.size, plan, alpha)
-    stat = _group_count_two_sample(n1, inv_weights)
+    stat = _Evaluator(
+        lambda counts, rows: multinomial_two_sample_u_counts(counts.totals, n1, rows, inv_weights),
+        n1,
+    )
     return perm_core.run_test(stat, GroupCounts(codes, n1), codes.size, plan, alpha)
 
 

@@ -19,8 +19,9 @@ and one on K nested partitions at once, `multinomial_two_sample_u_nested`.
 That form counts each row once, into a code-major table of running counts,
 and sums every partition's runs in one pass; a run holding a single pooled
 point is skipped, as S2 - n1 and P - n1 are sums of c1(c1-1) and c1(t-1)
-over the runs, to which it adds 0.  `multinomial_independence_u_many` takes
-one (y, z) code pair or the (K, n) code stacks of K grids, all counted at once.
+over the runs, to which it adds 0, in pieces of rows on the calling thread.
+`multinomial_independence_u_many` takes one (y, z) code pair or the (K, n)
+code stacks of K grids, all counted at once; its R reads no joint cell.
 
 Permutations act by index relabeling on cached values; kernels are never
 re-evaluated per relabeling.
@@ -488,8 +489,9 @@ def multinomial_two_sample_u_nested(
     the difference of two contiguous table rows, and each partition's sums
     are one add over its runs.  As the c1 sum to n1, S2 = n1 + sum c1(c1-1)
     and P = n1 + sum c1(t-1): a run holding at most one pooled point adds
-    to neither, so only runs with t >= 2 are gathered.  A slice is counted
-    in pieces of about ``_PIECE_ENTRIES`` table and gather entries.
+    to neither, so only runs with t >= 2 are gathered.  The rows are counted
+    in pieces of about ``_PIECE_ENTRIES`` table and gather entries, on the
+    calling thread: a helper thread measured slower on them.
     """
     codes, perms = _pooled_codes(codes, n1, n2, rows)
     totals = np.bincount(codes)
@@ -528,8 +530,9 @@ def multinomial_two_sample_u_nested(
     t_minus_1 = (t - 1)[:, None]
     per_row = u + 1 + 2 * hi.size  # the running table, then the two gathers of the kept runs
     piece = max(1, _PIECE_ENTRIES // per_row)
-
-    def piece_values(block: np.ndarray) -> np.ndarray:
+    out = np.empty((perms.shape[0], sizes.size))
+    for start in range(0, perms.shape[0], piece):
+        block = perms[start : start + piece]
         m = block.shape[0]
         keys = shifted[block[:, :n1]]
         keys *= m
@@ -541,14 +544,8 @@ def multinomial_two_sample_u_nested(
         c1 -= terms
         p = grid_sums(np.multiply(c1, t_minus_1, out=terms))
         s2 = grid_sums(np.multiply(np.subtract(c1, 1, out=terms), c1, out=terms))
-        return _two_sample_of_sums((s2 + n1).T, (p + n1).T, tt, n1, n2)
-
-    def block_values(block: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [piece_values(block[i : i + piece]) for i in range(0, block.shape[0], piece)]
-        )
-
-    return _by_row_slices(perms, per_row, block_values, (sizes.size,))
+        out[start : start + m] = _two_sample_of_sums((s2 + n1).T, (p + n1).T, tt, n1, n2)
+    return out
 
 
 def _pooled_codes(codes, n1: int, n2: int, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -761,9 +758,10 @@ def multinomial_independence_u_many(
     codes.  Uses the O(n) count reduction of the closed form (pair-match
     counts, row-sum dot products, invariant totals): a slice's K joint
     tables are one offset ``bincount``, pair k's cells after pair k - 1's,
-    and pair k's S1 and R are a row-wise sum of its squared cells and its
-    cells weighted by (cy - 1)(cz - 1).  Both are integers, exact in
-    floats, so column k is pair k's value alone.
+    and pair k's S1 is a row-wise sum of its squared cells.  T_y and T_z sum
+    the kernels' row sums at the points, cy[y] - 1 and cz[z] - 1, and R is
+    sum_i (cy[y_i] - 1)(cz[z_perm(i)] - 1), one integer ``einsum`` for all K
+    pairs.  All are integers, exact in floats, so column k is pair k's value alone.
     """
     y, z = np.asarray(y_codes), np.asarray(z_codes)
     if y.shape != z.shape or y.ndim not in (1, 2) or not y.size:
@@ -774,26 +772,26 @@ def multinomial_independence_u_many(
     perms = _index_rows(rows, n, "rows")
     # narrow codes would overflow in the keys; float codes raise TypeError, as in np.bincount
     ys, zs = (c.reshape(-1, n).astype(np.intp, copy=False, casting="same_kind") for c in (y, z))
-    pairs, ty, tz, y_keys, total = [], [], [], [], 0
+    row_y, row_z, y_keys, pairs, total = [], [], [], [], 0
     for a, b in zip(ys, zs):
         cy, cz = np.bincount(a), np.bincount(b)
-        ty.append(cy @ (cy - 1))
-        tz.append(cz @ (cz - 1))
+        row_y.append(cy[a] - 1)  # the indicator kernel's row sums at the points
+        row_z.append(cz[b] - 1)
         y_keys.append(a * cz.size + total)
-        weight = np.multiply.outer(cy - 1, cz - 1).ravel()  # R's weight of each joint cell
-        pairs.append((slice(total, total + weight.size), weight))
-        total += weight.size
-    ty, tz, y_keys = np.array(ty), np.array(tz), np.array(y_keys)[:, None, :]
+        pairs.append(slice(total, total + cy.size * cz.size))  # pair k's joint cells
+        total += cy.size * cz.size
+    row_y, row_z, y_keys = np.array(row_y), np.array(row_z), np.array(y_keys)[:, None, :]
+    ty, tz = row_y.sum(axis=1), row_z.sum(axis=1)
 
     def block_values(block: np.ndarray) -> np.ndarray:
+        r = np.einsum("kmi,ki->mk", row_z.take(block, axis=1), row_y)  # freed before the keys
         keys = zs.take(block, axis=1)  # (K, m, n)
         keys += y_keys
         keys += (np.arange(len(block)) * total)[:, None]  # row i's cells after the rows before
         joint = np.bincount(keys.ravel(), minlength=len(block) * total).reshape(-1, total)
-        s1, r = np.empty((2, len(block), len(pairs)), dtype=joint.dtype)
-        for k, (cells, weight) in enumerate(pairs):
+        s1 = np.empty((len(block), len(pairs)), dtype=joint.dtype)
+        for k, cells in enumerate(pairs):
             np.einsum("ij,ij->i", joint[:, cells], joint[:, cells], out=s1[:, k])
-            np.matmul(joint[:, cells], weight, out=r[:, k])
         return _indep_from_sums(n, s1 - n, r, ty, tz)
 
     # the gathered keys and the joint table
@@ -819,9 +817,11 @@ def poisson_chisq(
 def poisson_chisq_many(pooled: np.ndarray, group_size: int, rows: np.ndarray) -> np.ndarray:
     """`poisson_chisq` over a stack of relabelings of the 2n pooled count rows.
 
-    Each row's first ``group_size`` positions pick group one.
+    Each row's first ``group_size`` positions pick group one.  ``pooled`` is
+    refused unless its counts are integers, nonnegative and below 2^63.
     """
-    if pooled.ndim != 2 or pooled.shape[0] != 2 * group_size:
+    pooled = _count_rows(pooled, "pooled")
+    if pooled.shape[0] != 2 * group_size:
         raise ValueError(f"pooled must hold 2 * {group_size} count rows")
     perms = _index_rows(rows, 2 * group_size, "rows")
     totals = pooled.sum(axis=0).astype(float)

@@ -943,11 +943,6 @@ def _slicing_case(name):
     if name == "count-two-sample":
         codes = rng.permutation(np.arange(12) % 5)
         return lambda rows: ustats.multinomial_two_sample_u_many(codes, 6, 6, rows), 5
-    if name == "count-nested":
-        codes = rng.permutation(np.arange(12) % 5)
-        ends = [np.array([2, 5]), np.array([1, 2, 3, 4, 5])]
-        # the (u + 1)-row running table and two gathers of the 7 runs, each of 2 or 3 points
-        return lambda rows: ustats.multinomial_two_sample_u_nested(codes, 6, 6, rows, ends), 6 + 2 * 7
     if name == "count-independence":
         y, z = rng.permutation(np.arange(12) % 3), rng.permutation(np.arange(12) % 4)
         # the joint table of 3 x 4 cells and the gathered keys
@@ -976,7 +971,6 @@ class TestRowSlices:
         "name",
         [
             "count-two-sample",
-            "count-nested",
             "count-independence",
             "count-independence-stacked",
             "gram-two-sample",

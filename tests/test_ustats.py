@@ -361,6 +361,22 @@ class TestNestedCounts:
         monkeypatch.setattr(ustats, "_PIECE_ENTRIES", 1)  # every row counted on its own
         assert multinomial_two_sample_u_nested(codes, n1, n2, rows, ends).tobytes() == whole.tobytes()
 
+    def test_starts_no_thread(self, monkeypatch):
+        # 150 + 150 points in 100 codes of 3 and 153 kept runs: 1000 rows hold
+        # 407 entries each, past a quarter of the budget, where the helper used
+        # to take pieces of every slice; the pieces are counted on the calling thread
+        rng = np.random.default_rng(46)
+        codes = rng.permutation(np.arange(300) % 100)
+        ends = [np.arange(1, 101), np.arange(2, 101, 2), np.array([50, 100]), np.array([100])]
+        rows = np.array([np.arange(300)] + [rng.permutation(300) for _ in range(999)])
+        assert rows.shape[0] * (101 + 2 * 153) > ustats.CHUNK_ENTRIES // 4
+        monkeypatch.setattr(threading, "Thread", _CountingThread)
+        monkeypatch.setattr(_CountingThread, "started", 0)
+        monkeypatch.setattr(perm_core, "_usable_cpus", lambda: 2)
+        # the index-row form of each partition, at most 100 codes, takes no helper either
+        self._assert_columns_are_the_partitions_tests(codes, 150, 150, rows, ends)
+        assert _CountingThread.started == 0
+
     def test_past_the_int64_numerator(self):
         # 30,000 + 31,000 points: S2 and P reach the statistic as Python integers
         rng = np.random.default_rng(45)
@@ -565,6 +581,20 @@ class TestStackedIndependence:
                 assert got[:, k].tobytes() == alone.tobytes()
                 assert alone.tobytes() == _count_independence_reference(y, z, rows).tobytes()
 
+    def test_fine_grids_over_several_slices(self):
+        # grids with more joint cells than points, as the adaptive test's finest
+        # grids have, and 1000 rows in four slices of the budget
+        n = 60
+        rng = np.random.default_rng(7)
+        ys = np.array([rng.permutation(np.arange(n) % w) for w in (2, 15, 60)])
+        zs = np.array([rng.permutation(np.arange(n) % w) for w in (3, 20, 60)])
+        rows = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(999)])
+        per_row = 2 * 3 + 15 * 20 + 60 * 60 + 3 * n  # the joint cells and the gathered keys
+        assert 3 * (ustats.CHUNK_ENTRIES // per_row) < rows.shape[0]
+        got = multinomial_independence_u_many(ys, zs, rows)
+        for k, (y, z) in enumerate(zip(ys, zs)):
+            assert got[:, k].tobytes() == _count_independence_reference(y, z, rows).tobytes()
+
     def test_narrow_codes_give_the_same_values(self):
         # uint8 codes used to wrap in the joint cell numbers (30 x 200 cells)
         rng = np.random.default_rng(6)
@@ -682,6 +712,7 @@ class TestPoissonChisq:
             pooled = np.vstack([ym, zm])
             rows = np.array([np.arange(2 * n)] + [rng.permutation(2 * n) for _ in range(8)])
             batch = poisson_chisq_many(pooled, n, rows)
+            assert poisson_chisq_many(pooled.tolist(), n, rows).tobytes() == batch.tobytes()
             for row, value in zip(rows, batch):
                 v = pooled[row[:n]].sum(axis=0)
                 w = pooled[row[n:]].sum(axis=0)
@@ -720,6 +751,10 @@ class TestPoissonChisq:
                 PoissonCounts(ym, zm)
             with pytest.raises(ValueError, match=match):
                 PoissonCounts(zm, ym)
+            # the batch form refuses them too: it used to compute with them, a NaN
+            # category dropping out of the sum
+            with pytest.raises(ValueError, match=match):
+                poisson_chisq_many(np.vstack([zm, ym]), 2, np.arange(4)[None])
 
     @pytest.mark.parametrize(
         "ym, zm",
@@ -842,10 +877,6 @@ def _sliced_case(name):
     weights = 1.0 / rng.integers(1, 4, 5) if name.endswith("weighted") else None
     if name.startswith("multinomial_two_sample_u_many"):
         return lambda rows: multinomial_two_sample_u_many(codes, 6, 6, rows, weights), 5
-    if name == "multinomial_two_sample_u_nested":
-        ends = ([2, 5], [1, 2, 3, 4, 5])
-        # the (u + 1)-row running table and two gathers of the 7 runs, each of 2 or 3 points
-        return lambda rows: multinomial_two_sample_u_nested(codes, 6, 6, rows, ends), 6 + 2 * 7
     if name.startswith("multinomial_two_sample_u_counts"):
         totals = np.bincount(codes)
         return (
@@ -872,7 +903,6 @@ _SLICED = [
     "independence_u_many",
     "multinomial_two_sample_u_many",
     "multinomial_two_sample_u_many-weighted",
-    "multinomial_two_sample_u_nested",
     "multinomial_two_sample_u_counts",
     "multinomial_two_sample_u_counts-weighted",
     "multinomial_independence_u_many",
@@ -1065,6 +1095,19 @@ class TestModuleBoundary:
         ]
         assert imported
         assert [name for name in imported if name not in ustats.__all__] == []
+
+    @pytest.mark.parametrize("path", sorted(Path(ustats.__file__).parent.glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_no_private_name_crosses_a_module(self, path):
+        # a private name is the business of its own module; others use the public ones
+        crossing = [
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert crossing == []
 
 
 _ARRAY_RECORDS = {
