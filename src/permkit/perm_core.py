@@ -50,12 +50,12 @@ Conventions
   value, so the distribution carries that ``multiplicity``: its ``size``
   and the outcome's ``replicate_count`` stay n!, while ``replicates`` holds
   the C(n, k) subset values.  The p-value and the critical value equal
-  those of the n! enumeration.  Independence statistics and plain callables
-  enumerate all n!.  ``ENUMERATION_LIMIT`` (10!) bounds the rows actually
-  enumerated, C(n, k) or n!, so exact two-sample tests reach n = 24 with
-  equal groups (12 + 12) and further with unequal ones (C(171, 2) = 14535
-  rows for 2 + 169 points), up to 1558 points, the most whose n! still
-  prints as an outcome's ``replicate_count``.  Rows of both modes are
+  those of the n! enumeration.  Independence statistics enumerate all n!.
+  ``ENUMERATION_LIMIT`` (10!) bounds the rows actually enumerated, C(n, k)
+  or n!, so exact two-sample tests reach n = 24 with equal groups (12 + 12)
+  and further with unequal ones (C(171, 2) = 14535 rows for 2 + 169
+  points), up to 1558 points, the most whose n! still prints as an
+  outcome's ``replicate_count``.  Rows of both modes are
   generated and evaluated one chunk at a time, a whole number of blocks
   holding about ``CHUNK_ENTRIES`` (2^20) index or count entries.  The
   batch forms of ``ustats``, which every evaluator of ``testing`` calls,
@@ -70,10 +70,10 @@ Conventions
   two-sample form evaluates a slice as tiles of the symmetric Gram matrix,
   and when BLAS runs on one thread the helper shares the tiles: a tile's
   product is the same on either thread, so no value changes.
-* Evaluators have one protocol, ``evaluate_many(data, rows)`` on an (m, n)
-  matrix of index rows, or an (m, u) matrix of count rows for
-  :class:`GroupCounts` data; a plain callable ``stat(data, perm)`` is called
-  once per row.  An evaluator may stack K statistics, returning (m, K) values;
+* A statistic is an evaluator with one protocol, ``evaluate_many(data,
+  rows)`` on an (m, n) matrix of index rows, or an (m, u) matrix of count
+  rows for :class:`GroupCounts` data; it is called once per chunk, never
+  per row.  An evaluator may stack K statistics, returning (m, K) values;
   the distribution then holds a (pool, K) pool, each column sorted on its
   own, and every decision function decides all K columns in one pass.
 * The replicate pool always holds the identity relabeling's value exactly
@@ -172,15 +172,15 @@ def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 class StatisticEvaluationError(RuntimeError):
-    """A statistic evaluator raised while processing one relabeling.
+    """A statistic's ``evaluate_many`` raised on a batch of rows, or returned
+    a value that is not finite.
 
-    Also raised when the evaluator returns a value that is not finite; for a
-    stacked (m, K) evaluator the message names the first such column.
-    ``replicate_index`` is the 0-based replicate number of the failing row;
-    -1 marks the identity row, whose value is the observed statistic.  When
-    an ``evaluate_many`` call raises, no single row is known and the index
-    is that of the batch's first row.  The original exception, if any, is
-    chained as ``__cause__``.
+    ``replicate_index`` is a 0-based replicate number, -1 for the identity
+    row, whose value is the observed statistic.  When ``evaluate_many``
+    raises, no single row is known and it is the batch's first row; for a
+    value that is not finite it is that value's row, and for a stacked (m, K)
+    evaluator the message names the first such column.  The original
+    exception, if any, is chained as ``__cause__``.
     """
 
     def __init__(self, replicate_index: int, message: str = "") -> None:
@@ -603,32 +603,20 @@ def _chunk_rows(n: int) -> int:
     return BLOCK_ROWS * max(1, CHUNK_ENTRIES // (BLOCK_ROWS * n))
 
 
-def _evaluate(stat: Any, data: Any, rows: np.ndarray, start: int, sampled: bool) -> np.ndarray:
-    """Values of ``stat`` on the index ``rows``, as finite floats.
+def _evaluate(many: Callable, data: Any, rows: np.ndarray, start: int, sampled: bool) -> np.ndarray:
+    """``many(data, rows)``, a statistic's ``evaluate_many``, as finite floats.
 
-    Calls ``stat.evaluate_many(data, rows)``, or a plain ``stat(data, perm)``
-    once per row.  Row i is pool row ``start + i`` (see
-    :func:`_replicate_index`).  A batch evaluator that raises reports the
-    index of row 0.
+    Row i is pool row ``start + i`` (see :func:`_replicate_index`).  When
+    ``many`` raises, the error reports the index of row 0, the batch's
+    first row; a value that is not finite reports its own row.
     """
-    many = getattr(stat, "evaluate_many", None)
-    if many is None:
-        values = np.empty(rows.shape[0], dtype=float)
-        for i, perm in enumerate(rows):
-            try:
-                values[i] = stat(data, perm)
-            except Exception as exc:  # noqa: BLE001 - annotate with the replicate index
-                raise StatisticEvaluationError(
-                    _replicate_index(start + i, sampled)
-                ) from exc
-    else:
-        try:
-            values = np.asarray(many(data, rows), dtype=float)
-        except Exception as exc:  # noqa: BLE001 - annotate with the batch's first index
-            index = _replicate_index(start, sampled)
-            raise StatisticEvaluationError(
-                index, f"batched statistic evaluation failed from replicate {index}"
-            ) from exc
+    try:
+        values = np.asarray(many(data, rows), dtype=float)
+    except Exception as exc:  # noqa: BLE001 - annotate with the batch's first index
+        index = _replicate_index(start, sampled)
+        raise StatisticEvaluationError(
+            index, f"batched statistic evaluation failed from replicate {index}"
+        ) from exc
     if np.isfinite(values).all():
         return values
     row, column = (int(i) for i in np.argwhere(~np.isfinite(values.reshape(len(values), -1)))[0])
@@ -645,29 +633,34 @@ def _replicate_index(pool_row: int, sampled: bool) -> int:
 
 
 def permutation_distribution(
-    stat: Callable[[Any, np.ndarray], float],
-    data: Any,
-    n: int,
-    plan: PermutationPlan,
+    stat: Any, data: Any, n: int, plan: PermutationPlan
 ) -> PermutationDistribution:
-    """Observed statistic plus replicates of ``stat`` under relabelings.
+    """Observed statistic plus replicates of the evaluator ``stat`` under relabelings.
 
-    ``stat`` is evaluated through its ``evaluate_many(data, rows)``, which
-    maps an (m, n) matrix of 0-based index rows to m values; a plain
-    callable ``stat(data, perm)`` without it is called once per row.  When
-    ``data`` is a :class:`GroupCounts` of n codes, the rows are its (m, u)
-    count rows instead (see the module notes).  Either
-    must be a pure function of its arguments.  The observed statistic is the
-    identity row's value at pool row 0: row 0 of the exact enumeration, or a
-    one-row batch ahead of the B sampled rows under a ``monte_carlo`` plan.
-    Rows are generated and evaluated one chunk at a time in both modes.
-    Under an exact plan, a ``stat`` with a ``subset_size`` attribute k is
-    evaluated on the C(n, k) subset rows only, and the distribution carries
-    their multiplicity k! (n - k)!.  Raises
-    :class:`StatisticEvaluationError` if ``stat`` raises or returns a value
-    that is not finite.  An ``evaluate_many`` returning (m, K) values
+    ``stat`` is evaluated only through its ``evaluate_many(data, rows)``,
+    which maps an (m, n) matrix of 0-based index rows to m values and must
+    be a pure function of its arguments; an object without it is refused
+    with ``TypeError``.  When ``data`` is a :class:`GroupCounts` of n codes,
+    the rows are its (m, u) count rows instead (see the module notes).  The
+    observed statistic is the identity row's value at pool row 0: row 0 of
+    the exact enumeration, or a one-row batch ahead of the B sampled rows
+    under a ``monte_carlo`` plan.  Rows are generated and evaluated one
+    chunk at a time in both modes.  Under an exact plan, a ``stat`` with a
+    ``subset_size`` attribute k, an integer in [0, n], is evaluated on the
+    C(n, k) subset rows only, and the distribution carries their
+    multiplicity k! (n - k)!.  Both attributes are read once, before any
+    row is built.  Raises
+    :class:`StatisticEvaluationError` if ``evaluate_many`` raises or returns
+    a value that is not finite.  An ``evaluate_many`` returning (m, K) values
     stacks K statistics on the same rows, one column of the pool each.
     """
+    many = getattr(stat, "evaluate_many", None)
+    if many is None:
+        raise TypeError(
+            f"a statistic needs evaluate_many(data, rows), which {type(stat).__name__} lacks; "
+            "wrap a per-row f(data, perm) as SimpleNamespace(evaluate_many=lambda d, rows: "
+            "np.array([f(d, r) for r in rows]))"
+        )
     if n < 1:
         raise ValueError("n must be >= 1")
     counted = isinstance(data, GroupCounts)
@@ -684,6 +677,8 @@ def permutation_distribution(
             chunks = _monte_carlo_chunks(n, plan.replicates, plan.seed, _chunk_rows(n))
     else:
         k = getattr(stat, "subset_size", None)
+        if k is not None and not (_is_integer(k) and 0 <= k <= n):
+            raise ValueError(f"subset_size must be an integer in [0, {n}], got {k!r}")
         if counted and k not in (None, data.n1):
             raise ValueError(f"subset_size {k} does not match the GroupCounts n1 = {data.n1}")
         size = _enumeration_size(n, k)
@@ -693,7 +688,7 @@ def permutation_distribution(
             chunks = ((start, data.of_rows(rows)) for start, rows in chunks)
     values = None
     for start, rows in chunks:
-        batch = _evaluate(stat, data, rows, start, sampled)
+        batch = _evaluate(many, data, rows, start, sampled)
         if values is None:  # (pool, K) for a stacked statistic
             values = np.empty((size,) + batch.shape[1:])
         values[start : start + len(rows)] = batch
@@ -741,18 +736,15 @@ def p_value(dist: PermutationDistribution) -> float | np.ndarray:
 
 
 def run_test(
-    stat: Callable[[Any, np.ndarray], float],
-    data: Any,
-    n: int,
-    plan: PermutationPlan,
-    alpha: float,
+    stat: Any, data: Any, n: int, plan: PermutationPlan, alpha: float
 ) -> TestOutcome | tuple[TestOutcome, ...]:
     """Assemble distribution, critical value and p-value into a decision.
 
     Raises ``ValueError`` unless 0 < alpha < 1, before any replicate is
     computed.  Warns when a Monte Carlo plan cannot reach ``alpha``: the
     smallest attainable p-value is 1/(B+1), so below it the test never rejects.
-    A stacked ``stat`` gives a tuple of one outcome per column, each at ``alpha``.
+    ``stat`` is an evaluator, as for :func:`permutation_distribution`.  A
+    stacked ``stat`` gives a tuple of one outcome per column, each at ``alpha``.
     """
     _check_alpha(alpha)
     if plan.mode == "monte_carlo" and alpha < 1.0 / (plan.replicates + 1):

@@ -101,8 +101,11 @@ class BinGrid:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.kappa < 1 or self.dim < 1:
-            raise ValueError("kappa and dim must be positive")
+        for name in ("kappa", "dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.kappa**self.dim >= 2**62:
             raise ValueError("total cell count is not representable")
 

@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ from permkit.perm_core import (
     run_test,
     split_seed,
 )
+
+
+def _stat(evaluate_many):
+    """A statistic evaluator with the batch form ``evaluate_many(data, rows)``."""
+    return SimpleNamespace(evaluate_many=evaluate_many)
+
+
+def _constant(value):
+    """The evaluator whose every value is ``value``."""
+    return _stat(lambda data, rows: np.full(rows.shape[0], value))
+
+
+# the first relabeled index, as a float
+_FIRST = _stat(lambda data, rows: rows[:, 0].astype(float))
 
 
 def _dist(replicates, observed=None, plan=None):
@@ -69,23 +84,17 @@ class TestEnumeratePermutations:
 
 class TestPermutationDistribution:
     def test_constant_statistic(self):
-        dist = permutation_distribution(
-            lambda data, perm: 7.0, None, 4, PermutationPlan.exact()
-        )
+        dist = permutation_distribution(_constant(7.0), None, 4, PermutationPlan.exact())
         assert np.all(dist.replicates == 7.0)
         assert dist.observed == 7.0
 
     def test_exact_replicate_count(self):
-        dist = permutation_distribution(
-            lambda data, perm: float(perm[0]), None, 3, PermutationPlan.exact()
-        )
+        dist = permutation_distribution(_FIRST, None, 3, PermutationPlan.exact())
         assert dist.size == 6
 
     def test_monte_carlo_appends_identity(self):
         plan = PermutationPlan.monte_carlo(10, seed=3)
-        dist = permutation_distribution(
-            lambda data, perm: float(perm[0]), None, 4, plan
-        )
+        dist = permutation_distribution(_FIRST, None, 4, plan)
         assert dist.size == 11
         assert dist.observed == 0.0 and dist.observed in dist.replicates
 
@@ -145,34 +154,24 @@ class TestPermutationDistribution:
             PermutationDistribution(observed=0.0, replicates=replicates[::-1], plan=plan)
 
     def test_failure_carries_replicate_index(self):
-        def bad(data, perm):
-            if perm[0] == perm.size - 1:  # identity ok, some replicate fails
+        def bad(data, rows):
+            if (rows[:, 0] == rows.shape[1] - 1).any():  # identity ok, a replicate batch fails
                 raise RuntimeError("boom")
-            return 0.0
+            return np.zeros(rows.shape[0])
 
         with pytest.raises(StatisticEvaluationError) as err:
-            permutation_distribution(bad, None, 3, PermutationPlan.exact())
-        assert err.value.replicate_index >= 0
+            permutation_distribution(_stat(bad), None, 3, PermutationPlan.monte_carlo(9, 0))
+        assert err.value.replicate_index == 0  # the first row of the failing batch
 
-    def test_monte_carlo_deterministic_and_scheduler_independent(self):
-        # same seed -> bit-identical replicates, whether or not the evaluator
-        # advertises batch evaluation (the block streams fix the draws)
+    def test_monte_carlo_deterministic_and_scheduler_independent(self, monkeypatch):
+        # same seed -> bit-identical replicates, whatever the chunk size (the
+        # block streams fix the draws)
         data = np.arange(6, dtype=float)
-
-        def loop_stat(d, perm):
-            return float(d[perm[:3]].sum())
-
-        class BatchStat:
-            def __call__(self, d, perm):
-                return float(d[perm[:3]].sum())
-
-            def evaluate_many(self, d, perms):
-                return d[perms[:, :3]].sum(axis=1)
-
-        plan = PermutationPlan.monte_carlo(64, seed=99)
-        d1 = permutation_distribution(loop_stat, data, 6, plan)
-        d2 = permutation_distribution(BatchStat(), data, 6, plan)
-        d3 = permutation_distribution(loop_stat, data, 6, plan)
+        plan = PermutationPlan.monte_carlo(200, seed=99)
+        d1 = permutation_distribution(_SumOf(3), data, 6, plan)
+        d2 = permutation_distribution(_SumOf(3), data, 6, plan)
+        monkeypatch.setattr(perm_core, "CHUNK_ENTRIES", 1)  # one block of 64 rows per chunk
+        d3 = permutation_distribution(_SumOf(3), data, 6, plan)
         assert np.array_equal(d1.replicates, d2.replicates)
         assert np.array_equal(d1.replicates, d3.replicates)
 
@@ -190,9 +189,38 @@ class TestPermutationDistribution:
                 return d[perms[:, :3]].sum(axis=1)
 
         batch = permutation_distribution(BatchOnly(), data, 7, plan)
-        plain = permutation_distribution(lambda d, perm: d[perm[:3]].sum(), data, 7, plan)
-        assert batch.observed == plain.observed
-        assert np.array_equal(batch.replicates, plain.replicates)
+        _assert_same_distribution(batch, permutation_distribution(_SumOf(3), data, 7, plan))
+
+    @pytest.mark.parametrize("plan", [PermutationPlan.exact(), PermutationPlan.monte_carlo(9, 0)])
+    def test_statistic_without_evaluate_many_refused_before_any_row(self, plan, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        for name in ("_enumeration_chunks", "_monte_carlo_chunks", "_count_chunks"):
+            monkeypatch.setattr(perm_core, name, no_rows)
+        for stat in (lambda d, perm: 0.0, _SumOf(3).evaluate_many, object()):
+            with pytest.raises(TypeError, match=r"evaluate_many=lambda d, rows: np\.array"):
+                permutation_distribution(stat, np.zeros(4), 4, plan)
+            with pytest.raises(TypeError, match="evaluate_many"):
+                run_test(stat, np.zeros(4), 4, plan, 0.5)
+
+    @pytest.mark.parametrize("k", [5, -1, True, False, 2.0, "2", np.int64(5)])
+    def test_bad_subset_size_refused_before_any_row(self, k, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(perm_core, "_enumeration_chunks", no_rows)
+        stat = _SubsetRows(k)
+        with pytest.raises(ValueError, match=r"subset_size must be an integer in \[0, 4\]"):
+            permutation_distribution(stat, None, 4, PermutationPlan.exact())
+        with pytest.raises(ValueError, match="subset_size"):
+            permutation_distribution(stat, GroupCounts(np.array([0, 1, 1, 0]), 2), 4,
+                                     PermutationPlan.exact())
+
+    @pytest.mark.parametrize("k", [0, 4, np.int64(2), np.uint8(3)])
+    def test_integer_subset_size_in_range_accepted(self, k):
+        dist = permutation_distribution(_SubsetRows(k), None, 4, PermutationPlan.exact())
+        assert dist.replicates.size == math.comb(4, int(k))
 
 
 class _RecordingStat:
@@ -200,9 +228,6 @@ class _RecordingStat:
 
     def __init__(self):
         self.chunks = []
-
-    def __call__(self, data, perm):
-        return 0.0
 
     def evaluate_many(self, data, perms):
         self.chunks.append(perms.copy())
@@ -260,9 +285,6 @@ class TestMonteCarloStream:
         data = np.random.default_rng(0).normal(size=n)
 
         class SumStat:
-            def __call__(self, d, perm):
-                return float(d[perm[:100]].sum())
-
             def evaluate_many(self, d, perms):
                 return d[perms[:, :100]].sum(axis=1)
 
@@ -283,22 +305,23 @@ class TestMonteCarloStream:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < sps.chi2.ppf(0.999, df=23)
 
-    def test_loop_failure_reports_global_index(self):
+    def test_batch_failure_reports_the_chunks_first_replicate(self):
         n = 5000
         chunk_rows = BLOCK_ROWS * max(1, CHUNK_ENTRIES // (BLOCK_ROWS * n))
-        target = chunk_rows + 7  # in chunk 1
         calls = []
 
-        def bad(data, perm):
-            calls.append(None)  # call 0 is the identity, call i + 1 replicate i
-            if len(calls) == target + 2:
+        def bad(data, rows):
+            calls.append(rows.shape[0])  # the identity, then chunks 0 and 1
+            if len(calls) == 3:
                 raise RuntimeError("boom")
-            return 0.0
+            return np.zeros(rows.shape[0])
 
-        plan = PermutationPlan.monte_carlo(2 * chunk_rows, seed=4)
-        with pytest.raises(StatisticEvaluationError) as err:
-            permutation_distribution(bad, None, n, plan)
-        assert err.value.replicate_index == target
+        plan = PermutationPlan.monte_carlo(3 * chunk_rows, seed=4)
+        failed = f"from replicate {chunk_rows}$"
+        with pytest.raises(StatisticEvaluationError, match=failed) as err:
+            permutation_distribution(_stat(bad), None, n, plan)
+        assert calls == [1, chunk_rows, chunk_rows]
+        assert err.value.replicate_index == chunk_rows  # chunk 1's first replicate
         assert isinstance(err.value.__cause__, RuntimeError)
 
 
@@ -749,18 +772,14 @@ class TestSubsetEnumeration:
 
 class TestNonFiniteStatistic:
     def test_non_finite_observed(self):
+        plan = PermutationPlan.monte_carlo(9, 0)
         for bad in (math.nan, math.inf):
             with pytest.raises(StatisticEvaluationError) as err:
-                permutation_distribution(
-                    lambda d, perm: bad, None, 4, PermutationPlan.monte_carlo(9, 0)
-                )
+                permutation_distribution(_constant(bad), None, 4, plan)
             assert err.value.replicate_index == -1
 
     def test_non_finite_replicate_reports_index(self):
         class NanAt:
-            def __call__(self, d, perm):
-                return 0.0
-
             def evaluate_many(self, d, perms):
                 out = np.zeros(perms.shape[0])
                 if perms.shape[0] > 30:  # the one-row identity batch stays finite
@@ -772,11 +791,11 @@ class TestNonFiniteStatistic:
         assert err.value.replicate_index == 30
 
     def test_non_finite_exact_replicate(self):
-        def stat(d, perm):
-            return -math.inf if perm[0] == 2 else float(perm[0])
+        def stat(d, rows):
+            return np.where(rows[:, 0] == 2, -math.inf, rows[:, 0])
 
         with pytest.raises(StatisticEvaluationError) as err:
-            permutation_distribution(stat, None, 3, PermutationPlan.exact())
+            permutation_distribution(_stat(stat), None, 3, PermutationPlan.exact())
         assert err.value.replicate_index == 4  # (2, 0, 1) in lexicographic order
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, "raise"])
@@ -792,10 +811,9 @@ class TestNonFiniteStatistic:
             def evaluate_many(self, d, perms):
                 return np.array([stat(d, p) for p in perms])
 
-        for evaluator in (stat, BatchStat()):
-            with pytest.raises(StatisticEvaluationError) as err:
-                permutation_distribution(evaluator, None, 3, PermutationPlan.exact())
-            assert err.value.replicate_index == -1
+        with pytest.raises(StatisticEvaluationError) as err:
+            permutation_distribution(BatchStat(), None, 3, PermutationPlan.exact())
+        assert err.value.replicate_index == -1
 
 
 class _SumOf:
@@ -995,9 +1013,7 @@ class TestPValue:
     def test_exact_antisymmetric_pair(self):
         # n=2 two-sample with statistic values {+a, -a}: hand enumeration
         data = np.array([1.0, -1.0])
-        dist = permutation_distribution(
-            lambda d, perm: float(d[perm[0]]), data, 2, PermutationPlan.exact()
-        )
+        dist = permutation_distribution(_SumOf(1), data, 2, PermutationPlan.exact())
         assert dist.observed == 1.0
         assert p_value(dist) == 0.5
 
@@ -1009,9 +1025,7 @@ class TestPValue:
 
     def test_in_unit_interval(self):
         plan = PermutationPlan.monte_carlo(9, seed=1)
-        dist = permutation_distribution(
-            lambda d, perm: float(perm[0]), None, 5, plan
-        )
+        dist = permutation_distribution(_FIRST, None, 5, plan)
         assert 0.0 < p_value(dist) <= 1.0
 
 
@@ -1023,8 +1037,7 @@ class TestTieScale:
         plan = PermutationPlan.monte_carlo(199, seed=5)
 
         def p_at(scale):
-            stat = lambda d, perm: scale * float(d[perm[:10]].sum())  # noqa: E731
-            return p_value(permutation_distribution(stat, data, 20, plan))
+            return p_value(permutation_distribution(_SumOf(10, scale=scale), data, 20, plan))
 
         assert p_at(10.0**k) == p_at(1.0)
 
@@ -1038,32 +1051,28 @@ class TestRunTest:
     def test_unreachable_level_warns(self):
         plan = PermutationPlan.monte_carlo(19, seed=0)
         with pytest.warns(RuntimeWarning, match="never reject"):
-            run_test(lambda d, p: float(p[0]), None, 4, plan, 0.01)
+            run_test(_FIRST, None, 4, plan, 0.01)
 
     def test_level_zero_raises_before_the_warning(self):
         plan = PermutationPlan.monte_carlo(19, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="alpha"):
-                run_test(lambda d, p: float(p[0]), None, 4, plan, 0.0)
+                run_test(_FIRST, None, 4, plan, 0.0)
 
     def test_constant_never_rejects(self):
         for alpha in (0.05, 0.5, 0.9):
-            out = run_test(lambda d, p: 1.0, None, 4, PermutationPlan.exact(), alpha)
+            out = run_test(_constant(1.0), None, 4, PermutationPlan.exact(), alpha)
             assert not out.reject
 
     def test_reject_iff_above_critical(self):
         data = np.array([5.0, 0.0, 0.0, 0.0, 0.0])
-        out = run_test(
-            lambda d, perm: float(d[perm[0]]), data, 5, PermutationPlan.exact(), 0.05
-        )
+        out = run_test(_SumOf(1), data, 5, PermutationPlan.exact(), 0.05)
         # observed 5 sits above the 0.95 quantile of {5 w.p. 1/5, 0 w.p. 4/5}... not quite:
         # F(0) = 4/5 < 0.95 so critical value is 5 and the test must NOT reject.
         assert out.critical_value == 5.0
         assert not out.reject
-        out2 = run_test(
-            lambda d, perm: float(d[perm[0]]), data, 5, PermutationPlan.exact(), 0.25
-        )
+        out2 = run_test(_SumOf(1), data, 5, PermutationPlan.exact(), 0.25)
         assert out2.critical_value == 0.0
         assert out2.reject
 
@@ -1075,10 +1084,7 @@ class TestRunTest:
         for n in (6, 12):
             rng = np.random.default_rng(5)
             data = rng.normal(size=n)
-
-            def stat(d, perm):
-                return float(d[perm[: n // 2]].sum())
-
+            stat = _SumOf(n // 2)
             for replicates in (37, 100, 200):
                 for alpha in (0.05, 0.1, 0.3, 0.6):
                     for seed in range(20):
@@ -1097,12 +1103,11 @@ class TestLevelProperties:
         trials = 2000
         alpha = 0.1
         plan = PermutationPlan.exact()
+        stat = _stat(lambda d, rows: d[rows[:, 0]] - d[rows[:, 1]])
         rejects = 0
         for _ in range(trials):
             data = rng.normal(size=5)
-            out = run_test(
-                lambda d, perm: float(d[perm[0]] - d[perm[1]]), data, 5, plan, alpha
-            )
+            out = run_test(stat, data, 5, plan, alpha)
             rejects += out.reject
         se = math.sqrt(alpha * (1 - alpha) / trials)
         assert rejects / trials <= alpha + 3 * se
@@ -1111,12 +1116,11 @@ class TestLevelProperties:
         rng = np.random.default_rng(8)
         trials = 3000
         plan = PermutationPlan.exact()
+        stat = _stat(lambda d, rows: d[rows[:, 0]] * 2 + d[rows[:, 1]])
         pvals = np.empty(trials)
         for t in range(trials):
             data = rng.normal(size=5)
-            dist = permutation_distribution(
-                lambda d, perm: float(d[perm[0]] * 2 + d[perm[1]]), data, 5, plan
-            )
+            dist = permutation_distribution(stat, data, 5, plan)
             pvals[t] = p_value(dist)
         for u in (0.01, 0.05, 0.1):
             se = math.sqrt(u * (1 - u) / trials)
@@ -1148,7 +1152,7 @@ class TestPlanValidation:
 
     def test_exact_limit_enforced_at_build(self):
         with pytest.raises(ValueError, match="enumeration limit"):
-            permutation_distribution(lambda d, p: 0.0, None, 11, PermutationPlan.exact())
+            permutation_distribution(_constant(0.0), None, 11, PermutationPlan.exact())
 
     @pytest.mark.parametrize("replicates", [99.5, True, False, np.True_, "99", None, 0, -3])
     def test_monte_carlo_replicates_must_be_a_positive_integer(self, replicates):
@@ -1182,7 +1186,7 @@ class TestPlanValidation:
     @pytest.mark.parametrize("replicates, seed", [(np.int64(49), 1), (49, np.uint64(3))])
     def test_numpy_integer_plan_record_round_trips_through_json(self, replicates, seed):
         plan = PermutationPlan.monte_carlo(replicates, seed)
-        outcome = run_test(lambda d, p: float(p[0]), None, 5, plan, 0.1)
+        outcome = run_test(_FIRST, None, 5, plan, 0.1)
         record = json.loads(write_outcome_json(outcome_record("plan", outcome)))
         assert record["B"] == 49 and record["seed"] == int(seed)
         assert record["reject"] is outcome.reject and record["p_value"] == outcome.p_value

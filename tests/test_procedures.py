@@ -82,6 +82,31 @@ class TestBinData:
         codes = bin_data(rng.random((500, 2)), grid)
         assert codes.min() >= 0 and codes.max() < 9
 
+    @pytest.mark.parametrize(
+        "kappa, dim, name",
+        [(2.5, 1, "kappa"), (2.0, 1, "kappa"), (True, 1, "kappa"), (np.True_, 1, "kappa"),
+         ("2", 1, "kappa"), (0, 1, "kappa"), (2, 1.0, "dim"), (2, True, "dim"), (2, 0, "dim")],
+    )
+    def test_grid_needs_positive_integers(self, kappa, dim, name):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            BinGrid(kappa=kappa, dim=dim)
+
+    def test_numpy_integers_accepted(self):
+        grid = BinGrid(kappa=np.int64(3), dim=np.uint8(2))
+        assert type(grid.kappa) is int and type(grid.dim) is int
+        assert grid == BinGrid(3, 2)
+
+    @pytest.mark.parametrize("kappa", [2.5, True])
+    def test_binned_tests_refuse_a_non_integer_kappa(self, kappa):
+        rng = np.random.default_rng(4)
+        pooled = TwoSamplePooled(y=rng.random((20, 1)), z=rng.random((20, 1)), domain=Continuous(1))
+        pairs = PairedSample(y=rng.random((20, 1)), z=rng.random((20, 1)),
+                             y_domain=Continuous(1), z_domain=Continuous(1))
+        with pytest.raises(ValueError, match="kappa must be a positive integer"):
+            binned_two_sample(pooled, kappa, 0.05, MC(99, 1))
+        with pytest.raises(ValueError, match="kappa must be a positive integer"):
+            binned_independence(pairs, kappa, 0.05, MC(99, 1))
+
 
 class TestRules:
     def test_two_sample_kappa(self):
