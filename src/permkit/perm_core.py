@@ -34,11 +34,11 @@ Conventions
   (O(n1) per row), whichever is cheaper; it depends on the data alone.  The
   prefix and chunk properties hold as for index rows, and no O(n) index
   row is built.  The identity row is ``bincount(codes[:n1])``, and an
-  exact plan's index rows (subsets or permutations) become count rows
-  through the same bincount, so exact outcomes do not depend on the row
-  form.  The declaration sits on the data, not on the evaluator, so a
-  wrapper that forwards only ``evaluate_many`` keeps it; any other data
-  gets index rows.
+  exact plan enumerates the C(n, n1) subsets (below), whether or not the
+  evaluator declares ``subset_size``, each turned into a count row through
+  the same bincount, so exact outcomes do not depend on the row form.  The
+  declaration sits on the data, not on the evaluator, so a wrapper that
+  forwards only ``evaluate_many`` keeps it; any other data gets index rows.
 * Exact plans enumerate the n! permutations in lexicographic order, so row
   0 is the identity.  An evaluator whose values depend only on the set
   ``perm[:k]`` says so with an attribute ``subset_size = k`` (the
@@ -59,17 +59,8 @@ Conventions
   generated and evaluated one chunk at a time, a whole number of blocks
   holding about ``CHUNK_ENTRIES`` (2^20) index or count entries.  The
   batch forms of ``ustats``, which every evaluator of ``testing`` calls,
-  slice each chunk by the same budget, so their temporaries (count tables,
-  Gram gathers and products) also hold about ``CHUNK_ENTRIES`` entries:
-  peak memory follows the budget, not B * n or n! * n.  When a helper
-  thread evaluates part of a chunk, each slice is cut into up to four
-  pieces, so the two threads' temporaries hold about half the budget.
-  Forms built on a BLAS product of non-integral floats keep whole slices,
-  as a product's last bits change with where its rows are cut.  The
-  weighted count forms evaluate them on the calling thread.  The Gram
-  two-sample form evaluates a slice as tiles of the symmetric Gram matrix,
-  and when BLAS runs on one thread the helper shares the tiles: a tile's
-  product is the same on either thread, so no value changes.
+  bound their temporaries by the same budget, so peak memory follows it,
+  not B * n or n! * n; ``ustats`` says how they slice and thread a chunk.
 * A statistic is an evaluator with one protocol, ``evaluate_many(data,
   rows)`` on an (m, n) matrix of index rows, or an (m, u) matrix of count
   rows for :class:`GroupCounts` data; it is called once per chunk, never
@@ -648,8 +639,10 @@ def permutation_distribution(
     chunk at a time in both modes.  Under an exact plan, a ``stat`` with a
     ``subset_size`` attribute k, an integer in [0, n], is evaluated on the
     C(n, k) subset rows only, and the distribution carries their
-    multiplicity k! (n - k)!.  Both attributes are read once, before any
-    row is built.  Raises
+    multiplicity k! (n - k)!; :class:`GroupCounts` data are enumerated so
+    with k = n1 whether or not ``stat`` declares it, and any other declared
+    k is refused.  Both attributes are read once, before any row is built.
+    Raises
     :class:`StatisticEvaluationError` if ``evaluate_many`` raises or returns
     a value that is not finite.  An ``evaluate_many`` returning (m, K) values
     stacks K statistics on the same rows, one column of the pool each.
@@ -679,8 +672,10 @@ def permutation_distribution(
         k = getattr(stat, "subset_size", None)
         if k is not None and not (_is_integer(k) and 0 <= k <= n):
             raise ValueError(f"subset_size must be an integer in [0, {n}], got {k!r}")
-        if counted and k not in (None, data.n1):
-            raise ValueError(f"subset_size {k} does not match the GroupCounts n1 = {data.n1}")
+        if counted:  # a count row reads only the first n1 places: n1 is the subset size
+            if k not in (None, data.n1):
+                raise ValueError(f"subset_size {k} does not match the GroupCounts n1 = {data.n1}")
+            k = data.n1
         size = _enumeration_size(n, k)
         multiplicity = math.factorial(n) // size
         chunks = _enumeration_chunks(n, _chunk_rows(n), k)

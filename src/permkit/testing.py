@@ -102,12 +102,16 @@ class BinGrid:
 
     def __post_init__(self) -> None:
         for name in ("kappa", "dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _positive_integer(getattr(self, name), name))
         if self.kappa**self.dim >= 2**62:
             raise ValueError("total cell count is not representable")
+
+
+def _positive_integer(value, name: str) -> int:
+    """``value`` as a Python int, refused unless a positive integer (a bool is refused)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _check_smoothness(s: float) -> None:
@@ -132,18 +136,19 @@ class AdaptiveGrid:
 
     ``gamma_max`` is the formula value before the cell cap is applied, and
     it is what splits the level; ``kappas`` may be shorter when large bin
-    counts were dropped.
+    counts were dropped.  Both are checked as `BinGrid` checks ``kappa``
+    and stored as Python ints, ``kappas`` as a tuple.
     """
 
     kappas: tuple
     gamma_max: int
 
     def __post_init__(self) -> None:
-        if self.gamma_max < 1:
-            raise ValueError("gamma_max must be >= 1")
-        ks = tuple(self.kappas)
+        object.__setattr__(self, "gamma_max", _positive_integer(self.gamma_max, "gamma_max"))
+        ks = tuple(_positive_integer(k, "kappa") for k in self.kappas)
         if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("kappas must be non-empty and strictly increasing")
+        object.__setattr__(self, "kappas", ks)
 
     def per_test_alpha(self, alpha: float) -> float:
         perm_core._check_alpha(alpha)
@@ -198,13 +203,13 @@ def _gamma_max(n: int, d_total: int) -> int:
 def adaptive_grid_two_sample(n1: int, d: int) -> AdaptiveGrid:
     """Dyadic kappa grid for the adaptive two-sample test."""
     g = _gamma_max(n1, d)
-    return AdaptiveGrid(kappas=tuple(_capped_kappas(g, d)), gamma_max=g)
+    return AdaptiveGrid(kappas=_capped_kappas(g, d), gamma_max=g)
 
 
 def adaptive_grid_independence(n: int, d1: int, d2: int) -> AdaptiveGrid:
     """Dyadic kappa grid for the adaptive independence test."""
     g = _gamma_max(n, d1 + d2)
-    return AdaptiveGrid(kappas=tuple(_capped_kappas(g, d1 + d2)), gamma_max=g)
+    return AdaptiveGrid(kappas=_capped_kappas(g, d1 + d2), gamma_max=g)
 
 
 def _capped_kappas(gamma_max: int, dim: int) -> list[int]:

@@ -23,6 +23,13 @@ over the runs, to which it adds 0, in pieces of rows on the calling thread.
 `multinomial_independence_u_many` takes one (y, z) code pair or the (K, n)
 code stacks of K grids, all counted at once; its R reads no joint cell.
 
+The batch forms evaluate a chunk of rows in slices of about
+``CHUNK_ENTRIES`` temporary entries, pieces of which a helper thread may
+share (`_by_row_slices`).  Each row is computed on its own, float row sums
+included, so neither the cut nor the thread changes a value, but for the
+Gram two-sample form: its BLAS tile products round a row by its place in
+the slice and by the BLAS thread count, so its slices stay whole.
+
 Permutations act by index relabeling on cached values; kernels are never
 re-evaluated per relabeling.
 """
@@ -83,8 +90,7 @@ class Categorical:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        object.__setattr__(self, "d", _positive_integer(self.d, "d"))
 
 
 @dataclass(frozen=True)
@@ -94,8 +100,14 @@ class Continuous:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        object.__setattr__(self, "dim", _positive_integer(self.dim, "dim"))
+
+
+def _positive_integer(value, name: str) -> int:
+    """``value`` as a Python int, refused unless a positive integer (a bool is refused)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _validate_domain(values: np.ndarray, domain: Categorical | Continuous, name: str) -> np.ndarray:
@@ -260,9 +272,7 @@ def _index_rows(rows, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _by_row_slices(
-    rows: np.ndarray, per_row: int, block_values, columns=(), blas: bool = False
-) -> np.ndarray:
+def _by_row_slices(rows: np.ndarray, per_row: int, block_values, columns=()) -> np.ndarray:
     """``block_values`` over slices of ``rows``, concatenated into one float array.
 
     ``per_row`` is the number of temporary entries ``block_values`` holds per
@@ -273,17 +283,13 @@ def _by_row_slices(
     When all rows are worth a helper thread (`_worth_a_helper`), each slice
     is cut into up to four pieces, and the calling thread and the helper
     evaluate the pieces (`share_tasks`), each writing its own rows of the
-    result: the two threads hold about half the budget.  Set ``blas`` when
-    ``block_values`` takes a BLAS product of non-integral floats: its slices
-    stay whole and are handed to it on the calling thread, as the last bits
-    of a product's rows change with where the rows are cut.  Such a form
-    may share work of its own that cuts no rows, as the Gram two-sample
-    form shares its tiles.
+    result: the two threads hold about half the budget.  ``block_values``
+    must give a row the same bits wherever its rows are cut.
     """
     m = rows.shape[0]
     step = max(1, CHUNK_ENTRIES // max(per_row, 1))
     out = np.empty((m, *columns), dtype=float)
-    if blas or not _worth_a_helper(m, per_row):
+    if not _worth_a_helper(m, per_row):
         for start in range(0, m, step):
             out[start : start + step] = block_values(rows[start : start + step])
         return out
@@ -348,7 +354,9 @@ def two_sample_u_many(
     near-equal bands of points: each diagonal tile once, each tile above it
     twice (for its mirror), added in one fixed order; the cross-group sum is
     m^T G 1 - m^T G m, with G 1 summed once.  That is 5/8 of the full
-    product's multiply-adds at four bands.  When a slice's rows are worth a
+    product's multiply-adds at four bands.  A tile product may round a row
+    by its place in the slice, so the rows go in whole slices of about
+    ``CHUNK_ENTRIES`` temporary entries.  When a slice's rows are worth a
     helper thread (`_worth_a_helper`) and BLAS runs on one thread
     (`_blas_on_one_thread`), the calling thread and the helper share its
     tiles (`share_tasks`); otherwise the calling thread runs them, in the
@@ -397,7 +405,11 @@ def two_sample_u_many(
             - 2.0 * cross / (n1 * n2)
         )
 
-    return _by_row_slices(perms, per_row, block_values, blas=True)
+    step = max(1, CHUNK_ENTRIES // per_row)
+    out = np.empty(perms.shape[0])
+    for start in range(0, perms.shape[0], step):
+        out[start : start + step] = block_values(perms[start : start + step])
+    return out
 
 
 def two_sample_u_naive(
@@ -473,7 +485,7 @@ def multinomial_two_sample_u_many(
         c1 = bincount_rows(codes[block[:, :n1]], u)
         return _two_sample_of_counts(c1, totals, n1, n2, inv_weights)
 
-    return _by_row_slices(perms, u, block_values, blas=inv_weights is not None)
+    return _by_row_slices(perms, u, block_values)
 
 
 def multinomial_two_sample_u_nested(
@@ -588,19 +600,17 @@ def multinomial_two_sample_u_counts(
         raise ValueError(
             f"each count row must be nonnegative, stay within totals and sum to n1 = {n1}"
         )
-    return _by_row_slices(
-        c1_rows,
-        totals.size,
-        lambda c1: _two_sample_of_counts(c1, totals, n1, n2, inv_weights),
-        blas=inv_weights is not None,
-    )
+    return _by_row_slices(c1_rows, totals.size,
+                          lambda c1: _two_sample_of_counts(c1, totals, n1, n2, inv_weights))
 
 
 def _two_sample_of_counts(c1, totals, n1: int, n2: int, inv_weights=None) -> np.ndarray:
     """The multinomial two-sample U-statistic of each int64 first-group count row.
 
     The flattening weights of the l1-split tests scale each category's
-    integer term of D U (see `_two_sample_terms`): one float mat-vec.
+    integer term of D U (see `_two_sample_terms`), each row summed pairwise on
+    its own: a BLAS mat-vec, or an ``einsum`` past 8192 entries, would round
+    a row by its place in the slice.
     """
     if inv_weights is None:
         s2 = (c1 * c1).sum(axis=1)
@@ -609,7 +619,9 @@ def _two_sample_of_counts(c1, totals, n1: int, n2: int, inv_weights=None) -> np.
     if not fits:
         c1, totals = c1.astype(object), totals.astype(object)
     per_category = (q * c1 - (r * totals - b_minus_a)) * c1 + b * totals * (totals - 1)
-    return per_category.astype(float) @ np.asarray(inv_weights, dtype=float) / den
+    weighted = per_category.astype(float)
+    weighted *= np.asarray(inv_weights, dtype=float)
+    return weighted.sum(axis=1) / den
 
 
 def _two_sample_of_sums(s2, p, tt, n1: int, n2: int) -> np.ndarray:
@@ -846,7 +858,8 @@ def linear_stat_many(y, z, relabelings: np.ndarray) -> np.ndarray:
     a, b = _centered_pair(y, z)
     n = a.size
     perms = _index_rows(relabelings, n, "relabelings")
-    return (b[perms] @ a) / n
+    # the gathered b; each row summed on its own, as in `_two_sample_of_counts`
+    return _by_row_slices(perms, n, lambda block: (b[block] * a).sum(axis=1) / n)
 
 
 def _centered_pair(y, z) -> tuple[np.ndarray, np.ndarray]:

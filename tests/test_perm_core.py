@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from permkit import perm_core
+from permkit import perm_core, ustats
 from permkit.dataio import outcome_record, write_outcome_json
 from permkit.perm_core import (
     BLOCK_ROWS,
@@ -424,15 +424,31 @@ class TestCountRows:
         assert rows.shape == (71, 40)
         assert np.array_equal(rows[1:], _contract_rows(40, 70, 4))
 
-    @pytest.mark.parametrize("k, rows", [(None, 5040), (3, 35)], ids=["n!", "subsets"])
-    def test_exact_rows_are_the_enumerated_rows_counted(self, k, rows):
+    @pytest.mark.parametrize("k", [None, 3], ids=["undeclared", "declared"])
+    def test_exact_rows_are_the_enumerated_subsets_counted(self, k):
         codes = np.array([2, 0, 1, 1, 0, 2, 2])
         stat = _RecordingStat()
         stat.subset_size = k
-        permutation_distribution(stat, GroupCounts(codes, 3), 7, PermutationPlan.exact())
-        ((_, enumerated),) = perm_core._enumeration_chunks(7, 5040, k)
-        assert stat.rows.shape == (rows, 3)
+        dist = permutation_distribution(stat, GroupCounts(codes, 3), 7, PermutationPlan.exact())
+        ((_, enumerated),) = perm_core._enumeration_chunks(7, 5040, 3)
+        assert stat.rows.shape == (35, 3)
         assert np.array_equal(stat.rows, GroupCounts(codes, 3).of_rows(enumerated))
+        assert dist.multiplicity == math.factorial(3) * math.factorial(4)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_undeclared_counts_decide_as_the_enumerated_relabelings(self, n):
+        # 12! index rows exceed the enumeration limit; C(12, 6) = 924 count rows do not
+        codes, half = np.random.default_rng(8).permutation(np.arange(n) % 4), n // 2
+        counted = _stat(lambda c, rows: ustats.multinomial_two_sample_u_counts(c.totals, half, rows))
+        dist = permutation_distribution(counted, GroupCounts(codes, half), n, PermutationPlan.exact())
+        assert len(dist.replicates) == math.comb(n, half)
+        assert dist.size == math.factorial(n)
+        if n == 8:  # every relabeling on index rows
+            indexed = _stat(lambda c, rows: ustats.multinomial_two_sample_u_many(c, 4, 4, rows))
+            full = permutation_distribution(indexed, codes, 8, PermutationPlan.exact())
+            assert len(full.replicates) == full.size == math.factorial(8)
+            assert p_value(dist) == p_value(full)
+            assert critical_value(dist, 0.1) == critical_value(full, 0.1)
 
     @pytest.mark.parametrize(
         "codes, n1, match",

@@ -14,6 +14,7 @@ import pytest
 from permkit import perm_core, ustats
 from permkit.perm_core import GroupCounts, PermutationPlan, replicate_rng
 from permkit.testing import (
+    AdaptiveGrid,
     AdaptiveOutcome,
     BinGrid,
     SmoothnessRule,
@@ -128,6 +129,22 @@ class TestRules:
         grid = adaptive_grid_independence(100, 1, 1)
         assert grid.gamma_max == 7
         assert grid.kappas == (2, 4, 8, 16, 32, 64, 128)
+
+    @pytest.mark.parametrize(
+        "kappas, gamma_max, name",
+        [((2,), 2.5, "gamma_max"), ((2,), True, "gamma_max"), ((2,), 0, "gamma_max"),
+         ((2,), "2", "gamma_max"), ((2.5,), 2, "kappa"), ((2, True), 2, "kappa"),
+         ((2, 4.0), 2, "kappa"), ((0, 2), 2, "kappa")],
+    )
+    def test_adaptive_grid_needs_positive_integers(self, kappas, gamma_max, name):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            AdaptiveGrid(kappas, gamma_max)
+
+    def test_adaptive_grid_stores_python_ints(self):
+        grid = AdaptiveGrid([np.int64(2), np.uint8(4)], np.int32(3))
+        assert grid.kappas == (2, 4) and grid.gamma_max == 3
+        assert all(type(k) is int for k in (*grid.kappas, grid.gamma_max))
+        assert grid.per_test_alpha(0.09) == pytest.approx(0.03)
 
     def test_adaptive_needs_n_at_least_3(self):
         with pytest.raises(ValueError):
@@ -925,15 +942,11 @@ class TestSubsetEnumeration:
 
 
 class _ForwardOnly:
-    """Forwards only ``evaluate_many`` and ``__call__``, as a tracing wrapper does."""
+    """Forwards only ``evaluate_many``, the one method ``perm_core`` calls, as a
+    tracing wrapper does: a declared ``subset_size`` is dropped."""
 
     def __init__(self, stat):
-        self._stat = stat
-        if hasattr(stat, "evaluate_many"):
-            self.evaluate_many = stat.evaluate_many
-
-    def __call__(self, data, perm):
-        return self._stat(data, perm)
+        self.evaluate_many = stat.evaluate_many
 
 
 # the procedures whose data reach perm_core as GroupCounts under a Monte Carlo plan

@@ -894,6 +894,9 @@ def _sliced_case(name):
         zs = np.array([codes, np.arange(12) % 4, (np.arange(12) // 2) % 6])
         # 3 * 5 + 2 * 4 + 6 * 6 joint cells and the 3 grids' gathered keys
         return lambda rows: multinomial_independence_u_many(ys, zs, rows), 59 + 3 * 12
+    if name == "linear_stat_many":
+        y, z = rng.normal(size=12), rng.normal(size=12)
+        return lambda rows: linear_stat_many(y, z, rows), 12  # the gathered z
     pooled = rng.poisson(1.0, (12, 4))
     return lambda rows: poisson_chisq_many(pooled, 6, rows), 6 * 4
 
@@ -908,15 +911,11 @@ _SLICED = [
     "multinomial_independence_u_many",
     "multinomial_independence_u_many-stacked",
     "poisson_chisq_many",
+    "linear_stat_many",
 ]
-# forms taking a BLAS product of non-integral floats keep whole slices; the
-# weighted count forms evaluate them on the calling thread, the Gram
-# two-sample form shares each slice's tiles with the helper
-_WHOLE_SLICES = [
-    "two_sample_u_many",
-    "multinomial_two_sample_u_many-weighted",
-    "multinomial_two_sample_u_counts-weighted",
-]
+# the Gram two-sample form's BLAS tile products keep whole slices; it shares
+# each slice's tiles with the helper
+_WHOLE_SLICES = ["two_sample_u_many"]
 _THREADED = [name for name in _SLICED if name not in _WHOLE_SLICES]  # pieces of slices
 
 
@@ -1059,7 +1058,7 @@ class TestThreadedSlices:
         taken = []
         by_row_slices = ustats._by_row_slices
 
-        def failing_slices(rows, per_row, block_values, columns=(), **options):
+        def failing_slices(rows, per_row, block_values, columns=()):
             def values(block):
                 taken.append(block)
                 here = "caller" if threading.current_thread() is caller else "helper"
@@ -1072,7 +1071,7 @@ class TestThreadedSlices:
                 time.sleep(0.001)  # all 200 slices take 0.2 s if the failure is ignored
                 return block_values(block)
 
-            return by_row_slices(rows, per_row, values, columns, **options)
+            return by_row_slices(rows, per_row, values, columns)
 
         monkeypatch.setattr(ustats, "_by_row_slices", failing_slices)
         before = threading.active_count()
@@ -1080,6 +1079,38 @@ class TestThreadedSlices:
             evaluate(rows)
         assert threading.active_count() == before
         assert len(taken) < count
+
+
+def _row_sum_case(form, size):
+    """``(evaluate, rows)`` of a form summing floats over each row of ``size`` entries."""
+    rng = np.random.default_rng(37)
+    if form == "linear":
+        y, z = rng.normal(size=size), rng.normal(size=size)
+        return (lambda rows: linear_stat_many(y, z, rows)), rng.permuted(
+            np.tile(np.arange(size), (24, 1)), axis=1)
+    totals = rng.integers(1, 4, size)
+    n1 = int(totals.sum()) // 2
+    inv_w = 1.0 / rng.uniform(0.05, 1.0, size)
+    rows = rng.multivariate_hypergeometric(totals, n1, size=24)
+    return (lambda c1: multinomial_two_sample_u_counts(totals, n1, c1, inv_w)), rows
+
+
+class TestRowSumsKeepTheirBits:
+    """A float sum over a row gives the row the same bits wherever it sits."""
+
+    # past 8192 entries an einsum splits a row where numpy's buffer ends, and
+    # a BLAS mat-vec rounds a row by its place in the product at any size
+    @pytest.mark.parametrize("size", [5, 300, 9000])
+    @pytest.mark.parametrize("form", ["weighted-counts", "linear"])
+    def test_a_row_alone_copied_or_in_any_slice(self, form, size):
+        evaluate, rows = _row_sum_case(form, size)
+        whole = evaluate(rows)
+        for i in range(len(rows)):
+            assert evaluate(rows[i : i + 1]).tobytes() == whole[i : i + 1].tobytes()
+            assert evaluate(rows[i].copy()[None]).tobytes() == whole[i : i + 1].tobytes()
+        for step in range(2, len(rows)):
+            cut = [evaluate(rows[start : start + step]) for start in range(0, len(rows), step)]
+            assert np.concatenate(cut).tobytes() == whole.tobytes()
 
 
 class TestModuleBoundary:
@@ -1153,6 +1184,18 @@ class TestDataTypes:
     def test_categorical_range_checked(self):
         with pytest.raises(ValueError):
             TwoSamplePooled(y=np.array([0, 3]), z=np.array([0, 1]), domain=Categorical(3))
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.True_, "2", 0, -1])
+    @pytest.mark.parametrize("domain, name", [(Categorical, "d"), (Continuous, "dim")])
+    def test_domain_size_is_a_positive_integer(self, domain, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            domain(bad)
+
+    @pytest.mark.parametrize("domain, name", [(Categorical, "d"), (Continuous, "dim")])
+    def test_domain_size_stored_as_a_python_int(self, domain, name):
+        size = getattr(domain(np.int64(3)), name)
+        assert type(size) is int and size == 3
+        assert domain(np.uint8(3)) == domain(3)
 
     def test_continuous_dim_checked(self):
         with pytest.raises(ValueError):
